@@ -30,6 +30,7 @@ from .graphs import (
     Graph,
     GraphError,
     bfs_tree,
+    build_graph,
     components_minus,
     edge_key,
     induced_subgraph,
@@ -765,9 +766,10 @@ def write_coloring(coloring: EdgeColoring, report: ColoringReport) -> str:
 
 
 def read_coloring(text: str):
-    """Parse a coloring file back into (graph, coloring, meta)."""
-    from .graphs import build_graph
+    """Parse a coloring file back into (graph, coloring, meta).
 
+    Raises GraphError on a row that is not three integers, on a color that
+    is not positive and on a header value that is not an integer."""
     meta: dict = {}
     rows = []
     for line in text.splitlines():
@@ -783,17 +785,26 @@ def read_coloring(text: str):
         parts = stripped.split()
         if len(parts) != 3:
             raise GraphError(f"bad coloring line {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        try:
+            u, v, col = (int(t) for t in parts)
+        except ValueError:
+            raise GraphError(f"bad coloring line {line!r}: expected integers") from None
+        if col <= 0:
+            raise GraphError(f"bad coloring line {line!r}: colors must be positive")
+        rows.append((u, v, col))
     if "n" not in meta:
         raise GraphError("coloring header must record n")
-    n = int(meta["n"])
+    try:
+        n = int(meta["n"])
+        meta_out: dict = {"method": meta.get("method", "unknown"), "n": n}
+        if "d" in meta:
+            meta_out["d"] = int(meta["d"])
+        if "colors" in meta:
+            meta_out["colors"] = int(meta["colors"])
+        if "dom" in meta and meta["dom"]:
+            meta_out["dom"] = tuple(int(t) for t in meta["dom"].split(","))
+    except ValueError as exc:
+        raise GraphError(f"bad coloring header value: {exc}") from None
     graph = build_graph(n, [(u, v) for u, v, _ in rows])
     assignment = {edge_key(u, v): c for u, v, c in rows}
-    meta_out: dict = {"method": meta.get("method", "unknown"), "n": n}
-    if "d" in meta:
-        meta_out["d"] = int(meta["d"])
-    if "colors" in meta:
-        meta_out["colors"] = int(meta["colors"])
-    if "dom" in meta and meta["dom"]:
-        meta_out["dom"] = tuple(int(t) for t in meta["dom"].split(","))
     return graph, EdgeColoring.from_dict(assignment), meta_out

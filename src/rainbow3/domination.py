@@ -3,6 +3,7 @@ scale, a many-leaf spanning-tree heuristic, and dominating paths of interval
 graphs."""
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -181,6 +182,14 @@ def min_connected_k_dominating_set(g: Graph, k: int, limit: int = 24) -> Dominat
 def cds_heuristic(g: Graph) -> DominatingSet:
     """Non-leaf vertices of a greedily grown many-leaf spanning tree.
 
+    The greedy many-leaf growth of Guha & Khuller, *Approximation
+    algorithms for connected dominating sets* (Algorithmica 1998): start at
+    a vertex of maximum degree (smallest id on a tie) and repeatedly make
+    internal the tree vertex with the most neighbors not yet in the tree,
+    the smallest id on a tie, adding all those neighbors.  Each vertex
+    keeps its count of outside neighbors; picks come from a heap keyed
+    ``(-count, v)`` whose stale entries are skipped on pop.
+
     Always a valid connected dominating set (post-checked); no size
     guarantee is asserted.
     """
@@ -189,19 +198,32 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     if g.n == 1:
         return DominatingSet(frozenset({0}), CONNECTED, HEURISTIC)
     root = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    in_tree = {root}
+    outside = [len(nbrs) for nbrs in g.adj]
+    in_tree = [False] * g.n
+    heap: list[tuple[int, int]] = []
+
+    def join(w: int) -> None:
+        in_tree[w] = True
+        for x in g.adj[w]:
+            outside[x] -= 1
+            if in_tree[x]:
+                heapq.heappush(heap, (-outside[x], x))
+        heapq.heappush(heap, (-outside[w], w))
+
+    join(root)
+    size = 1
     internal: set[int] = set()
-    while len(in_tree) < g.n:
-        best_v, best_new = -1, -1
-        for v in sorted(in_tree):
-            new = sum(1 for w in g.adj[v] if w not in in_tree)
-            if new > best_new:
-                best_v, best_new = v, new
-        if best_new <= 0:
+    while size < g.n:
+        neg_new, best_v = heapq.heappop(heap)
+        if -neg_new != outside[best_v]:
+            continue
+        if neg_new == 0:
             raise GraphError("graph must be connected")
         internal.add(best_v)
         for w in g.adj[best_v]:
-            in_tree.add(w)
+            if not in_tree[w]:
+                join(w)
+                size += 1
     if not internal:
         internal = {root}
     result = DominatingSet(frozenset(internal), CONNECTED, HEURISTIC)

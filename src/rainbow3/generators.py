@@ -150,32 +150,30 @@ def random_min_degree(n: int, delta: int, seed: int) -> Graph:
     """Seeded connected graph with minimum degree >= delta.
 
     A random spanning tree is augmented by random edges at every deficient
-    vertex; byte-identical for a fixed seed."""
+    vertex, each drawn uniformly from the vertices outside its closed
+    neighborhood; byte-identical for a fixed seed."""
     if n < delta + 1:
         raise GraphError(f"need n >= delta+1, got n={n} delta={delta}")
     rng = random.Random(seed)
-    edges = set()
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
         a = order[i]
         b = order[rng.randrange(i)]
-        edges.add((a, b) if a < b else (b, a))
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     for v in range(n):
-        while deg[v] < delta:
-            choices = [
-                w
-                for w in range(n)
-                if w != v and ((v, w) if v < w else (w, v)) not in edges
-            ]
-            if not choices:
+        while len(nbrs[v]) < delta:
+            free = n - 1 - len(nbrs[v])
+            if not free:
                 raise GraphError(f"cannot raise degree of {v} to {delta}")
-            w = rng.choice(choices)
-            edges.add((v, w) if v < w else (w, v))
-            deg[v] += 1
-            deg[w] += 1
-    return build_graph(n, sorted(edges))
+            # the k-th vertex, ascending, outside N[v]
+            w = rng.choice(range(free))
+            for u in sorted(nbrs[v] | {v}):
+                if u > w:
+                    break
+                w += 1
+            nbrs[v].add(w)
+            nbrs[w].add(v)
+    return build_graph(n, ((v, w) for v in range(n) for w in nbrs[v] if v < w))

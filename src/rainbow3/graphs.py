@@ -7,9 +7,9 @@ function, so shared graphs are safe to use concurrently.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable
 
 
@@ -263,18 +263,52 @@ def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
 
 
 def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
-    """(max Steiner distance over all triples, lexicographically first argmax)."""
+    """(max Steiner distance over all triples, lexicographically first argmax).
+
+    Triples are visited in lexicographic order and ``best`` only moves on a
+    strict increase.  A triple is skipped, without its median minimum, when
+    an upper bound on its Steiner distance is already <= ``best``:
+
+    - the two shorter sides, dab + dac + dbc - max(dab, dac, dbc), which is
+      the median sum at whichever terminal joins them;
+    - for the whole pair (a, b), dab + min(ecc(a), ecc(b)), the median sum
+      at a or at b for any third terminal;
+    - da[h] + db[h] + dc[h] at the last median h that ruled out a triple.
+
+    A skipped triple could never have passed the strict update, so the
+    value and the first argmax are exactly those of the full scan.
+    """
     if g.n < 3:
         raise GraphError(f"sdiam3 needs at least 3 vertices, got n={g.n}")
     dist = all_pairs_distances(g)
+    n = g.n
+    ecc = [max(row) for row in dist]
     best = -1
     best_triple = (0, 1, 2)
-    for a, b, c in itertools.combinations(range(g.n), 3):
-        da, db, dc = dist[a], dist[b], dist[c]
-        val = min(da[m] + db[m] + dc[m] for m in range(g.n))
-        if val > best:
-            best = val
-            best_triple = (a, b, c)
+    h = 0
+    for a in range(n - 2):
+        da = dist[a]
+        for b in range(a + 1, n - 1):
+            db = dist[b]
+            dab = da[b]
+            if dab + min(ecc[a], ecc[b]) <= best:
+                continue
+            sab = None
+            sab_h, dh = da[h] + db[h], dist[h]
+            for c in range(b + 1, n):
+                dac, dbc = da[c], db[c]
+                if dab + dac + dbc - max(dab, dac, dbc) <= best or sab_h + dh[c] <= best:
+                    continue
+                if sab is None:
+                    sab = list(map(add, da, db))
+                sums = list(map(add, sab, dist[c]))
+                val = min(sums)
+                if val > best:
+                    best = val
+                    best_triple = (a, b, c)
+                else:
+                    h = sums.index(val)
+                    sab_h, dh = sab[h], dist[h]
     return best, best_triple
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from rainbow3 import (
+    GraphError,
     bounds_report,
     build_graph,
     complete_graph,
@@ -174,6 +175,24 @@ def test_cli_usage_error_exits_two(capsys, monkeypatch):
     code, _, err = _run(["color"], stdin_text="garbage\n", capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
     assert "rainbow3" in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n", "0 1 1\n1 2 -2\n"],
+    ids=["non-integer", "fraction", "zero-color", "negative-color"],
+)
+def test_cli_verify_malformed_coloring_exits_two(rows, capsys, monkeypatch):
+    text = "# method=spanning n=3 colors=2\n" + rows
+    code, out, err = _run(["verify"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rainbow3: bad coloring line") and err.count("\n") == 1
+
+
+def test_read_coloring_rejects_bad_header_value():
+    with pytest.raises(GraphError, match="header"):
+        read_coloring("# method=spanning n=three\n0 1 1\n")
 
 
 def test_cli_dom_file_and_certs(tmp_path, capsys, monkeypatch):

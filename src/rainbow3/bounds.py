@@ -8,18 +8,12 @@ from dataclasses import dataclass
 
 from .coloring import InnerLimits, inner_coloring
 from .domination import (
-    CONNECTED,
     DominatingSet,
     DominationKind,
-    EXACT,
-    HEURISTIC,
-    LimitError,
-    _first_valid_subset,
-    _reconnect,
-    cds_heuristic,
-    check_domination,
-    min_connected_dominating_set,
-    three_way_dominating_set,
+    connected_dominating_set,
+    dominating_set,
+    grow_dominating_set,
+    k_way,
 )
 from .graphs import Graph, GraphError, is_connected, sdiam3
 
@@ -56,44 +50,6 @@ class BoundsReport:
         }
 
 
-def _exact_or_augmented(g: Graph, kind: DominationKind, exact_limit: int) -> DominatingSet:
-    """Smallest set of the given kind when enumeration is feasible, else a
-    checked augmentation of the heuristic connected dominating core."""
-    if g.n <= exact_limit:
-        return DominatingSet(_first_valid_subset(g, kind, exact_limit), kind, EXACT)
-    try:
-        core = min_connected_dominating_set(g)
-    except LimitError:
-        core = cds_heuristic(g)
-    dset = set(core.vertices)
-    if kind.k_way:
-        dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if v in dset:
-                continue
-            inside = [w for w in g.adj[v] if w in dset]
-            if len(inside) >= kind.k_dominating:
-                continue
-            if g.degree(v) < kind.k_dominating:
-                dset.add(v)
-            else:
-                for w in g.adj[v]:
-                    if w not in dset:
-                        dset.add(w)
-                        if len(inside) + 1 >= kind.k_dominating:
-                            break
-                        inside.append(w)
-            changed = True
-    _reconnect(g, dset)
-    result = DominatingSet(frozenset(dset), kind, HEURISTIC)
-    if not check_domination(g, result.vertices, kind):
-        raise AssertionError(f"augmentation failed to reach a {kind.label()} set")
-    return result
-
-
 def _route(g: Graph, dom: DominatingSet, extra: int, limits: InnerLimits) -> dict:
     inner, method = inner_coloring(g, dom.vertices, offset=0, limits=limits)
     d = inner.num_colors
@@ -109,30 +65,29 @@ def _route(g: Graph, dom: DominatingSet, extra: int, limits: InnerLimits) -> dic
 def bounds_report(
     g: Graph,
     exact_limit: int = 14,
-    gamma_limit: int = 24,
     limits: InnerLimits = InnerLimits(),
 ) -> BoundsReport:
     """Compute every applicable upper bound and take the smallest.
 
-    The d+4 route is reported by value only; its coloring construction is
-    cited prior work and never built here."""
+    One connected dominating core (``connected_dominating_set``) gives
+    gamma_c and is the set every route grows from; the 3-dominating and
+    (2-dominating, 3-way) routes are enumerated exactly instead when
+    n <= exact_limit.  The d+4 route is reported by value only; its coloring
+    construction is cited prior work and never built here."""
     if not is_connected(g):
         raise GraphError("graph must be connected")
     delta = g.min_degree()
     n1 = sum(1 for v in range(g.n) if g.degree(v) == 1)
     n2 = sum(1 for v in range(g.n) if g.degree(v) == 2)
     lower = sdiam3(g)
-    if g.n <= gamma_limit:
-        gamma = min_connected_dominating_set(g, limit=gamma_limit)
-    else:
-        gamma = cds_heuristic(g)
-    gamma_c = {"value": gamma.size, "provenance": gamma.provenance}
+    core = connected_dominating_set(g)
+    gamma_c = {"value": core.size, "provenance": core.provenance}
 
     kind_a = DominationKind(connected=True, k_dominating=3)
     kind_b = DominationKind(connected=True, k_dominating=2, k_way=3)
-    dom_a = _exact_or_augmented(g, kind_a, exact_limit)
-    dom_b = _exact_or_augmented(g, kind_b, exact_limit)
-    dom_c = three_way_dominating_set(g)
+    dom_a = dominating_set(g, kind_a, exact_limit, core)
+    dom_b = dominating_set(g, kind_b, exact_limit, core)
+    dom_c = grow_dominating_set(g, core, k_way(3))
     bound_a = _route(g, dom_a, 3, limits)
     bound_b = _route(g, dom_b, 4, limits)
     bound_b["constructed"] = False

@@ -11,11 +11,9 @@ import argparse
 import json
 import sys
 
-from .bounds import _exact_or_augmented, bounds_report
+from .bounds import bounds_report
 from .coloring import (
     ColoringReport,
-    EdgeColoring,
-    SafetyCertificate,
     read_coloring,
     spanning_tree_coloring,
     three_dom_coloring,
@@ -23,9 +21,13 @@ from .coloring import (
     write_coloring,
 )
 from .domination import (
+    USER,
+    DominatingSet,
     DominationError,
-    DominationKind,
     LimitError,
+    dominating_set,
+    k_dominating,
+    k_way,
     three_way_dominating_set,
 )
 from .generators import (
@@ -37,7 +39,13 @@ from .generators import (
     threshold_example,
 )
 from .graphs import GraphError, read_edge_list, sdiam3_with_triple, write_edge_list
-from .verify import VerifyLimitError, exact_rx3, is_3_rainbow, verify_certificate
+from .verify import (
+    SafetyCertificate,
+    VerifyLimitError,
+    exact_rx3,
+    is_3_rainbow,
+    verify_certificate,
+)
 
 _USAGE_ERRORS = (GraphError, DominationError, LimitError, VerifyLimitError)
 
@@ -102,9 +110,42 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _auto_dom(graph, method: str):
     if method == "theorem3":
         return three_way_dominating_set(graph)
-    return _exact_or_augmented(
-        graph, DominationKind(connected=True, k_dominating=3), exact_limit=14
-    )
+    return dominating_set(graph, k_dominating(3), exact_limit=14)
+
+
+def _read_dom(text: str) -> frozenset:
+    try:
+        return frozenset(int(t) for t in text.split())
+    except ValueError:
+        raise GraphError("dominating-set file must hold integer vertex ids") from None
+
+
+def _read_certificates(text: str) -> tuple[frozenset, list[SafetyCertificate]]:
+    """(dom, certificates) from a certificate file written by ``color --certs``."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise GraphError(f"certificate file is not JSON: {exc}") from None
+    if not isinstance(data, dict) or "certificates" not in data:
+        raise GraphError("certificate file must be an object with a 'certificates' list")
+    try:
+        dom = frozenset(data.get("dom") or ())
+        certs = [
+            SafetyCertificate(
+                vertex=raw["vertex"],
+                paths=tuple(tuple(p) for p in raw["paths"]),
+                color_sets=tuple(frozenset(s) for s in raw["color_sets"]),
+            )
+            for raw in data["certificates"]
+        ]
+    except KeyError as exc:
+        raise GraphError(f"certificate entry lacks {exc}") from None
+    except TypeError:
+        msg = "certificate file: dom, certificates, paths and color_sets must be JSON lists"
+        raise GraphError(msg) from None
+    if any(not isinstance(x, int) for c in certs for x in (c.vertex, *sum(c.paths, ()))):
+        raise GraphError("certificate vertices must be integers")
+    return dom, certs
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
@@ -125,9 +166,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         if args.dom == "auto":
             dom = _auto_dom(graph, method)
         else:
-            from .domination import USER, DominatingSet, k_dominating, k_way
-
-            verts = frozenset(int(t) for t in _read_text(args.dom).split())
+            verts = _read_dom(_read_text(args.dom))
             kind = k_way(3) if method == "theorem3" else k_dominating(3)
             dom = DominatingSet(verts, kind, USER)
         if method == "theorem3":
@@ -157,20 +196,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = report.to_json_dict()
     ok = report.verdict
     if args.certs:
-        data = json.loads(_read_text(args.certs))
-        dom = frozenset(data["dom"]) if data.get("dom") else frozenset(meta.get("dom", ()))
-        results = []
-        for raw in data["certificates"]:
-            cert = SafetyCertificate(
-                vertex=raw["vertex"],
-                paths=tuple(tuple(p) for p in raw["paths"]),
-                color_sets=tuple(frozenset(s) for s in raw["color_sets"]),
-            )
-            results.append(verify_certificate(graph, coloring, dom, cert))
+        dom, certs = _read_certificates(_read_text(args.certs))
+        dom = dom or frozenset(meta.get("dom", ()))
+        results = [verify_certificate(graph, coloring, dom, cert) for cert in certs]
         payload["certificates"] = {
             "checked": len(results),
             "ok": all(results),
-            "failing": [data["certificates"][i]["vertex"] for i, r in enumerate(results) if not r],
+            "failing": [cert.vertex for cert, r in zip(certs, results) if not r],
         }
         ok = ok and all(results)
     _print_json(payload)

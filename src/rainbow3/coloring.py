@@ -36,6 +36,13 @@ from .graphs import (
     induced_subgraph,
     is_connected,
 )
+from .verify import (
+    EdgeColoring,
+    SafetyCertificate,
+    VerifyLimitError,
+    exact_rx3_coloring,
+    verify_certificate,
+)
 
 
 class ColoringInternalError(RuntimeError):
@@ -44,34 +51,6 @@ class ColoringInternalError(RuntimeError):
 
 class CertificateError(RuntimeError):
     """A stored safety certificate stopped verifying mid-construction."""
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total mapping from canonical edges to positive integer colors."""
-
-    assignment: dict
-    num_colors: int
-
-    @classmethod
-    def from_dict(cls, assignment: dict) -> "EdgeColoring":
-        return cls(dict(assignment), len(set(assignment.values())) if assignment else 0)
-
-    def color(self, u: int, v: int) -> int:
-        return self.assignment[edge_key(u, v)]
-
-    def colors_used(self) -> list[int]:
-        return sorted(set(self.assignment.values()))
-
-
-@dataclass(frozen=True)
-class SafetyCertificate:
-    """Three internally disjoint super-rainbow v-D paths for one outside
-    vertex; the first path is always the single leg edge."""
-
-    vertex: int
-    paths: tuple
-    color_sets: tuple
 
 
 @dataclass(frozen=True)
@@ -155,8 +134,6 @@ def inner_coloring(
         raise GraphError("G[D] is disconnected")
     solved = None
     if sub.n >= 3 and sub.n <= limits.max_vertices and sub.m <= limits.max_edges:
-        from .verify import VerifyLimitError, exact_rx3_coloring
-
         try:
             solved = exact_rx3_coloring(sub, kmax=min(limits.kmax, sub.n - 1))
         except VerifyLimitError:
@@ -712,8 +689,6 @@ def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) ->
 
 
 def _check_flagged(g: Graph, dset: set, state: Stage1State) -> None:
-    from .verify import verify_certificate
-
     snapshot = EdgeColoring.from_dict(state.colors)
     for x in sorted(state.flagged):
         if x not in state.certs:
@@ -732,8 +707,6 @@ def _check_flagged(g: Graph, dset: set, state: Stage1State) -> None:
 def _finalize_certificates(
     g: Graph, dset: frozenset, coloring: EdgeColoring, cert_paths: dict
 ) -> list[SafetyCertificate]:
-    from .verify import verify_certificate
-
     out = []
     for v in range(g.n):
         if v in dset:

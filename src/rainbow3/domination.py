@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,8 +106,11 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
     return True
 
 
-def _first_valid_subset(g: Graph, kind: DominationKind, limit: int) -> frozenset:
-    """Smallest set satisfying ``kind``, size-then-lexicographic order."""
+def min_dominating_set(g: Graph, kind: DominationKind, limit: int = 24) -> DominatingSet:
+    """Smallest set satisfying ``kind`` by increasing-size enumeration; ties
+    broken lexicographically.  Exact only up to the size limit."""
+    if kind.connected and not is_connected(g):
+        raise GraphError("graph must be connected")
     if g.n > limit:
         raise LimitError(
             f"exact enumeration limited to n <= {limit}, got n={g.n}; "
@@ -142,7 +144,7 @@ def _first_valid_subset(g: Graph, kind: DominationKind, limit: int) -> frozenset
                 continue
             if kind.connected and not _mask_connected(nbr_mask, dmask, combo[0]):
                 continue
-            return frozenset(combo)
+            return DominatingSet(frozenset(combo), kind, EXACT)
     raise DominationError(f"no {kind.label()} set exists")
 
 
@@ -163,20 +165,13 @@ def _mask_connected(nbr_mask: list, dmask: int, start: int) -> bool:
 
 
 def min_connected_dominating_set(g: Graph, limit: int = 24) -> DominatingSet:
-    """Smallest connected dominating set by increasing-size enumeration;
-    ties broken lexicographically.  Exact only up to the size limit."""
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-    verts = _first_valid_subset(g, CONNECTED, limit)
-    return DominatingSet(verts, CONNECTED, EXACT)
+    """Smallest connected dominating set (exact enumeration)."""
+    return min_dominating_set(g, CONNECTED, limit)
 
 
 def min_connected_k_dominating_set(g: Graph, k: int, limit: int = 24) -> DominatingSet:
     """Smallest connected k-dominating set (exact enumeration)."""
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
-    verts = _first_valid_subset(g, k_dominating(k), limit)
-    return DominatingSet(verts, k_dominating(k), EXACT)
+    return min_dominating_set(g, k_dominating(k), limit)
 
 
 def cds_heuristic(g: Graph) -> DominatingSet:
@@ -232,66 +227,72 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     return result
 
 
-def _reconnect(g: Graph, dset: set) -> None:
-    """Grow dset with shortest-path vertices until G[dset] is connected.
+def connected_dominating_set(g: Graph, exact_limit: int = 24) -> DominatingSet:
+    """The connected dominating core every construction grows from: the
+    exact minimum when n <= exact_limit, otherwise the many-leaf heuristic."""
+    if g.n <= exact_limit:
+        return min_connected_dominating_set(g, exact_limit)
+    return cds_heuristic(g)
 
-    Smallest-id tie-breaks throughout.  For sets built from a connected
-    dominating core this never has to add anything.
-    """
-    while not is_connected(g, dset):
-        comps: list[set] = []
-        left = set(dset)
-        while left:
-            s = min(left)
-            comp = {s}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in g.adj[u]:
-                    if w in dset and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            comps.append(comp)
-            left -= comp
-        base = comps[0]
-        # BFS from the first fragment to the nearest other fragment
-        parent = {v: None for v in sorted(base)}
-        queue = deque(sorted(base))
-        hit = None
-        while queue and hit is None:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    if w in dset:
-                        hit = w
-                        break
-                    queue.append(w)
-        if hit is None:
-            raise GraphError("graph must be connected")
-        v = parent[hit]
-        while v is not None and v not in base:
-            dset.add(v)
-            v = parent[v]
+
+def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> DominatingSet:
+    """Checked growth of a connected dominating core into a ``kind`` set.
+
+    Adds every vertex of degree below ``kind.k_way``, then for each outside
+    vertex short of ``kind.k_dominating`` neighbors inside, the vertex itself
+    when its degree is too small and otherwise its outside neighbors in
+    ascending order until it has enough; repeated until nothing changes.
+    Every added vertex is adjacent to the core, so the set stays connected.
+    The core's provenance is kept when ``kind.k_dominating == 1`` (nothing
+    beyond the low-degree vertices is added); otherwise it is heuristic."""
+    dset = set(core.vertices)
+    if kind.k_way:
+        dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.n):
+            if v in dset:
+                continue
+            inside = [w for w in g.adj[v] if w in dset]
+            if len(inside) >= kind.k_dominating:
+                continue
+            if g.degree(v) < kind.k_dominating:
+                dset.add(v)
+            else:
+                for w in g.adj[v]:
+                    if w not in dset:
+                        dset.add(w)
+                        if len(inside) + 1 >= kind.k_dominating:
+                            break
+                        inside.append(w)
+            changed = True
+    provenance = core.provenance if kind.k_dominating == 1 else HEURISTIC
+    result = DominatingSet(frozenset(dset), kind, provenance)
+    if not check_domination(g, result.vertices, kind):
+        raise AssertionError(f"growth failed to reach a {kind.label()} set")
+    return result
+
+
+def dominating_set(
+    g: Graph, kind: DominationKind, exact_limit: int, core: DominatingSet | None = None
+) -> DominatingSet:
+    """Smallest ``kind`` set when n <= exact_limit, otherwise ``core`` (by
+    default ``connected_dominating_set(g)``) grown into a ``kind`` set."""
+    if g.n <= exact_limit:
+        return min_dominating_set(g, kind, exact_limit)
+    if core is None:
+        core = connected_dominating_set(g)
+    return grow_dominating_set(g, core, kind)
 
 
 def three_way_dominating_set(g: Graph, exact_limit: int = 24) -> DominatingSet:
-    """Connected dominating set unioned with every vertex of degree < 3.
+    """Connected dominating core unioned with every vertex of degree < 3.
 
-    Uses the exact minimum connected dominating set when n is within the
-    enumeration limit, otherwise the many-leaf heuristic.  The result always
-    satisfies connected 3-way domination.
-    """
-    try:
-        core = min_connected_dominating_set(g, limit=exact_limit)
-    except LimitError:
-        core = cds_heuristic(g)
-    dset = set(core.vertices) | {v for v in range(g.n) if g.degree(v) < 3}
-    _reconnect(g, dset)
-    result = DominatingSet(frozenset(dset), k_way(3), core.provenance)
-    if not check_domination(g, result.vertices, k_way(3)):
-        raise AssertionError("three-way construction produced an invalid set")
-    return result
+    The core is ``connected_dominating_set(g, exact_limit)``; the result
+    satisfies connected 3-way domination (post-checked) and carries the
+    core's provenance."""
+    return grow_dominating_set(g, connected_dominating_set(g, exact_limit), k_way(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Independent verification machinery.
+"""Edge colorings, safety certificates and independent verification machinery.
 
-Everything here checks colorings without trusting how they were built:
+The two value types every construction returns are defined here.  The rest
+checks colorings without trusting how they were built:
 rainbow-tree existence by mask dynamic programming, exhaustive 3-rainbow
 verification, safety-certificate checking, the pickability predicate with
 its brute-force twin, the transcribed color-set class tables, and an exact
@@ -12,12 +13,39 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coloring import EdgeColoring, SafetyCertificate
 from .graphs import Graph, GraphError, edge_key, sdiam3
 
 
 class VerifyLimitError(RuntimeError):
     """A verifier or solver was asked to exceed its configured limit."""
+
+
+@dataclass(frozen=True)
+class EdgeColoring:
+    """Total mapping from canonical edges to positive integer colors."""
+
+    assignment: dict
+    num_colors: int
+
+    @classmethod
+    def from_dict(cls, assignment: dict) -> "EdgeColoring":
+        return cls(dict(assignment), len(set(assignment.values())) if assignment else 0)
+
+    def color(self, u: int, v: int) -> int:
+        return self.assignment[edge_key(u, v)]
+
+    def colors_used(self) -> list[int]:
+        return sorted(set(self.assignment.values()))
+
+
+@dataclass(frozen=True)
+class SafetyCertificate:
+    """Three internally disjoint super-rainbow v-D paths for one outside
+    vertex; the first path is always the single leg edge."""
+
+    vertex: int
+    paths: tuple
+    color_sets: tuple
 
 
 @dataclass(frozen=True)

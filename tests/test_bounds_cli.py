@@ -18,6 +18,7 @@ from rainbow3 import (
     write_coloring,
     write_edge_list,
 )
+from rainbow3 import bounds, domination
 from rainbow3.cli import main
 from rainbow3.coloring import ColoringReport
 from conftest import connected_graphs
@@ -55,6 +56,23 @@ def test_bounds_family_value():
     assert rep.delta == 3
     assert rep.corollary_bounds["min_degree_family"] == 0.75 * g.n + 3
     assert rep.corollary_bounds["gamma_c_n1_n2"] == rep.gamma_c["value"] + 5
+
+
+@pytest.mark.parametrize("n,calls", [(12, 1), (20, 1), (30, 0)])
+def test_bounds_report_enumerates_min_cds_at_most_once(n, calls, monkeypatch):
+    seen = []
+    real = domination.min_connected_dominating_set
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    for module in (domination, bounds):
+        if getattr(module, "min_connected_dominating_set", None) is real:
+            monkeypatch.setattr(module, "min_connected_dominating_set", counted)
+    rep = bounds_report(random_min_degree(n, 3, 0))
+    assert len(seen) == calls
+    assert rep.gamma_c["provenance"] == ("exact" if calls else "heuristic")
 
 
 @given(connected_graphs(min_n=4, max_n=9))
@@ -188,6 +206,42 @@ def test_cli_verify_malformed_coloring_exits_two(rows, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("rainbow3: bad coloring line") and err.count("\n") == 1
+
+
+COLORED_PATH = "# method=spanning n=3 colors=2\n0 1 1\n1 2 2\n"
+CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
+
+
+@pytest.mark.parametrize(
+    "argv,file_text,stdin_text",
+    [
+        (["color", "--dom"], "1\nx\n", "4 3\n0 1\n1 2\n2 3\n"),
+        (["verify", "--certs"], "not json", COLORED_PATH),
+        (["verify", "--certs"], "[]", COLORED_PATH),
+        (["verify", "--certs"], json.dumps({"dom": [0, 1]}), COLORED_PATH),
+    ]
+    + [
+        (["verify", "--certs"], json.dumps({"dom": [0, 1], "certificates": [
+            {k: v for k, v in CERT.items() if k != key}]}), COLORED_PATH)
+        for key in CERT
+    ]
+    + [
+        (["verify", "--certs"], json.dumps({"dom": [0, 1], "certificates": [
+            dict(CERT, paths=[[2, [1]]])]}), COLORED_PATH),
+    ],
+    ids=["dom-non-integer", "certs-not-json", "certs-not-object", "certs-missing-list",
+         "cert-missing-vertex", "cert-missing-paths", "cert-missing-color-sets",
+         "cert-non-integer-vertex"],
+)
+def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_path,
+                                            capsys, monkeypatch):
+    path = tmp_path / "input"
+    path.write_text(file_text)
+    code, out, err = _run(argv + [str(path)], stdin_text=stdin_text, capsys=capsys,
+                          monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rainbow3: ") and err.count("\n") == 1
 
 
 def test_read_coloring_rejects_bad_header_value():

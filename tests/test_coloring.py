@@ -13,9 +13,11 @@ from rainbow3 import (
     complete_graph,
     components_minus,
     cycle_graph,
+    dominating_set,
     french_windmill,
     inner_coloring,
     is_3_rainbow,
+    k_dominating,
     k_way,
     min_connected_k_dominating_set,
     order_dangerous,
@@ -432,13 +434,9 @@ def test_colorings_are_deterministic():
 
 
 def test_three_dom_end_to_end_random():
-    from rainbow3.bounds import _exact_or_augmented
-    from rainbow3.domination import DominationKind
-
-    kind = DominationKind(connected=True, k_dominating=3)
     for seed in range(8):
         g = random_min_degree(9 + 2 * seed, 3, seed=seed)
-        dom = _exact_or_augmented(g, kind, exact_limit=14)
+        dom = dominating_set(g, k_dominating(3), exact_limit=14)
         col, report = three_dom_coloring(g, dom)
         assert col.num_colors <= report.d + 3
         assert is_3_rainbow(g, col, max_colors=24).verdict

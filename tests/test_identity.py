@@ -1,4 +1,4 @@
-"""Pinned outputs of the three functions whose speed is tuned.
+"""Pinned outputs of the functions whose speed or structure is tuned.
 
 `random_min_degree`, `cds_heuristic` and `sdiam3_with_triple` each replaced
 a plain scan with a pruned or incremental one.  Their outputs are part of
@@ -6,21 +6,31 @@ the reproducible record (seeded corpora, CLI JSON, benchmark digests), so
 the digests below were taken from the plain scans and must not move: the
 same edge list byte for byte, the same dominating set, the same Steiner
 value and the same lexicographically first extremal triple.
+
+The dominating-set builders behind `bounds_report`, `three_way_dominating_set`
+and `rainbow3 color --method theorem4` are pinned the same way, on graphs
+that reach every route: exact enumeration (n <= exact_limit), growth from an
+exact connected core (n <= 24) and growth from the heuristic core (n > 24).
 """
 import hashlib
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 
 from rainbow3 import (
+    bounds_report,
     cds_heuristic,
     french_windmill,
     gstar,
     random_min_degree,
     sdiam3_with_triple,
+    three_way_dominating_set,
     write_edge_list,
 )
+from rainbow3.cli import main
 from conftest import connected_graphs, oracle_steiner3
 
 
@@ -101,3 +111,117 @@ def test_sdiam3_triple_is_first_oracle_argmax(g):
         if val > best:
             best, first = val, triple
     assert sdiam3_with_triple(g) == (best, first)
+
+
+def bounds_digest(spec):
+    """`bounds_report` JSON at exact_limit 8 and at the default 14."""
+    g = _graph(spec)
+    reports = [bounds_report(g, exact_limit=8).to_json_dict(), bounds_report(g).to_json_dict()]
+    return _sha(json.dumps(reports, sort_keys=True))
+
+
+def three_way_digest(spec):
+    """Sorted set and provenance of `three_way_dominating_set` at exact_limit
+    14 and at the default 24."""
+    g = _graph(spec)
+    sets = [three_way_dominating_set(g, limit) for limit in (14, 24)]
+    return _sha(repr([(d.sorted(), d.provenance) for d in sets]))
+
+
+def theorem4_digest(spec, capsys, monkeypatch):
+    """Standard output of `rainbow3 color --method theorem4` (automatic D)."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(_graph(spec))))
+    assert main(["color", "--method", "theorem4"]) == 0
+    return _sha(capsys.readouterr().out)
+
+
+BUILDER_SPECS = [
+    ("random", 9, 1, 0),
+    ("random", 12, 1, 1),
+    ("random", 12, 2, 1),
+    ("random", 14, 3, 0),
+    ("random", 16, 1, 1),
+    ("random", 16, 2, 1),
+    ("random", 20, 3, 0),
+    ("random", 24, 3, 1),
+    ("random", 25, 3, 0),
+    ("random", 30, 1, 0),
+    ("random", 30, 2, 1),
+    ("random", 60, 3, 0),
+    ("windmill", 3),
+    ("windmill", 10),
+    ("gstar", 1),
+    ("gstar", 4),
+]
+
+BOUNDS_DIGESTS = {
+    ("random", 9, 1, 0): "4d21905882ebf6a387edd6517b0d8c02f8b63d745dcd2938f0a7406d56f1fd0b",
+    ("random", 12, 1, 1): "849b3330b1e6873b18ad53896b0067c06911d39cec911c2d92b8eaf3996eb886",
+    ("random", 12, 2, 1): "931b7a5095042eed67bebf89905ff3e764eaf15b7d487d705ca08dcdeb299844",
+    ("random", 14, 3, 0): "6553eaa19df2f522128e19fceb27a437048959760a38b43068787f436a41207c",
+    ("random", 16, 1, 1): "629a8333e37da7fec2f884be79ed50d1add3fa6275c25616436e0b9604bb92f6",
+    ("random", 16, 2, 1): "648b71f762bbda46f53c9d32d899a61ce894e8ee6437ed13c9cd7405ce4c882f",
+    ("random", 20, 3, 0): "13cb8bdd450f08129a9621278844bbe1e8ff14fb18d1750c8d88238de0501558",
+    ("random", 24, 3, 1): "6392da1c4623e800309591251f12082bdcec9134714d9332d6c0ba61c423b4f6",
+    ("random", 25, 3, 0): "7a862b1c9a340a288599aabb5d0bb94c4afd81c4461c51551f54c62eb90d65ab",
+    ("random", 30, 1, 0): "fe770653b7ad57cf05c9c2254baf2e4fde12bc44f6ac2e65b4c3f602a8f8e374",
+    ("random", 30, 2, 1): "8def96ab3b2e8fe09d423993541300c54b3967211585e0fd8bf7d9709fc6c985",
+    ("random", 60, 3, 0): "7a93907852f9e85ec8ff2a164bfdd4e9cec96d49e5278d6003d42c6f2e1866e3",
+    ("windmill", 3): "41bababc032563bf12b31bc453cf42257700f48823a16246234926e1fb13bbc6",
+    ("windmill", 10): "ad04e643b2bd5b415985143b3620d7be00e90b09afc2cd67787a9a1fbcb3b931",
+    ("gstar", 1): "d4fce2bf65453cb4d12b2fc31b0662135a0b246a3a9ad1ebd3f588b6fb785648",
+    ("gstar", 4): "8ab7b821e95eba881c6e05940302b9e9e78ac38130a03875b7e377152c3a4403",
+}
+
+THREE_WAY_DIGESTS = {
+    ("random", 9, 1, 0): "e8122bbd88ebb2ab38f2362b1d8c64b154f5e41e1ae965cf63c3718a5b35835d",
+    ("random", 12, 1, 1): "63bf72b62a32077a91269bfadeb18cf6756c0a7e544dcbd466028521a28cdc51",
+    ("random", 12, 2, 1): "cdcbb460d454855ca73eecfdd5c180ac4c8f60f9028d4ece4beb090dc3fca6fb",
+    ("random", 14, 3, 0): "1c3f8769ee47e8c905f67d5561a6ef02da79973f3b1d0464cddae5646e707128",
+    ("random", 16, 1, 1): "d1c8ce7ca7ab6b231da6d69662ef28c999b6490648a7f19a59e92fe39c3d325b",
+    ("random", 16, 2, 1): "9e89afc1957e7496b712de90a568e60bbc26f70e0bf0f90a28475fde4becfc72",
+    ("random", 20, 3, 0): "22b453746e3b099f9d99d550d3fbf71e8dd6e622902b29d363a3149f4543cb56",
+    ("random", 24, 3, 1): "85ebe1b2112d529789e0ff8f2f5010ca88bf5fbeef9ae3223114369e50845751",
+    ("random", 25, 3, 0): "f466bab5d47a7dcf8fff622e7f4084233c8a1dc241451aa054eddb9367f556ae",
+    ("random", 30, 1, 0): "fa6e7c53f1a181cca619c0c44944bc8640faa0ec32b9bde5b0f073bcf9f330e1",
+    ("random", 30, 2, 1): "b627e1ac23ef18c62a3f2f3a86c1a054c7f31aba9fbc7a1336af50dda03960cd",
+    ("random", 60, 3, 0): "6ee8f0b6aff731f2e3916029ba4f3a9e9de310c8a62a82d33a35a67012e8cd37",
+    ("windmill", 3): "e9d24a3e8e44f25ebe2d347cda4df4e0561ea6f994da8c84a280e6b268cb90d7",
+    ("windmill", 10): "dd0929cc81f91c6d18d0d492ee5b829ee4a42913c62cf9b038a925b9d3cbc7f9",
+    ("gstar", 1): "a14a0c4888d5550ca82053611b29e693f132c4593b7147fd98b196f0e3d72f3e",
+    ("gstar", 4): "6a61b2c9f7ef8e2d8428cd97f62564da3636d72ad1fd51b80fdb0746ef5eec03",
+}
+
+THEOREM4_DIGESTS = {
+    ("random", 9, 1, 0): "46969273f40f10c0bd0b5e4d27137f46d80b111f10b229b4e2b0fe12b3bdeaa6",
+    ("random", 12, 1, 1): "f4ae22d51344976f010c65a73b5f3145cba3028c3dddabf103bb361c569580cb",
+    ("random", 12, 2, 1): "efb7ef6851fb2d037139630d1d08caba06d0e9c5c2d79703d6375ea426b45ecb",
+    ("random", 14, 3, 0): "fc29a4c0826fd927d35abbd437542ba2b7c2dfe5cbd8cc7bb42c6152064f9a1a",
+    ("random", 16, 1, 1): "d65380ea573e35eadcbf58783cbb6480a9ec639e23c5e707b6e812c3ad11757a",
+    ("random", 16, 2, 1): "cf2a2760a56ff7fa23d16e6fdb429e631faa1f9d36796cd43fb57965770b66a1",
+    ("random", 20, 3, 0): "6c7a707793141990df7f6d3d7aac8adfc591539c5bc24ed49fe872c6fdff184d",
+    ("random", 24, 3, 1): "0cecf4a6907400ef4888572a8f708ed5b0309e34184f96ed6965e4cf42a7ba55",
+    ("random", 25, 3, 0): "c1e1498107a46f3be335029f669358f8193516e6fe1970620a7389401f3e31ed",
+    ("random", 30, 1, 0): "f17e319c795d5604d78139620b58323c37c4f6ab5a55428ac663c94dbf2319cb",
+    ("random", 30, 2, 1): "2d6473dc9091a775637735d0b558690f6be762a61a70d42007f6b9397f39ee79",
+    ("random", 60, 3, 0): "dcd68ac8eac062bedb2522ea28c3926362dc028ff2afa1e86dff3fa0eb07ee04",
+    ("windmill", 3): "f87db2c110c30b16061af131490574e8b968c2164b6cb3433c740a4a3250f493",
+    ("windmill", 10): "90aabb34ce095557ff4de4d774336d669ee4fb062e0ab0b3253b9893e178c1c9",
+    ("gstar", 1): "d317f1bb329c853466f810522dc4bcbd08ad7036ecde01d7c40b460ca6db0a9c",
+    ("gstar", 4): "3bab0993313f6715f57c56788154a115469e84493b137ba78bf3f68d555176e6",
+}
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
+def test_bounds_report_pinned(spec):
+    assert bounds_digest(spec) == BOUNDS_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
+def test_three_way_dominating_set_pinned(spec):
+    assert three_way_digest(spec) == THREE_WAY_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
+def test_color_theorem4_output_pinned(spec, capsys, monkeypatch):
+    assert theorem4_digest(spec, capsys, monkeypatch) == THEOREM4_DIGESTS[spec]

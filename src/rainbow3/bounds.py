@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import InnerLimits, inner_coloring
+from .coloring import inner_coloring
 from .domination import (
     DominatingSet,
     DominationKind,
@@ -50,8 +50,8 @@ class BoundsReport:
         }
 
 
-def _route(g: Graph, dom: DominatingSet, extra: int, limits: InnerLimits) -> dict:
-    inner, method = inner_coloring(g, dom.vertices, offset=0, limits=limits)
+def _route(g: Graph, dom: DominatingSet, extra: int) -> dict:
+    inner, method = inner_coloring(g, dom.vertices, offset=0)
     d = inner.num_colors
     return {
         "value": d + extra,
@@ -62,11 +62,7 @@ def _route(g: Graph, dom: DominatingSet, extra: int, limits: InnerLimits) -> dic
     }
 
 
-def bounds_report(
-    g: Graph,
-    exact_limit: int = 14,
-    limits: InnerLimits = InnerLimits(),
-) -> BoundsReport:
+def bounds_report(g: Graph, exact_limit: int = 14) -> BoundsReport:
     """Compute every applicable upper bound and take the smallest.
 
     One connected dominating core (``connected_dominating_set``) gives
@@ -88,11 +84,11 @@ def bounds_report(
     dom_a = dominating_set(g, kind_a, exact_limit, core)
     dom_b = dominating_set(g, kind_b, exact_limit, core)
     dom_c = grow_dominating_set(g, core, k_way(3))
-    bound_a = _route(g, dom_a, 3, limits)
-    bound_b = _route(g, dom_b, 4, limits)
+    bound_a = _route(g, dom_a, 3)
+    bound_b = _route(g, dom_b, 4)
     bound_b["constructed"] = False
     bound_b["note"] = "cited, not constructed"
-    bound_c = _route(g, dom_c, 6, limits)
+    bound_c = _route(g, dom_c, 6)
 
     family = None
     if delta >= 5:

@@ -31,15 +31,23 @@ from .domination import (
     three_way_dominating_set,
 )
 from .generators import (
+    FamilyGraph,
     chain_example,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
     french_windmill,
     gstar,
+    path_graph,
     random_min_degree,
-    standard_family,
+    star_graph,
     threshold_example,
 )
 from .graphs import GraphError, read_edge_list, sdiam3_with_triple, write_edge_list
 from .verify import (
+    EXACT_KMAX,
+    EXACT_MAX_EDGES,
+    MAX_VERIFY_COLORS,
     SafetyCertificate,
     VerifyLimitError,
     exact_rx3,
@@ -55,6 +63,20 @@ METHOD_ALIASES = {
     "theorem4": "theorem4",
     "three-dom": "theorem4",
     "spanning": "spanning",
+}
+
+# `gen` family name -> its generator, called with the parsed options
+FAMILIES = {
+    "french-windmill": lambda a: french_windmill(a.t),
+    "threshold": lambda a: threshold_example(a.t),
+    "chain": lambda a: chain_example(a.k, a.t),
+    "gstar": lambda a: gstar(a.delta, a.m),
+    "random": lambda a: random_min_degree(a.n, a.delta, a.seed),
+    "complete": lambda a: complete_graph(a.n),
+    "complete-bipartite": lambda a: complete_bipartite(a.s, a.t),
+    "path": lambda a: path_graph(a.n),
+    "cycle": lambda a: cycle_graph(a.n),
+    "star": lambda a: star_graph(a.n),
 }
 
 
@@ -78,29 +100,11 @@ def _print_json(data: dict) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam == "french-windmill":
-        made = french_windmill(args.t)
+    made = FAMILIES[args.family](args)
+    if isinstance(made, FamilyGraph):
         graph, labels = made.graph, made.labels
-    elif fam == "threshold":
-        made = threshold_example(args.t)
-        graph, labels = made.graph, made.labels
-    elif fam == "chain":
-        made = chain_example(args.k, args.t)
-        graph, labels = made.graph, made.labels
-    elif fam == "gstar":
-        made = gstar(args.delta, args.m)
-        graph, labels = made.graph, made.labels
-    elif fam == "random":
-        graph, labels = random_min_degree(args.n, args.delta, args.seed), {}
-    elif fam == "complete":
-        graph, labels = standard_family("complete", args.n), {}
-    elif fam == "complete-bipartite":
-        graph, labels = standard_family("complete-bipartite", args.s, args.t), {}
-    elif fam in ("path", "cycle", "star"):
-        graph, labels = standard_family(fam, args.n), {}
     else:
-        raise GraphError(f"unknown family {fam!r}")
+        graph, labels = made, {}
     _write_text(args.out, write_edge_list(graph))
     if args.labels:
         _write_text(args.labels, json.dumps(labels, sort_keys=True) + "\n")
@@ -241,21 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a family graph as an edge list")
-    p.add_argument(
-        "family",
-        choices=[
-            "french-windmill",
-            "threshold",
-            "chain",
-            "gstar",
-            "random",
-            "complete",
-            "complete-bipartite",
-            "path",
-            "cycle",
-            "star",
-        ],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--delta", type=int, default=3)
@@ -278,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--certs", default=None, help="re-check a certificate file")
-    p.add_argument("--max-colors", type=int, default=14)
+    p.add_argument("--max-colors", type=int, default=MAX_VERIFY_COLORS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("exact", help="exact minimum 3-rainbow color count")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--max-edges", type=int, default=14)
+    p.add_argument("--kmax", type=int, default=EXACT_KMAX)
+    p.add_argument("--max-edges", type=int, default=EXACT_MAX_EDGES)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("bounds", help="print the bound report as JSON")

@@ -37,6 +37,7 @@ from .graphs import (
     is_connected,
 )
 from .verify import (
+    EXACT_MAX_EDGES,
     EdgeColoring,
     SafetyCertificate,
     VerifyLimitError,
@@ -107,18 +108,12 @@ def spanning_tree_coloring(h: Graph) -> EdgeColoring:
 # ---------------------------------------------------------------------------
 # Coloring the inside of D.
 
-@dataclass(frozen=True)
-class InnerLimits:
-    """Instance sizes up to which the exact minimum-color solver is tried."""
-
-    max_vertices: int = 8
-    max_edges: int = 14
-    kmax: int = 8
+# G[D] is solved exactly up to this many vertices (and the solver's
+# EXACT_MAX_EDGES edges); its color count n-1 then stays within EXACT_KMAX.
+INNER_EXACT_MAX_VERTICES = 8
 
 
-def inner_coloring(
-    g: Graph, dom: Iterable[int], offset: int, limits: InnerLimits = InnerLimits()
-) -> tuple[EdgeColoring, str]:
+def inner_coloring(g: Graph, dom: Iterable[int], offset: int) -> tuple[EdgeColoring, str]:
     """3-rainbow coloring of G[D] shifted to colors offset+1..offset+d.
 
     Solved to the exact minimum when G[D] is small enough, otherwise by the
@@ -133,9 +128,9 @@ def inner_coloring(
     if not is_connected(sub):
         raise GraphError("G[D] is disconnected")
     solved = None
-    if sub.n >= 3 and sub.n <= limits.max_vertices and sub.m <= limits.max_edges:
+    if 3 <= sub.n <= INNER_EXACT_MAX_VERTICES and sub.m <= EXACT_MAX_EDGES:
         try:
-            solved = exact_rx3_coloring(sub, kmax=min(limits.kmax, sub.n - 1))
+            solved = exact_rx3_coloring(sub, kmax=sub.n - 1)
         except VerifyLimitError:
             solved = None
     if solved is not None:
@@ -153,9 +148,7 @@ def inner_coloring(
 # ---------------------------------------------------------------------------
 # The 3-extra-color scheme over a connected 3-dominating set.
 
-def three_dom_coloring(
-    g: Graph, dom, limits: InnerLimits = InnerLimits()
-) -> tuple[EdgeColoring, ColoringReport]:
+def three_dom_coloring(g: Graph, dom) -> tuple[EdgeColoring, ColoringReport]:
     """Color one leg of every outside vertex 1, one 2 and the rest 3, give
     G[D] fresh colors 4..d+3, and color everything left 1.  Uses at most
     d+3 colors in total."""
@@ -166,12 +159,8 @@ def three_dom_coloring(
     for v in range(g.n):
         if v in dset:
             continue
-        ft = [w for w in g.adj[v] if w in dset]
-        colors[edge_key(v, ft[0])] = 1
-        colors[edge_key(v, ft[1])] = 2
-        for w in ft[2:]:
-            colors[edge_key(v, w)] = 3
-    inner, inner_method = inner_coloring(g, dset, offset=3, limits=limits)
+        _color_three_legs(colors, v, [w for w in g.adj[v] if w in dset])
+    inner, inner_method = inner_coloring(g, dset, offset=3)
     colors.update(inner.assignment)
     for e in g.edges:
         if e not in colors:
@@ -186,6 +175,14 @@ def three_dom_coloring(
         inner_method=inner_method,
     )
     return coloring, report
+
+
+def _color_three_legs(colors: dict, v: int, ft: list) -> None:
+    """Legs of v to its ascending feet ft get 1, 2, then 3 for the rest."""
+    colors[edge_key(v, ft[0])] = 1
+    colors[edge_key(v, ft[1])] = 2
+    for w in ft[2:]:
+        colors[edge_key(v, w)] = 3
 
 
 def _as_vertex_set(dom) -> frozenset:
@@ -212,8 +209,7 @@ class Stage1State:
     tree: BfsTree
     leg: dict = field(default_factory=dict)         # vertex -> chosen foot
     colors: dict = field(default_factory=dict)      # shared edge -> color map
-    certs: dict = field(default_factory=dict)       # vertex -> (p1, p2, p3)
-    flagged: set = field(default_factory=set)
+    certs: dict = field(default_factory=dict)       # certified vertex -> (p1, p2, p3)
     dangerous: list = field(default_factory=list)   # leaves, later the ordered A
     recolored: set = field(default_factory=set)
     steps: list = field(default_factory=list)
@@ -266,7 +262,6 @@ def stage1_periodic(
         (root, first, state.leg[first]),
         (root, last, state.leg[last]),
     )
-    state.flagged.add(root)
     for v in tree.order[1:]:
         kids = tree.children[v]
         if kids:
@@ -276,7 +271,6 @@ def stage1_periodic(
                 (v, tree.parent[v], state.leg[tree.parent[v]]),
                 (v, ch, state.leg[ch]),
             )
-            state.flagged.add(v)
         else:
             state.dangerous.append(v)
     return state
@@ -303,9 +297,8 @@ def order_dangerous(a: Iterable[int], tree: BfsTree) -> list[int]:
 # or through v's parent); same for v when it gets certified; the expected
 # color-set triples, checked at runtime against the produced certificates.
 
-_SHAPE_P, _SHAPE_PP = "p", "pp"
-_SHAPE_V1, _SHAPE_V2 = "v1", "v2"
-_SHAPE_W1, _SHAPE_W2 = "w1", "w2"
+_SHAPE_P = "p"
+_SHAPE_VIA_SHORT = ("v1", "w1")
 
 
 @dataclass(frozen=True)
@@ -439,18 +432,11 @@ def _shape_parent(state: Stage1State, x: int, kind: str) -> tuple:
     return (x, p, pp, state.leg[pp])
 
 
-def _shape_via_v(state: Stage1State, w: int, v: int, kind: str) -> tuple:
-    if kind == _SHAPE_V1:
-        return (w, v, state.leg[v])
-    pv = state.tree.parent[v]
-    return (w, v, pv, state.leg[pv])
-
-
-def _shape_via_w(state: Stage1State, v: int, w: int, kind: str) -> tuple:
-    if kind == _SHAPE_W1:
-        return (v, w, state.leg[w])
-    pw = state.tree.parent[w]
-    return (v, w, pw, state.leg[pw])
+def _shape_via(state: Stage1State, x: int, y: int, kind: str) -> tuple:
+    if kind in _SHAPE_VIA_SHORT:
+        return (x, y, state.leg[y])
+    py = state.tree.parent[y]
+    return (x, y, py, state.leg[py])
 
 
 def _expect_check(state: Stage1State, vertex: int, expected: tuple) -> None:
@@ -504,10 +490,10 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> StepInfo:
         raise ColoringInternalError("case 1 targets never have a recolored leg")
     if case in (2, 3) and dh == 1 and ev_rec:
         raise ColoringInternalError("a target one level deeper cannot be recolored yet")
-    if case in (2, 3) and dh == -1 and v not in state.flagged:
-        raise ColoringInternalError("a target one level higher must already be flagged")
-    if case == 4 and v not in state.flagged:
-        raise ColoringInternalError("case 4 targets must already be flagged")
+    if case in (2, 3) and dh == -1 and v not in state.certs:
+        raise ColoringInternalError("a target one level higher must already be certified")
+    if case == 4 and v not in state.certs:
+        raise ColoringInternalError("case 4 targets must already be certified")
     rule = STAGE2_RULES.get((case, h % 3, dh, ev_rec))
     if rule is None:
         raise ColoringInternalError(
@@ -529,20 +515,18 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> StepInfo:
     state.certs[w] = (
         (w, state.leg[w]),
         _shape_parent(state, w, rule.wi_p2),
-        _shape_via_v(state, w, v, rule.wi_p3),
+        _shape_via(state, w, v, rule.wi_p3),
     )
-    state.flagged.add(w)
     _expect_check(state, w, rule.expect_wi)
-    if rule.v_cert is not None and v not in state.flagged:
+    if rule.v_cert is not None and v not in state.certs:
         vp2, vp3 = rule.v_cert
         state.certs[v] = (
             (v, state.leg[v]),
             _shape_parent(state, v, vp2),
-            _shape_via_w(state, v, w, vp3),
+            _shape_via(state, v, w, vp3),
         )
-        state.flagged.add(v)
         _expect_check(state, v, rule.expect_v)
-    elif rule.v_cert is None and v not in state.flagged:
+    elif rule.v_cert is None and v not in state.certs:
         raise ColoringInternalError(
             f"rule {(case, h % 3, dh, ev_rec)} leaves target {v} uncertified"
         )
@@ -567,10 +551,7 @@ def _color_isolated_vertex(g: Graph, dset: set, v: int, colors: dict, certs: dic
     ft = [w for w in g.adj[v] if w in dset]
     if len(ft) < 3:
         raise DominationError(f"isolated outside vertex {v} has {len(ft)} legs, needs 3")
-    colors[edge_key(v, ft[0])] = 1
-    colors[edge_key(v, ft[1])] = 2
-    for w in ft[2:]:
-        colors[edge_key(v, w)] = 3
+    _color_three_legs(colors, v, ft)
     certs[v] = ((v, ft[0]), (v, ft[1]), (v, ft[2]))
 
 
@@ -598,7 +579,6 @@ def _color_isolated_edge(
 def three_way_coloring(
     g: Graph,
     dom,
-    limits: InnerLimits = InnerLimits(),
     check_steps: bool = False,
 ) -> tuple[EdgeColoring, list[SafetyCertificate], ColoringReport]:
     """3-rainbow coloring using at most 6 colors outside D plus a fresh
@@ -634,21 +614,21 @@ def three_way_coloring(
         state = stage1_periodic(g, dset, comp, tree, colors)
         for leaf in state.dangerous:
             _repair_leaf_with_leg(g, dset, state, leaf)
-        remaining = [v for v in state.dangerous if v not in state.flagged]
+        remaining = [v for v in state.dangerous if v not in state.certs]
         state.dangerous = order_dangerous(remaining, tree)
         for w in state.dangerous:
-            if w in state.flagged:
+            if w in state.certs:
                 continue
             stage2_repair_step(g, state, w)
             if check_steps:
-                _check_flagged(g, dset, state)
+                _check_certified(g, dset, state)
         stage2_steps.extend(state.steps)
         recolored += len(state.recolored)
         cert_paths.update(state.certs)
     for u, v in g.edges:
         if (u not in dset or v not in dset) and edge_key(u, v) not in colors:
             colors[edge_key(u, v)] = 1
-    inner, inner_method = inner_coloring(g, dset, offset=6, limits=limits)
+    inner, inner_method = inner_coloring(g, dset, offset=6)
     colors.update(inner.assignment)
     coloring = EdgeColoring.from_dict(colors)
     certificates = _finalize_certificates(g, dset, coloring, cert_paths)
@@ -685,23 +665,26 @@ def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) ->
     col = min(c for c in range(1, 7) if c not in used)
     state.colors[edge_key(leaf, foot)] = col
     state.certs[leaf] = (p1, (leaf, foot), p3)
-    state.flagged.add(leaf)
 
 
-def _check_flagged(g: Graph, dset: set, state: Stage1State) -> None:
+def _checked_certificate(
+    g: Graph, dset, coloring: EdgeColoring, v: int, paths, when: str
+) -> SafetyCertificate:
+    """The certificate of v's stored paths; CertificateError, naming the
+    pass ``when``, if it does not verify under ``coloring``."""
+    paths = tuple(tuple(p) for p in paths)
+    cert = SafetyCertificate(
+        vertex=v, paths=paths, color_sets=_cert_sets(coloring.assignment, paths)
+    )
+    if not verify_certificate(g, coloring, dset, cert):
+        raise CertificateError(f"certificate of vertex {v} does not verify ({when})")
+    return cert
+
+
+def _check_certified(g: Graph, dset: set, state: Stage1State) -> None:
     snapshot = EdgeColoring.from_dict(state.colors)
-    for x in sorted(state.flagged):
-        if x not in state.certs:
-            continue
-        cert = SafetyCertificate(
-            vertex=x,
-            paths=tuple(state.certs[x]),
-            color_sets=_cert_sets(state.colors, state.certs[x]),
-        )
-        if not verify_certificate(g, snapshot, dset, cert):
-            raise CertificateError(
-                f"certificate of flagged vertex {x} stopped verifying after a repair step"
-            )
+    for x in sorted(state.certs):
+        _checked_certificate(g, dset, snapshot, x, state.certs[x], "after a repair step")
 
 
 def _finalize_certificates(
@@ -713,13 +696,7 @@ def _finalize_certificates(
             continue
         if v not in cert_paths:
             raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-        paths = tuple(tuple(p) for p in cert_paths[v])
-        cert = SafetyCertificate(
-            vertex=v, paths=paths, color_sets=_cert_sets(coloring.assignment, paths)
-        )
-        if not verify_certificate(g, coloring, dset, cert):
-            raise CertificateError(f"final certificate of vertex {v} does not verify")
-        out.append(cert)
+        out.append(_checked_certificate(g, dset, coloring, v, cert_paths[v], "final pass"))
     return out
 
 
@@ -742,9 +719,11 @@ def read_coloring(text: str):
     """Parse a coloring file back into (graph, coloring, meta).
 
     Raises GraphError on a row that is not three integers, on a color that
-    is not positive and on a header value that is not an integer."""
+    is not positive, on an edge listed twice and on a header value that is
+    not an integer."""
     meta: dict = {}
     rows = []
+    assignment: dict = {}
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
@@ -764,7 +743,10 @@ def read_coloring(text: str):
             raise GraphError(f"bad coloring line {line!r}: expected integers") from None
         if col <= 0:
             raise GraphError(f"bad coloring line {line!r}: colors must be positive")
-        rows.append((u, v, col))
+        if edge_key(u, v) in assignment:
+            raise GraphError(f"bad coloring line {line!r}: edge listed twice")
+        assignment[edge_key(u, v)] = col
+        rows.append((u, v))
     if "n" not in meta:
         raise GraphError("coloring header must record n")
     try:
@@ -778,6 +760,4 @@ def read_coloring(text: str):
             meta_out["dom"] = tuple(int(t) for t in meta["dom"].split(","))
     except ValueError as exc:
         raise GraphError(f"bad coloring header value: {exc}") from None
-    graph = build_graph(n, [(u, v) for u, v, _ in rows])
-    assignment = {edge_key(u, v): c for u, v, c in rows}
-    return graph, EdgeColoring.from_dict(assignment), meta_out
+    return build_graph(n, rows), EdgeColoring.from_dict(assignment), meta_out

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -347,7 +348,8 @@ def interval_dominating_path(intervals: Sequence[tuple[float, float]]) -> list[i
 
 
 def read_intervals(text: str) -> list[tuple[float, float]]:
-    """Interval input file: one 'lo hi' pair per line, floats."""
+    """Interval input file: one 'lo hi' pair per line, finite floats with
+    lo <= hi.  Raises GraphError on any other line."""
     out = []
     for line in text.splitlines():
         body = line.split("#", 1)[0].strip()
@@ -356,5 +358,11 @@ def read_intervals(text: str) -> list[tuple[float, float]]:
         parts = body.split()
         if len(parts) != 2:
             raise GraphError(f"bad interval line {line!r}")
-        out.append((float(parts[0]), float(parts[1])))
+        try:
+            lo, hi = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise GraphError(f"bad interval line {line!r}: expected numbers") from None
+        if not -math.inf < lo <= hi < math.inf:
+            raise GraphError(f"bad interval line {line!r}: need finite lo <= hi")
+        out.append((lo, hi))
     return out

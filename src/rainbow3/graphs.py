@@ -52,9 +52,6 @@ class Graph:
             object.__setattr__(self, "_edge_set_cache", cached)
         return cached
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     """Build a canonical Graph, collapsing duplicate edges.
@@ -163,9 +160,6 @@ class BfsTree:
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.order if v != self.root and not self.children[v])
-
-    def vertices(self) -> tuple[int, ...]:
-        return self.order
 
 
 def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:

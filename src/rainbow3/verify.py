@@ -20,6 +20,13 @@ class VerifyLimitError(RuntimeError):
     """A verifier or solver was asked to exceed its configured limit."""
 
 
+# Default limits: colors the exhaustive verifier accepts, and the largest
+# color count and edge count the exact solver searches.
+MAX_VERIFY_COLORS = 14
+EXACT_KMAX = 8
+EXACT_MAX_EDGES = 14
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total mapping from canonical edges to positive integer colors."""
@@ -199,7 +206,16 @@ def pickable_bruteforce(cu, cv, cw) -> bool:
 # a connected rainbow subgraph, and its spanning tree is a rainbow S-tree.
 # Conversely a rainbow S-tree restricts to three such walks at its median.
 
-def _color_bits(g: Graph, c: EdgeColoring) -> tuple[dict, list[list[tuple[int, int]]]]:
+def _color_bits(g: Graph, c: EdgeColoring, max_colors: int) -> list[list[tuple[int, int]]]:
+    """Each vertex's (neighbor, color bit) pairs, after checking that ``c``
+    uses at most ``max_colors`` colors and colors every edge of g."""
+    if c.num_colors > max_colors:
+        raise VerifyLimitError(
+            f"coloring uses {c.num_colors} colors, above the limit {max_colors}"
+        )
+    missing = [e for e in g.edges if e not in c.assignment]
+    if missing:
+        raise GraphError(f"coloring is not total: {missing[0]} uncolored")
     palette = sorted({c.assignment[e] for e in g.edges})
     bit = {col: 1 << i for i, col in enumerate(palette)}
     adj_bits: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
@@ -207,7 +223,7 @@ def _color_bits(g: Graph, c: EdgeColoring) -> tuple[dict, list[list[tuple[int, i
         b = bit[c.assignment[(u, v)]]
         adj_bits[u].append((v, b))
         adj_bits[v].append((u, b))
-    return bit, adj_bits
+    return adj_bits
 
 
 def _single_source_masks(
@@ -252,7 +268,7 @@ def exists_rainbow_s_tree(
     g: Graph,
     c: EdgeColoring,
     s: Iterable[int],
-    max_colors: int = 14,
+    max_colors: int = MAX_VERIFY_COLORS,
     state_budget: int = 200_000,
 ) -> bool:
     """True iff some tree of g contains the 3-set ``s`` with pairwise
@@ -266,14 +282,7 @@ def exists_rainbow_s_tree(
     terms = sorted(set(s))
     if len(terms) != 3 or terms[0] < 0 or terms[-1] >= g.n:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
-    if c.num_colors > max_colors:
-        raise VerifyLimitError(
-            f"coloring uses {c.num_colors} colors, above the limit {max_colors}"
-        )
-    missing = [e for e in g.edges if e not in c.assignment]
-    if missing:
-        raise GraphError(f"coloring is not total: {missing[0]} uncolored")
-    _, adj_bits = _color_bits(g, c)
+    adj_bits = _color_bits(g, c, max_colors)
     ants = [
         _single_source_masks(g.n, adj_bits, t, state_budget) for t in terms
     ]
@@ -301,7 +310,7 @@ def _median_join(n: int, ants: list[list[list[int]]], order: Iterable[int] | Non
 def is_3_rainbow(
     g: Graph,
     c: EdgeColoring,
-    max_colors: int = 14,
+    max_colors: int = MAX_VERIFY_COLORS,
     state_budget: int = 200_000,
 ) -> VerifyReport:
     """Check every vertex triple for a rainbow tree; first failure wins.
@@ -312,14 +321,7 @@ def is_3_rainbow(
     """
     if g.n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
-    if c.num_colors > max_colors:
-        raise VerifyLimitError(
-            f"coloring uses {c.num_colors} colors, above the limit {max_colors}"
-        )
-    missing = [e for e in g.edges if e not in c.assignment]
-    if missing:
-        raise GraphError(f"coloring is not total: {missing[0]} uncolored")
-    _, adj_bits = _color_bits(g, c)
+    adj_bits = _color_bits(g, c, max_colors)
     ants = [
         _single_source_masks(g.n, adj_bits, v, state_budget) for v in range(g.n)
     ]
@@ -500,13 +502,13 @@ def _search_coloring(g: Graph, k: int, node_budget: int) -> dict | None:
 
 def exact_rx3_coloring(
     g: Graph,
-    kmax: int = 8,
-    max_edges: int = 14,
+    kmax: int = EXACT_KMAX,
+    max_edges: int = EXACT_MAX_EDGES,
     node_budget: int = 20_000_000,
 ) -> tuple[int, dict] | None:
     """(minimum color count, witness coloring), or None above kmax."""
-    if kmax > 8:
-        raise VerifyLimitError(f"kmax is limited to 8, got {kmax}")
+    if kmax > EXACT_KMAX:
+        raise VerifyLimitError(f"kmax is limited to {EXACT_KMAX}, got {kmax}")
     if g.m > max_edges:
         raise VerifyLimitError(
             f"exact solver limited to {max_edges} edges, got {g.m}"
@@ -521,7 +523,9 @@ def exact_rx3_coloring(
     return None
 
 
-def exact_rx3(g: Graph, kmax: int = 8, max_edges: int = 14) -> int | None:
+def exact_rx3(
+    g: Graph, kmax: int = EXACT_KMAX, max_edges: int = EXACT_MAX_EDGES
+) -> int | None:
     """Minimum number of colors in a 3-rainbow coloring, or None if it
     exceeds kmax."""
     result = exact_rx3_coloring(g, kmax=kmax, max_edges=max_edges)

@@ -256,7 +256,7 @@ def test_criterion_8_stepwise_safety(corpus_results):
     ok = len(corpus_results) == CORPUS_SIZE
     assert _report(
         "8", ok,
-        f"{steps} individual repair steps re-verified every flagged vertex; "
+        f"{steps} individual repair steps re-verified every certified vertex; "
         "zero violations",
     )
 

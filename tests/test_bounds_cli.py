@@ -1,8 +1,11 @@
 import io
+import itertools
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from rainbow3 import (
     GraphError,
@@ -19,7 +22,7 @@ from rainbow3 import (
     write_edge_list,
 )
 from rainbow3 import bounds, domination
-from rainbow3.cli import main
+from rainbow3.cli import FAMILIES, main
 from rainbow3.coloring import ColoringReport
 from conftest import connected_graphs
 
@@ -197,8 +200,9 @@ def test_cli_usage_error_exits_two(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "rows",
-    ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n", "0 1 1\n1 2 -2\n"],
-    ids=["non-integer", "fraction", "zero-color", "negative-color"],
+    ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n", "0 1 1\n1 2 -2\n",
+     "0 1 1\n1 2 2\n1 0 2\n"],
+    ids=["non-integer", "fraction", "zero-color", "negative-color", "edge-twice"],
 )
 def test_cli_verify_malformed_coloring_exits_two(rows, capsys, monkeypatch):
     text = "# method=spanning n=3 colors=2\n" + rows
@@ -324,3 +328,77 @@ def test_cli_every_emitted_coloring_verifies(gen_argv, method, capsys, monkeypat
                         capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed CLI inputs: every subcommand ends in exit 0, 1 or 2 without a
+# traceback, and only a `verify` verdict gives exit 1.
+
+_JUNK = st.sampled_from(["x", "-1", "1.5", "9", "nan", "#", "n=x", "dom=0,y"])
+
+
+@st.composite
+def _input_texts(draw, colored):
+    """Small edge-list or coloring text, often connected (a path plus
+    chords), sometimes with one token replaced."""
+    n = draw(st.integers(0, 8))
+    path = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
+    chords = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                           max_size=8)) if n >= 2 else []
+    edges = list(dict.fromkeys(path + chords))
+    if colored:
+        head = f"# method=spanning n={n}" + draw(st.sampled_from(["", " dom=0,1"]))
+        rows = [f"{u} {v} {draw(st.integers(1, 4))}" for u, v in edges]
+    else:
+        head, rows = f"{n} {len(edges)}", [f"{u} {v}" for u, v in edges]
+    lines = [head] + rows
+    bad = draw(st.none() | st.integers(0, len(lines) - 1))
+    if bad is not None:
+        tokens = lines[bad].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_JUNK)
+        lines[bad] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+_ARGS = st.sampled_from(["-1", "0", "1", "2", "3", "5"])
+_GEN = st.tuples(st.sampled_from(sorted(FAMILIES)), st.lists(
+    st.tuples(st.sampled_from(["--t", "--k", "--delta", "--m", "--n", "--s"]), _ARGS),
+    max_size=3,
+)).map(lambda case: ["gen", case[0]] + [x for opt in case[1] for x in opt])
+_ON_GRAPH = st.sampled_from([
+    ["color", "--method", "theorem3"],
+    ["color", "--method", "theorem4"],
+    ["color", "--method", "spanning"],
+    ["bounds"],
+    ["steiner"],
+    ["exact", "--kmax", "3"],
+    ["exact", "--kmax", "9"],
+])
+
+
+def _cli(argv, stdin_text):
+    # `_run` needs the function-scoped capsys/monkeypatch, which hypothesis
+    # examples cannot share
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.one_of(
+    st.tuples(_GEN, st.just("")),
+    st.tuples(_ON_GRAPH, _input_texts(colored=False)),
+    st.tuples(st.just(["verify"]), _input_texts(colored=True)),
+))
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzzed_input_exit_codes(case):
+    argv, text = case
+    code, out, err = _cli(argv, text)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert argv[0] == "verify" and json.loads(out)["verdict"] is False
+    if code == 2:
+        assert err.startswith("rainbow3: ") and err.count("\n") == 1
+    else:
+        assert err == ""

@@ -215,7 +215,7 @@ def test_stage2_recolors_only_the_processed_leg():
     state = stage1_periodic(g, dom, comp, tree)
     before = dict(state.colors)
     for w in order_dangerous([3, 4, 5], tree):
-        if w not in state.flagged:
+        if w not in state.certs:
             stage2_repair_step(g, state, w)
     changed = {e for e in before if before[e] != state.colors[e]}
     assert changed == {state.leg_edge(w) for w in state.recolored}
@@ -413,11 +413,10 @@ def test_three_way_property_small(g):
 
 
 def test_inner_fallback_to_spanning():
-    from rainbow3 import InnerLimits
-
-    made = chain_example(6, 10)
-    dom = [made.labels[x] for x in ("a4", "a5", "a6", "b1", "b2", "b3")]
-    col, method = inner_coloring(made.graph, dom, offset=6, limits=InnerLimits(max_vertices=2))
+    # G[D] has 9 vertices and 18 edges, past the exact solver's reach
+    made = chain_example(9, 9)
+    dom = [made.labels[x] for x in ("a7", "a8", "a9", "b1", "b2", "b3", "b4", "b5", "b6")]
+    col, method = inner_coloring(made.graph, dom, offset=6)
     assert method == "spanning"
     assert col.num_colors == len(dom) - 1
 

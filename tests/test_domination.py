@@ -222,5 +222,19 @@ def test_read_intervals():
 
     text = "# staircase\n0 2\n1.5 3  # overlaps\n\n2.5 4\n"
     assert read_intervals(text) == [(0.0, 2.0), (1.5, 3.0), (2.5, 4.0)]
+    assert read_intervals("1 1\n-2.5 0\n") == [(1.0, 1.0), (-2.5, 0.0)]
     with pytest.raises(GraphError):
         read_intervals("1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [("0 x\n", "expected numbers"), ("0 inf\n", "finite"), ("nan 1\n", "finite"),
+     ("3 1\n", "lo <= hi")],
+    ids=["non-numeric", "infinite", "nan", "reversed"],
+)
+def test_read_intervals_rejects_bad_line(text, reason):
+    from rainbow3 import read_intervals
+
+    with pytest.raises(GraphError, match=reason):
+        read_intervals(text)

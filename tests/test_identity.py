@@ -11,6 +11,8 @@ The dominating-set builders behind `bounds_report`, `three_way_dominating_set`
 and `rainbow3 color --method theorem4` are pinned the same way, on graphs
 that reach every route: exact enumeration (n <= exact_limit), growth from an
 exact connected core (n <= 24) and growth from the heuristic core (n > 24).
+The +6 scheme, `rainbow3 color --method theorem3 --certs`, is pinned on the
+same graphs plus one n=2000 graph: the coloring file and the certificates.
 """
 import hashlib
 import io
@@ -210,6 +212,41 @@ THEOREM4_DIGESTS = {
     ("gstar", 1): "d317f1bb329c853466f810522dc4bcbd08ad7036ecde01d7c40b460ca6db0a9c",
     ("gstar", 4): "3bab0993313f6715f57c56788154a115469e84493b137ba78bf3f68d555176e6",
 }
+
+
+def theorem3_digest(spec, capsys, monkeypatch, tmp_path):
+    """Standard output of `rainbow3 color --method theorem3 --certs` (automatic
+    D) followed by the certificate JSON it writes."""
+    certs = tmp_path / "certs.json"
+    monkeypatch.setattr("sys.stdin", io.StringIO(write_edge_list(_graph(spec))))
+    assert main(["color", "--method", "theorem3", "--certs", str(certs)]) == 0
+    return _sha(capsys.readouterr().out + certs.read_text())
+
+
+THEOREM3_DIGESTS = {
+    ("random", 9, 1, 0): "07a32b45244ac711447b9b7c382a8fa40388bdf2501196430548b1916883e636",
+    ("random", 12, 1, 1): "f2e94488b9e62196045cebb46f802394339f8b8e23ac5830d81296bfea88b345",
+    ("random", 12, 2, 1): "099ff078c1022e1cfbc0a27f0fcf91c34095da45643e5f81c949f6532ab1fc12",
+    ("random", 14, 3, 0): "7e14ea24742485808eab356590b84e44e627f8bca15d50cc33bfda3edbe34c2b",
+    ("random", 16, 1, 1): "8fc76aae77a7ec6fe90f6049161ac922f58e41da934a26860a74109caf6a93d2",
+    ("random", 16, 2, 1): "b3b1cbfa9dd09883d87db32e1952e4fb303014fd925228f9d5b637ae03fecc7f",
+    ("random", 20, 3, 0): "677dc5cc5af39ec70deead9bd5ba9c1e3efdc681976a773e7b05d076020dd290",
+    ("random", 24, 3, 1): "39adb70f70836b67220507650998f86a75c2788340aa3d517841209c95e755f7",
+    ("random", 25, 3, 0): "bedc638052f1863f0f5775a14b2c59b745337313c8c50ffd131cf069ea8297fa",
+    ("random", 30, 1, 0): "4a86ede00dcd17cd9fd595fdc9b10c9fcaf97b27889643fe99348bf2effcd4e7",
+    ("random", 30, 2, 1): "64ae5555c609aa837d9accadb5c1ee5d5c4ee6589485356941ed60d7430e4f1b",
+    ("random", 60, 3, 0): "cdb6256f3476e442c91913e95bd2aa7b5ee45ac6dd90a3059435f47652ec9af4",
+    ("windmill", 3): "e2380bb8892525d08ca2b14f53e68e0288953e90a7fb5f489b687e9b13492b3a",
+    ("windmill", 10): "6aa6974b2559172effa7f9c4d5863554ce4a70f9f075f5a5c29863325136e9dd",
+    ("gstar", 1): "4702d225d50d09b10f40a90d4b16444a7846ac5386892766e01b51cc4f2ddb49",
+    ("gstar", 4): "186942924374043a37b939d83e2d9cefbf0219134b6a6c45fe903177aca11953",
+    ("random", 2000, 3, 1): "7a7f83142bc5c4815881d7836f446d91a4aed64a15522600cd24104471c6215b",
+}
+
+
+@pytest.mark.parametrize("spec", list(THEOREM3_DIGESTS), ids=str)
+def test_color_theorem3_output_pinned(spec, capsys, monkeypatch, tmp_path):
+    assert theorem3_digest(spec, capsys, monkeypatch, tmp_path) == THEOREM3_DIGESTS[spec]
 
 
 @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .coloring import inner_coloring
 from .domination import (
+    ROUTE_EXACT_LIMIT,
     DominatingSet,
     DominationKind,
     connected_dominating_set,
@@ -62,7 +63,7 @@ def _route(g: Graph, dom: DominatingSet, extra: int) -> dict:
     }
 
 
-def bounds_report(g: Graph, exact_limit: int = 14) -> BoundsReport:
+def bounds_report(g: Graph, exact_limit: int = ROUTE_EXACT_LIMIT) -> BoundsReport:
     """Compute every applicable upper bound and take the smallest.
 
     One connected dominating core (``connected_dominating_set``) gives

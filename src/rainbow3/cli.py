@@ -21,6 +21,7 @@ from .coloring import (
     write_coloring,
 )
 from .domination import (
+    ROUTE_EXACT_LIMIT,
     USER,
     DominatingSet,
     DominationError,
@@ -56,14 +57,6 @@ from .verify import (
 )
 
 _USAGE_ERRORS = (GraphError, DominationError, LimitError, VerifyLimitError)
-
-METHOD_ALIASES = {
-    "theorem3": "theorem3",
-    "three-way": "theorem3",
-    "theorem4": "theorem4",
-    "three-dom": "theorem4",
-    "spanning": "spanning",
-}
 
 # `gen` family name -> its generator, called with the parsed options
 FAMILIES = {
@@ -114,7 +107,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _auto_dom(graph, method: str):
     if method == "theorem3":
         return three_way_dominating_set(graph)
-    return dominating_set(graph, k_dominating(3), exact_limit=14)
+    return dominating_set(graph, k_dominating(3), ROUTE_EXACT_LIMIT)
 
 
 def _read_dom(text: str) -> frozenset:
@@ -132,8 +125,10 @@ def _read_certificates(text: str) -> tuple[frozenset, list[SafetyCertificate]]:
         raise GraphError(f"certificate file is not JSON: {exc}") from None
     if not isinstance(data, dict) or "certificates" not in data:
         raise GraphError("certificate file must be an object with a 'certificates' list")
+    dom = data.get("dom", [])
+    if not isinstance(dom, list) or not all(type(x) is int for x in dom):
+        raise GraphError("certificate file: dom must be a list of integer vertex ids")
     try:
-        dom = frozenset(data.get("dom") or ())
         certs = [
             SafetyCertificate(
                 vertex=raw["vertex"],
@@ -145,18 +140,19 @@ def _read_certificates(text: str) -> tuple[frozenset, list[SafetyCertificate]]:
     except KeyError as exc:
         raise GraphError(f"certificate entry lacks {exc}") from None
     except TypeError:
-        msg = "certificate file: dom, certificates, paths and color_sets must be JSON lists"
+        msg = "certificate file: certificates, paths and color_sets must be JSON lists"
         raise GraphError(msg) from None
-    if any(not isinstance(x, int) for c in certs for x in (c.vertex, *sum(c.paths, ()))):
-        raise GraphError("certificate vertices must be integers")
-    return dom, certs
+    # type(x) is int: a JSON true or 1.0 is neither a vertex nor a color
+    if any(type(x) is not int for c in certs
+           for x in (c.vertex, *sum(c.paths, ()), *(k for s in c.color_sets for k in s))):
+        raise GraphError("certificate vertices and colors must be integers")
+    return frozenset(dom), certs
 
 
 def _cmd_color(args: argparse.Namespace) -> int:
     graph = read_edge_list(_read_text(args.infile))
-    method = METHOD_ALIASES[args.method]
     certificates: list[SafetyCertificate] = []
-    if method == "spanning":
+    if args.method == "spanning":
         coloring = spanning_tree_coloring(graph)
         report = ColoringReport(
             method="spanning",
@@ -168,12 +164,12 @@ def _cmd_color(args: argparse.Namespace) -> int:
         )
     else:
         if args.dom == "auto":
-            dom = _auto_dom(graph, method)
+            dom = _auto_dom(graph, args.method)
         else:
             verts = _read_dom(_read_text(args.dom))
-            kind = k_way(3) if method == "theorem3" else k_dominating(3)
+            kind = k_way(3) if args.method == "theorem3" else k_dominating(3)
             dom = DominatingSet(verts, kind, USER)
-        if method == "theorem3":
+        if args.method == "theorem3":
             coloring, certificates, report = three_way_coloring(graph, dom)
         else:
             coloring, report = three_dom_coloring(graph, dom)
@@ -259,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="color a graph read from a file or stdin")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--method", choices=sorted(METHOD_ALIASES), default="theorem3")
+    p.add_argument("--method", choices=["spanning", "theorem3", "theorem4"], default="theorem3")
     p.add_argument("--dom", default="auto", help="'auto' or a file of vertex ids")
     p.add_argument("--out", default="-")
     p.add_argument("--certs", default=None, help="write safety certificates as JSON")
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print the bound report as JSON")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--exact-limit", type=int, default=14)
+    p.add_argument("--exact-limit", type=int, default=ROUTE_EXACT_LIMIT)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("steiner", help="Steiner 3-diameter and an extremal triple")

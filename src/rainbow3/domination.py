@@ -1,15 +1,13 @@
 """Dominating-set variants: predicate checks, exact minimum searches at desk
-scale, a many-leaf spanning-tree heuristic, and dominating paths of interval
-graphs."""
+scale, and a many-leaf spanning-tree heuristic."""
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import Graph, GraphError, build_graph, is_connected
+from .graphs import Graph, GraphError, is_connected
 
 
 class DominationError(ValueError):
@@ -23,6 +21,11 @@ class LimitError(RuntimeError):
 EXACT = "exact"
 HEURISTIC = "heuristic"
 USER = "user"
+
+# Default largest n for exact enumeration of the connected core or any kind of set
+CDS_EXACT_LIMIT = 24
+# Largest n at which bounds_report and `color --dom auto` enumerate route sets exactly
+ROUTE_EXACT_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,6 @@ class DominatingSet:
         return sorted(self.vertices)
 
 
-def feet(g: Graph, dom: Iterable[int], v: int) -> tuple[int, ...]:
-    """Neighbors of the outside vertex v inside D, ascending (its legs' feet)."""
-    dset = set(dom)
-    return tuple(w for w in g.adj[v] if w in dset)
-
-
 def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool:
     """True iff ``dom`` satisfies the named domination property in g."""
     dset = frozenset(dom)
@@ -107,7 +104,9 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
     return True
 
 
-def min_dominating_set(g: Graph, kind: DominationKind, limit: int = 24) -> DominatingSet:
+def min_dominating_set(
+    g: Graph, kind: DominationKind, limit: int = CDS_EXACT_LIMIT
+) -> DominatingSet:
     """Smallest set satisfying ``kind`` by increasing-size enumeration; ties
     broken lexicographically.  Exact only up to the size limit."""
     if kind.connected and not is_connected(g):
@@ -165,12 +164,14 @@ def _mask_connected(nbr_mask: list, dmask: int, start: int) -> bool:
     return seen == dmask
 
 
-def min_connected_dominating_set(g: Graph, limit: int = 24) -> DominatingSet:
+def min_connected_dominating_set(g: Graph, limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
     """Smallest connected dominating set (exact enumeration)."""
     return min_dominating_set(g, CONNECTED, limit)
 
 
-def min_connected_k_dominating_set(g: Graph, k: int, limit: int = 24) -> DominatingSet:
+def min_connected_k_dominating_set(
+    g: Graph, k: int, limit: int = CDS_EXACT_LIMIT
+) -> DominatingSet:
     """Smallest connected k-dominating set (exact enumeration)."""
     return min_dominating_set(g, k_dominating(k), limit)
 
@@ -228,7 +229,7 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     return result
 
 
-def connected_dominating_set(g: Graph, exact_limit: int = 24) -> DominatingSet:
+def connected_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
     """The connected dominating core every construction grows from: the
     exact minimum when n <= exact_limit, otherwise the many-leaf heuristic."""
     if g.n <= exact_limit:
@@ -287,82 +288,10 @@ def dominating_set(
     return grow_dominating_set(g, core, kind)
 
 
-def three_way_dominating_set(g: Graph, exact_limit: int = 24) -> DominatingSet:
+def three_way_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
     """Connected dominating core unioned with every vertex of degree < 3.
 
     The core is ``connected_dominating_set(g, exact_limit)``; the result
     satisfies connected 3-way domination (post-checked) and carries the
     core's provenance."""
     return grow_dominating_set(g, connected_dominating_set(g, exact_limit), k_way(3))
-
-
-# ---------------------------------------------------------------------------
-# Interval graphs.  Input is the interval representation itself: one
-# (lo, hi) pair per vertex.
-
-def interval_graph(intervals: Sequence[tuple[float, float]]) -> Graph:
-    n = len(intervals)
-    edges = []
-    for i, j in itertools.combinations(range(n), 2):
-        lo_i, hi_i = intervals[i]
-        lo_j, hi_j = intervals[j]
-        if max(lo_i, lo_j) <= min(hi_i, hi_j):
-            edges.append((i, j))
-    return build_graph(n, edges)
-
-
-def interval_dominating_path(intervals: Sequence[tuple[float, float]]) -> list[int]:
-    """Dominating path of the interval graph by a greedy left-to-right sweep
-    over right endpoints.  Consecutive path vertices overlap; the vertex set
-    dominates (post-checked).  No length guarantee is made."""
-    if not intervals:
-        raise GraphError("empty interval system")
-    g = interval_graph(intervals)
-    if not is_connected(g):
-        raise GraphError("interval graph is disconnected")
-    lo_min = min(lo for lo, _ in intervals)
-    # start with the furthest-reaching interval touching the leftmost point
-    start = max(
-        (i for i, (lo, hi) in enumerate(intervals) if lo <= lo_min <= hi),
-        key=lambda i: (intervals[i][1], -i),
-    )
-    path = [start]
-    reach = intervals[start][1]
-    while True:
-        rightmost = max(hi for _, hi in intervals)
-        if reach >= rightmost:
-            break
-        candidates = [
-            i
-            for i, (lo, hi) in enumerate(intervals)
-            if i not in path and lo <= reach and hi > reach
-        ]
-        if not candidates:
-            break
-        nxt = max(candidates, key=lambda i: (intervals[i][1], -i))
-        path.append(nxt)
-        reach = intervals[nxt][1]
-    if not check_domination(g, path, PLAIN):
-        raise AssertionError("greedy sweep failed to dominate the interval graph")
-    return path
-
-
-def read_intervals(text: str) -> list[tuple[float, float]]:
-    """Interval input file: one 'lo hi' pair per line, finite floats with
-    lo <= hi.  Raises GraphError on any other line."""
-    out = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad interval line {line!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise GraphError(f"bad interval line {line!r}: expected numbers") from None
-        if not -math.inf < lo <= hi < math.inf:
-            raise GraphError(f"bad interval line {line!r}: need finite lo <= hi")
-        out.append((lo, hi))
-    return out

@@ -27,6 +27,8 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
+    if s < 0 or t < 0:
+        raise GraphError(f"complete bipartite needs s, t >= 0, got s={s} t={t}")
     return build_graph(s + t, ((i, s + j) for i in range(s) for j in range(t)))
 
 
@@ -43,19 +45,6 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(n: int) -> Graph:
     """Star on n vertices with center 0."""
     return build_graph(n, ((0, i) for i in range(1, n)))
-
-
-def standard_family(name: str, *params: int) -> Graph:
-    makers = {
-        "complete": complete_graph,
-        "complete-bipartite": complete_bipartite,
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "star": star_graph,
-    }
-    if name not in makers:
-        raise GraphError(f"unknown family {name!r}")
-    return makers[name](*params)
 
 
 def gstar(delta: int, m: int) -> FamilyGraph:
@@ -133,17 +122,6 @@ def french_windmill(t: int) -> FamilyGraph:
         edges.extend([(0, u), (0, v), (0, w), (u, v), (u, w), (v, w)])
     graph = build_graph(3 * t + 1, edges)
     return FamilyGraph("french-windmill", {"t": t}, graph, labels)
-
-
-def threshold_from_weights(weights, threshold: float) -> Graph:
-    """Edge uv iff w(u)+w(v) >= threshold."""
-    n = len(weights)
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(n), 2)
-        if weights[i] + weights[j] >= threshold
-    ]
-    return build_graph(n, edges)
 
 
 def random_min_degree(n: int, delta: int, seed: int) -> Graph:

@@ -80,6 +80,17 @@ def oracle_rainbow_s_tree(g, coloring, s) -> bool:
     return False
 
 
+def threshold_from_weights(weights, threshold: float):
+    """The threshold graph of the weights: edge uv iff w(u)+w(v) >= threshold."""
+    n = len(weights)
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if weights[i] + weights[j] >= threshold
+    ]
+    return build_graph(n, edges)
+
+
 def oracle_min_connected_dominating(g):
     """Smallest connected dominating set by full enumeration (plain sets)."""
     for size in range(1, g.n + 1):

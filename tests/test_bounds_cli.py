@@ -148,6 +148,16 @@ def test_cli_gen_labels(tmp_path, capsys, monkeypatch):
     assert out_file.read_text().startswith("8 18")
 
 
+@pytest.mark.parametrize("sides", [["--s", "-1", "--t", "3"], ["--s", "2", "--t", "-2"]],
+                         ids=["negative-s", "negative-t"])
+def test_cli_gen_complete_bipartite_negative_side_exits_two(sides, capsys, monkeypatch):
+    code, out, err = _run(["gen", "complete-bipartite"] + sides, capsys=capsys,
+                          monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rainbow3: ") and err.count("\n") == 1
+
+
 def test_cli_exact_k33(capsys, monkeypatch):
     g = write_edge_list(build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]))
     code, out, _ = _run(["exact", "--kmax", "3"], stdin_text=g,
@@ -230,12 +240,22 @@ CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
         for key in CERT
     ]
     + [
-        (["verify", "--certs"], json.dumps({"dom": [0, 1], "certificates": [
-            dict(CERT, paths=[[2, [1]]])]}), COLORED_PATH),
+        (["verify", "--certs"], json.dumps({"dom": dom, "certificates": [cert]}), COLORED_PATH)
+        for dom, cert in [
+            ([0, 1], dict(CERT, paths=[[2, [1]]])),
+            ("0", CERT),
+            (["x"], CERT),
+            ([0.0], CERT),
+            ([0, 1], dict(CERT, vertex=True)),
+            ([0, 1], dict(CERT, paths=[[2, True]])),
+            ([0, 1], dict(CERT, color_sets=[[True]])),
+        ]
     ],
     ids=["dom-non-integer", "certs-not-json", "certs-not-object", "certs-missing-list",
          "cert-missing-vertex", "cert-missing-paths", "cert-missing-color-sets",
-         "cert-non-integer-vertex"],
+         "cert-non-integer-vertex", "certs-dom-string", "certs-dom-non-integer",
+         "certs-dom-float", "cert-boolean-vertex", "cert-boolean-path-vertex",
+         "cert-boolean-color"],
 )
 def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_path,
                                             capsys, monkeypatch):

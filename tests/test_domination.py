@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from rainbow3 import (
     CONNECTED,
-    GraphError,
     LimitError,
     PLAIN,
     cds_heuristic,
@@ -11,10 +10,7 @@ from rainbow3 import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    feet,
     french_windmill,
-    interval_dominating_path,
-    interval_graph,
     k_dominating,
     k_way,
     min_connected_dominating_set,
@@ -188,53 +184,3 @@ def test_min_k_dominating_matches_oracle(g):
     ours = min_connected_k_dominating_set(g, 2)
     assert ours.size == len(oracle_min_connected_k_dominating(g, 2))
 
-
-def test_feet_accessor():
-    g = french_windmill(2).graph
-    assert feet(g, {0}, 1) == (0,)
-    assert feet(g, {0, 2}, 1) == (0, 2)
-
-
-def test_interval_path_all_overlapping():
-    assert interval_dominating_path([(0, 10), (1, 9), (2, 8)]) == [0]
-
-
-def test_interval_path_staircase_dominates():
-    intervals = [(0.0, 2.0), (1.0, 3.0), (2.0, 4.0), (3.0, 5.0)]
-    path = interval_dominating_path(intervals)
-    g = interval_graph(intervals)
-    assert check_domination(g, path, PLAIN)
-    for a, b in zip(path, path[1:]):
-        assert g.has_edge(a, b)
-
-
-def test_interval_path_complete_system():
-    assert len(interval_dominating_path([(0, 5)] * 4)) == 1
-
-
-def test_interval_path_disconnected():
-    with pytest.raises(GraphError, match="disconnected"):
-        interval_dominating_path([(0, 1), (5, 6)])
-
-
-def test_read_intervals():
-    from rainbow3 import read_intervals
-
-    text = "# staircase\n0 2\n1.5 3  # overlaps\n\n2.5 4\n"
-    assert read_intervals(text) == [(0.0, 2.0), (1.5, 3.0), (2.5, 4.0)]
-    assert read_intervals("1 1\n-2.5 0\n") == [(1.0, 1.0), (-2.5, 0.0)]
-    with pytest.raises(GraphError):
-        read_intervals("1 2 3\n")
-
-
-@pytest.mark.parametrize(
-    "text,reason",
-    [("0 x\n", "expected numbers"), ("0 inf\n", "finite"), ("nan 1\n", "finite"),
-     ("3 1\n", "lo <= hi")],
-    ids=["non-numeric", "infinite", "nan", "reversed"],
-)
-def test_read_intervals_rejects_bad_line(text, reason):
-    from rainbow3 import read_intervals
-
-    with pytest.raises(GraphError, match=reason):
-        read_intervals(text)

@@ -11,11 +11,10 @@ from rainbow3 import (
     gstar,
     path_graph,
     random_min_degree,
-    standard_family,
     star_graph,
     threshold_example,
-    threshold_from_weights,
 )
+from conftest import threshold_from_weights
 
 
 def test_standard_families():
@@ -25,9 +24,6 @@ def test_standard_families():
     assert all(cycle_graph(6).degree(v) == 2 for v in range(6))
     assert path_graph(5).m == 4
     assert star_graph(5).degree(0) == 4
-    assert standard_family("complete", 4) == complete_graph(4)
-    with pytest.raises(GraphError):
-        standard_family("hypercube", 3)
 
 
 def test_gstar_small():

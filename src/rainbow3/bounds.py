@@ -14,6 +14,7 @@ from .domination import (
     connected_dominating_set,
     dominating_set,
     grow_dominating_set,
+    k_dominating,
     k_way,
 )
 from .graphs import Graph, GraphError, is_connected, sdiam3
@@ -80,10 +81,8 @@ def bounds_report(g: Graph, exact_limit: int = ROUTE_EXACT_LIMIT) -> BoundsRepor
     core = connected_dominating_set(g)
     gamma_c = {"value": core.size, "provenance": core.provenance}
 
-    kind_a = DominationKind(connected=True, k_dominating=3)
-    kind_b = DominationKind(connected=True, k_dominating=2, k_way=3)
-    dom_a = dominating_set(g, kind_a, exact_limit, core)
-    dom_b = dominating_set(g, kind_b, exact_limit, core)
+    dom_a = dominating_set(g, k_dominating(3), exact_limit, core)
+    dom_b = dominating_set(g, DominationKind(k_dominating=2, k_way=3), exact_limit, core)
     dom_c = grow_dominating_set(g, core, k_way(3))
     bound_a = _route(g, dom_a, 3)
     bound_b = _route(g, dom_b, 4)

@@ -14,7 +14,6 @@ sequential.  All returned values are immutable.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -80,25 +79,18 @@ def _cert_sets(colors: dict, paths: tuple) -> tuple:
 # Baseline: distinct colors down a spanning tree.
 
 def spanning_tree_coloring(h: Graph) -> EdgeColoring:
-    """Spanning-tree edges get distinct colors 1..n-1, every other edge
-    reuses color 1.  Any triple is connected by a rainbow subtree of the
-    spanning tree, so this is always a valid 3-rainbow coloring."""
+    """The BFS tree edges from vertex 0 get distinct colors 1..n-1 in
+    visitation order, every other edge reuses color 1.  Any triple is
+    connected by a rainbow subtree of the spanning tree, so this is always a
+    valid 3-rainbow coloring."""
     if h.n == 0:
         return EdgeColoring.from_dict({})
     if not is_connected(h):
         raise GraphError("graph must be connected")
-    assignment: dict = {}
-    seen = {0}
-    queue = deque([0])
-    nxt = 1
-    while queue:
-        u = queue.popleft()
-        for w in h.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                assignment[edge_key(u, w)] = nxt
-                nxt += 1
-                queue.append(w)
+    tree = bfs_tree(h, range(h.n), 0)
+    assignment = {
+        edge_key(v, tree.parent[v]): col for col, v in enumerate(tree.order[1:], start=1)
+    }
     for e in h.edges:
         if e not in assignment:
             assignment[e] = 1
@@ -219,12 +211,6 @@ class Stage1State:
 
     def tree_edge(self, v: int) -> tuple:
         return edge_key(v, self.tree.parent[v])
-
-    def leg_color(self, v: int) -> int:
-        return self.colors[self.leg_edge(v)]
-
-    def tree_edge_color(self, v: int) -> int:
-        return self.colors[self.tree_edge(v)]
 
 
 def stage1_periodic(

@@ -30,40 +30,33 @@ ROUTE_EXACT_LIMIT = 14
 
 @dataclass(frozen=True)
 class DominationKind:
-    """Which strengthening of domination is required.
+    """Which strengthening of connected domination is required.
 
-    k_dominating: every outside vertex needs that many neighbors inside D
-    (1 is plain domination).  k_way: every outside vertex needs that total
-    degree in G.  connected: G[D] must be connected.
+    G[D] is always connected.  k_dominating: every outside vertex needs that
+    many neighbors inside D (1 is plain domination).  k_way: every outside
+    vertex needs that total degree in G.
     """
 
-    connected: bool = False
     k_dominating: int = 1
     k_way: int = 0
 
     def label(self) -> str:
-        parts = []
-        if self.connected:
-            parts.append("connected")
         if self.k_dominating > 1:
-            parts.append(f"{self.k_dominating}-dominating")
-        elif self.k_way > 0:
-            parts.append(f"{self.k_way}-way")
-        else:
-            parts.append("dominating")
-        return " ".join(parts)
+            return f"connected {self.k_dominating}-dominating"
+        if self.k_way > 0:
+            return f"connected {self.k_way}-way"
+        return "connected dominating"
 
 
-PLAIN = DominationKind()
-CONNECTED = DominationKind(connected=True)
+CONNECTED = DominationKind()
 
 
-def k_way(k: int, connected: bool = True) -> DominationKind:
-    return DominationKind(connected=connected, k_dominating=1, k_way=k)
+def k_way(k: int) -> DominationKind:
+    return DominationKind(k_way=k)
 
 
-def k_dominating(k: int, connected: bool = True) -> DominationKind:
-    return DominationKind(connected=connected, k_dominating=k)
+def k_dominating(k: int) -> DominationKind:
+    return DominationKind(k_dominating=k)
 
 
 @dataclass(frozen=True)
@@ -99,9 +92,7 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
                     break
         if count < need:
             return False
-    if kind.connected and not is_connected(g, dset):
-        return False
-    return True
+    return is_connected(g, dset)
 
 
 def min_dominating_set(
@@ -109,7 +100,7 @@ def min_dominating_set(
 ) -> DominatingSet:
     """Smallest set satisfying ``kind`` by increasing-size enumeration; ties
     broken lexicographically.  Exact only up to the size limit."""
-    if kind.connected and not is_connected(g):
+    if not is_connected(g):
         raise GraphError("graph must be connected")
     if g.n > limit:
         raise LimitError(
@@ -142,7 +133,7 @@ def min_dominating_set(
                     break
             if not ok:
                 continue
-            if kind.connected and not _mask_connected(nbr_mask, dmask, combo[0]):
+            if not _mask_connected(nbr_mask, dmask, combo[0]):
                 continue
             return DominatingSet(frozenset(combo), kind, EXACT)
     raise DominationError(f"no {kind.label()} set exists")
@@ -245,8 +236,10 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
     when its degree is too small and otherwise its outside neighbors in
     ascending order until it has enough; repeated until nothing changes.
     Every added vertex is adjacent to the core, so the set stays connected.
-    The core's provenance is kept when ``kind.k_dominating == 1`` (nothing
-    beyond the low-degree vertices is added); otherwise it is heuristic."""
+    The core's provenance is kept only when nothing was added: every
+    connected ``kind`` set dominates, so a minimum connected dominating set
+    that already satisfies ``kind`` is a minimum ``kind`` set.  Otherwise it
+    is heuristic."""
     dset = set(core.vertices)
     if kind.k_way:
         dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
@@ -269,7 +262,7 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
                             break
                         inside.append(w)
             changed = True
-    provenance = core.provenance if kind.k_dominating == 1 else HEURISTIC
+    provenance = core.provenance if dset == core.vertices else HEURISTIC
     result = DominatingSet(frozenset(dset), kind, provenance)
     if not check_domination(g, result.vertices, kind):
         raise AssertionError(f"growth failed to reach a {kind.label()} set")
@@ -293,5 +286,5 @@ def three_way_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> Do
 
     The core is ``connected_dominating_set(g, exact_limit)``; the result
     satisfies connected 3-way domination (post-checked) and carries the
-    core's provenance."""
+    core's provenance when no vertex was added."""
     return grow_dominating_set(g, connected_dominating_set(g, exact_limit), k_way(3))

@@ -6,20 +6,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, build_graph
 
 
 @dataclass(frozen=True)
 class FamilyGraph:
-    """A generated graph together with its family name, parameters and the
-    labeled-vertex map tests address structure through."""
+    """A generated graph together with the labeled-vertex map tests address
+    structure through."""
 
-    family: str
-    params: dict
     graph: Graph
-    labels: dict = field(default_factory=dict)
+    labels: dict
 
 
 def complete_graph(n: int) -> Graph:
@@ -75,7 +73,7 @@ def gstar(delta: int, m: int) -> FamilyGraph:
     for block in range(len(sizes) - 1):
         edges.append((labels[f"x{block}_2"], labels[f"x{block + 1}_1"]))
     graph = build_graph(total, edges)
-    return FamilyGraph("gstar", {"delta": delta, "m": m}, graph, labels)
+    return FamilyGraph(graph, labels)
 
 
 def threshold_example(t: int) -> FamilyGraph:
@@ -90,7 +88,7 @@ def threshold_example(t: int) -> FamilyGraph:
     edges = [(t, t + 1), (t, t + 2), (t + 1, t + 2)]
     edges.extend((i, t + j) for i in range(t) for j in range(3))
     graph = build_graph(t + 3, edges)
-    return FamilyGraph("threshold", {"t": t}, graph, labels)
+    return FamilyGraph(graph, labels)
 
 
 def chain_example(k: int, t: int) -> FamilyGraph:
@@ -106,7 +104,7 @@ def chain_example(k: int, t: int) -> FamilyGraph:
     for i in range(k - 3, k):
         edges.extend((i, k + j) for j in range(t))
     graph = build_graph(k + t, edges)
-    return FamilyGraph("chain", {"k": k, "t": t}, graph, labels)
+    return FamilyGraph(graph, labels)
 
 
 def french_windmill(t: int) -> FamilyGraph:
@@ -121,7 +119,7 @@ def french_windmill(t: int) -> FamilyGraph:
         labels[f"u{i + 1}"], labels[f"v{i + 1}"], labels[f"w{i + 1}"] = u, v, w
         edges.extend([(0, u), (0, v), (0, w), (u, v), (u, w), (v, w)])
     graph = build_graph(3 * t + 1, edges)
-    return FamilyGraph("french-windmill", {"t": t}, graph, labels)
+    return FamilyGraph(graph, labels)
 
 
 def random_min_degree(n: int, delta: int, seed: int) -> Graph:

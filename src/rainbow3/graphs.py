@@ -150,17 +150,6 @@ class BfsTree:
     def is_type_two(self, v: int) -> bool:
         return v != self.root and self.pi[v] == self.first_level[-1]
 
-    def subtree_label(self, v: int):
-        """('root', None) | ('I', first-level index) | ('II', None)."""
-        if v == self.root:
-            return ("root", None)
-        if self.is_type_two(v):
-            return ("II", None)
-        return ("I", self.first_level.index(self.pi[v]))
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.order if v != self.root and not self.children[v])
-
 
 def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
     """BFS tree of a connected component, visiting neighbors in ascending id."""

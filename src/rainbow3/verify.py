@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .graphs import Graph, GraphError, edge_key, sdiam3
 
@@ -25,6 +25,10 @@ class VerifyLimitError(RuntimeError):
 MAX_VERIFY_COLORS = 14
 EXACT_KMAX = 8
 EXACT_MAX_EDGES = 14
+# Work budgets, read at call time: rainbow-walk states per source vertex,
+# and search nodes per color count of the exact solver.
+WALK_STATE_BUDGET = 200_000
+EXACT_NODE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -230,12 +234,12 @@ def _single_source_masks(
     n: int,
     adj_bits: list[list[tuple[int, int]]],
     source: int,
-    state_budget: int,
 ) -> list[list[int]]:
     """Minimal color masks of rainbow walks from source to every vertex.
 
     Processes states in ascending popcount, so each antichain is add-only.
     """
+    budget = WALK_STATE_BUDGET
     ant: list[list[int]] = [[] for _ in range(n)]
     ant[source].append(0)
     buckets: dict[int, list[tuple[int, int]]] = {0: [(source, 0)]}
@@ -255,10 +259,8 @@ def _single_source_masks(
                     continue
                 existing.append(m2)
                 states += 1
-                if states > state_budget:
-                    raise VerifyLimitError(
-                        f"rainbow-walk state budget {state_budget} exceeded"
-                    )
+                if states > budget:
+                    raise VerifyLimitError(f"rainbow-walk state budget {budget} exceeded")
                 buckets.setdefault(size + 1, []).append((w, m2))
         size += 1
     return ant
@@ -269,7 +271,6 @@ def exists_rainbow_s_tree(
     c: EdgeColoring,
     s: Iterable[int],
     max_colors: int = MAX_VERIFY_COLORS,
-    state_budget: int = 200_000,
 ) -> bool:
     """True iff some tree of g contains the 3-set ``s`` with pairwise
     distinct edge colors.
@@ -283,9 +284,7 @@ def exists_rainbow_s_tree(
     if len(terms) != 3 or terms[0] < 0 or terms[-1] >= g.n:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
     adj_bits = _color_bits(g, c, max_colors)
-    ants = [
-        _single_source_masks(g.n, adj_bits, t, state_budget) for t in terms
-    ]
+    ants = [_single_source_masks(g.n, adj_bits, t) for t in terms]
     return _median_join(g.n, ants) is not None
 
 
@@ -311,7 +310,6 @@ def is_3_rainbow(
     g: Graph,
     c: EdgeColoring,
     max_colors: int = MAX_VERIFY_COLORS,
-    state_budget: int = 200_000,
 ) -> VerifyReport:
     """Check every vertex triple for a rainbow tree; first failure wins.
 
@@ -322,9 +320,7 @@ def is_3_rainbow(
     if g.n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
     adj_bits = _color_bits(g, c, max_colors)
-    ants = [
-        _single_source_masks(g.n, adj_bits, v, state_budget) for v in range(g.n)
-    ]
+    ants = [_single_source_masks(g.n, adj_bits, v) for v in range(g.n)]
     medians = list(range(g.n))
     checked = 0
     for a, b, cc in itertools.combinations(range(g.n), 3):
@@ -342,12 +338,14 @@ def is_3_rainbow(
 # Safety certificates.
 
 def verify_certificate(
-    g: Graph, c: EdgeColoring, dom: Iterable[int], cert: SafetyCertificate
+    g: Graph, c: EdgeColoring, dom: Container[int], cert: SafetyCertificate
 ) -> bool:
     """Check the three stored paths: v-D endpoints, inner vertices outside D,
-    pairwise internal disjointness, and the rainbowness of the union."""
-    dset = set(dom)
-    if cert.vertex in dset:
+    pairwise internal disjointness, and the rainbowness of the union.
+
+    ``dom`` is used as given, only for membership tests: pass a set built
+    once for the whole batch of certificates."""
+    if cert.vertex in dom:
         return False
     paths = cert.paths
     if len(paths) != 3 or len(paths[0]) != 2:
@@ -356,9 +354,9 @@ def verify_certificate(
     for path in paths:
         if len(path) < 2 or path[0] != cert.vertex:
             return False
-        if path[-1] not in dset:
+        if path[-1] not in dom:
             return False
-        if any(p in dset for p in path[1:-1]):
+        if any(p in dom for p in path[1:-1]):
             return False
         if len(set(path)) != len(path):
             return False
@@ -429,7 +427,7 @@ def _trees_by_triple(g: Graph, k: int) -> list[list[tuple[int, ...]]] | None:
     return per_triple
 
 
-def _search_coloring(g: Graph, k: int, node_budget: int) -> dict | None:
+def _search_coloring(g: Graph, k: int) -> dict | None:
     """First k-coloring (canonical order) under which every triple keeps a
     rainbow tree, or None."""
     per_triple = _trees_by_triple(g, k)
@@ -450,6 +448,7 @@ def _search_coloring(g: Graph, k: int, node_budget: int) -> dict | None:
     alive_count = [len(lst) for lst in per_triple]
     color = [0] * m
     nodes = 0
+    budget = EXACT_NODE_BUDGET
 
     def assign(ei: int, col: int) -> list[int] | None:
         """Kill trees that now carry a color conflict; None on a dead triple."""
@@ -482,8 +481,8 @@ def _search_coloring(g: Graph, k: int, node_budget: int) -> dict | None:
     def dfs(ei: int, used: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > node_budget:
-            raise VerifyLimitError(f"exact search node budget {node_budget} exceeded")
+        if nodes > budget:
+            raise VerifyLimitError(f"exact search node budget {budget} exceeded")
         if ei == m:
             return True
         for col in range(1, min(k, used + 1) + 1):
@@ -504,7 +503,6 @@ def exact_rx3_coloring(
     g: Graph,
     kmax: int = EXACT_KMAX,
     max_edges: int = EXACT_MAX_EDGES,
-    node_budget: int = 20_000_000,
 ) -> tuple[int, dict] | None:
     """(minimum color count, witness coloring), or None above kmax."""
     if kmax > EXACT_KMAX:
@@ -517,7 +515,7 @@ def exact_rx3_coloring(
         raise GraphError(f"3-rainbow index needs n >= 3, got n={g.n}")
     lower = max(2, sdiam3(g))
     for k in range(lower, kmax + 1):
-        found = _search_coloring(g, k, node_budget)
+        found = _search_coloring(g, k)
         if found is not None:
             return k, found
     return None

@@ -202,6 +202,15 @@ def test_cli_verify_false_coloring_exits_one(capsys, monkeypatch):
     assert json.loads(out)["verdict"] is False
 
 
+def test_cli_verify_over_state_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("rainbow3.verify.WALK_STATE_BUDGET", 2)
+    code, out, err = _run(["verify"], stdin_text=COLORED_PATH, capsys=capsys,
+                          monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "rainbow3: rainbow-walk state budget 2 exceeded\n"
+
+
 def test_cli_usage_error_exits_two(capsys, monkeypatch):
     code, _, err = _run(["color"], stdin_text="garbage\n", capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2

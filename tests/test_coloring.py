@@ -146,7 +146,7 @@ def test_stage1_type_two_nonleaf_certificate(example_graph):
     g, dom = example_graph
     _, state = _component_state(g, dom)
     # vertex 2 is the last first-level vertex and has a child
-    assert state.tree_edge_color(2) == 5 and state.leg_color(2) == 3
+    assert state.colors[state.tree_edge(2)] == 5 and state.colors[state.leg_edge(2)] == 3
     sets = [frozenset(state.colors[(min(a, b), max(a, b))] for a, b in zip(p, p[1:]))
             for p in state.certs[2]]
     assert sets == [{3}, {2, 5}, {1, 6}]
@@ -156,7 +156,7 @@ def test_stage1_level2_leaf_is_dangerous(example_graph):
     g, dom = example_graph
     _, state = _component_state(g, dom)
     assert 3 in state.dangerous
-    assert state.leg_color(3) == 1 and state.tree_edge_color(3) == 6
+    assert state.colors[state.leg_edge(3)] == 1 and state.colors[state.tree_edge(3)] == 6
 
 
 def test_stage1_rejects_small_component():
@@ -177,7 +177,7 @@ def test_stage1_nonleaf_sets_are_the_six_listed(n):
             for p in paths
         )
         assert sets in STAGE1_SAFE_SETS, (n, v, sets)
-    leaves = set(state.tree.leaves())
+    leaves = {v for v in state.tree.order[1:] if not state.tree.children[v]}
     assert set(state.dangerous) == leaves
     assert set(state.certs) == set(state.tree.order) - leaves
 

@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from rainbow3 import (
     CONNECTED,
     LimitError,
-    PLAIN,
     cds_heuristic,
     check_domination,
     complete_bipartite,
@@ -15,6 +16,7 @@ from rainbow3 import (
     k_way,
     min_connected_dominating_set,
     min_connected_k_dominating_set,
+    min_dominating_set,
     path_graph,
     random_min_degree,
     star_graph,
@@ -36,8 +38,8 @@ def test_check_k4_single_vertex_connected():
 
 def test_check_c6_disconnected_inside():
     g = cycle_graph(6)
-    assert check_domination(g, {0, 3}, PLAIN)
     assert not check_domination(g, {0, 3}, CONNECTED)
+    assert check_domination(g, {0, 1, 2, 3}, CONNECTED)
 
 
 def test_check_windmill_hub_three_way():
@@ -47,7 +49,7 @@ def test_check_windmill_hub_three_way():
 
 
 def test_check_rejects_out_of_range():
-    assert not check_domination(complete_graph(3), {5}, PLAIN)
+    assert not check_domination(complete_graph(3), {5}, CONNECTED)
 
 
 @given(graphs_with_subsets())
@@ -71,12 +73,9 @@ def test_check_domination_matches_plain_set_logic(drawn):
                 return False
             if sum(1 for w in g.adj[v] if w in dset) < kind.k_dominating:
                 return False
-        if kind.connected and not oracle_connected(dset, g.edges):
-            return False
-        return True
+        return oracle_connected(dset, g.edges)
 
-    for kind in (PLAIN, CONNECTED, k_way(k), k_dominating(k),
-                 k_way(k, connected=False), k_dominating(k, connected=False)):
+    for kind in (CONNECTED, k_way(k), k_dominating(k)):
         assert check_domination(g, dset, kind) == oracle(kind)
 
 
@@ -150,6 +149,14 @@ def test_three_way_high_degree_graph_equals_cds():
 
 def test_three_way_path3_takes_everything():
     assert three_way_dominating_set(path_graph(3)).vertices == {0, 1, 2}
+
+
+def test_three_way_exact_label_means_minimum():
+    for n, delta, seed in itertools.product(range(4, 12), range(1, 4), range(15)):
+        g = random_min_degree(n, delta, seed)
+        dom = three_way_dominating_set(g)
+        if dom.provenance == "exact":
+            assert dom.size == min_dominating_set(g, k_way(3)).size, (n, delta, seed)
 
 
 @given(connected_graphs(min_n=3, max_n=9))

@@ -108,10 +108,9 @@ def test_bfs_root_outside_component():
 def test_bfs_subtree_types():
     g = star_graph(4)
     t = bfs_tree(g, range(4), 0)
-    assert t.subtree_label(0) == ("root", None)
-    assert t.subtree_label(1) == ("I", 0)
-    assert t.subtree_label(3) == ("II", None)
-    assert t.is_type_two(3) and not t.is_type_two(1)
+    assert t.first_level == (1, 2, 3)
+    assert t.pi == {1: 1, 2: 2, 3: 3}
+    assert t.is_type_two(3) and not t.is_type_two(1) and not t.is_type_two(0)
 
 
 @given(connected_graphs(min_n=2, max_n=9))

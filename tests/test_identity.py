@@ -157,12 +157,12 @@ BUILDER_SPECS = [
 ]
 
 BOUNDS_DIGESTS = {
-    ("random", 9, 1, 0): "4d21905882ebf6a387edd6517b0d8c02f8b63d745dcd2938f0a7406d56f1fd0b",
-    ("random", 12, 1, 1): "849b3330b1e6873b18ad53896b0067c06911d39cec911c2d92b8eaf3996eb886",
-    ("random", 12, 2, 1): "931b7a5095042eed67bebf89905ff3e764eaf15b7d487d705ca08dcdeb299844",
+    ("random", 9, 1, 0): "5ac169f21747c57a77cce66a24e770084726f331c10b5546d1c63dc034a29a89",
+    ("random", 12, 1, 1): "27579e56c411fe87c3796c33438e14543d2656327fe6e52c07b8c1c63dfef48f",
+    ("random", 12, 2, 1): "8ae33d5c77092caf9bc9abcad4373d934fd947c3e7f9ce461c6fd35cba87be4b",
     ("random", 14, 3, 0): "6553eaa19df2f522128e19fceb27a437048959760a38b43068787f436a41207c",
-    ("random", 16, 1, 1): "629a8333e37da7fec2f884be79ed50d1add3fa6275c25616436e0b9604bb92f6",
-    ("random", 16, 2, 1): "648b71f762bbda46f53c9d32d899a61ce894e8ee6437ed13c9cd7405ce4c882f",
+    ("random", 16, 1, 1): "6401e94c2c2a2658b869f7d2cb2307eb6398bdb3fd27b00a4f291eb3e9d7d3ad",
+    ("random", 16, 2, 1): "7e91a3dc25c65975dfd68df0b0119f99ffbfbcc5b0f49098d0d78866d8446d8d",
     ("random", 20, 3, 0): "13cb8bdd450f08129a9621278844bbe1e8ff14fb18d1750c8d88238de0501558",
     ("random", 24, 3, 1): "6392da1c4623e800309591251f12082bdcec9134714d9332d6c0ba61c423b4f6",
     ("random", 25, 3, 0): "7a862b1c9a340a288599aabb5d0bb94c4afd81c4461c51551f54c62eb90d65ab",
@@ -176,12 +176,12 @@ BOUNDS_DIGESTS = {
 }
 
 THREE_WAY_DIGESTS = {
-    ("random", 9, 1, 0): "e8122bbd88ebb2ab38f2362b1d8c64b154f5e41e1ae965cf63c3718a5b35835d",
-    ("random", 12, 1, 1): "63bf72b62a32077a91269bfadeb18cf6756c0a7e544dcbd466028521a28cdc51",
-    ("random", 12, 2, 1): "cdcbb460d454855ca73eecfdd5c180ac4c8f60f9028d4ece4beb090dc3fca6fb",
+    ("random", 9, 1, 0): "82c56c60f5913417264411c9d525c02ab4ce589a4c03c967e610bc155b7529c0",
+    ("random", 12, 1, 1): "bd3ea6ae999fd044e064daa65b2304eaebe8b4a25af8e8925241c4a052a546ca",
+    ("random", 12, 2, 1): "042a10e9a3623a5fb07c686fb630893676cdf1274c3c6e7273ebe71790e18746",
     ("random", 14, 3, 0): "1c3f8769ee47e8c905f67d5561a6ef02da79973f3b1d0464cddae5646e707128",
-    ("random", 16, 1, 1): "d1c8ce7ca7ab6b231da6d69662ef28c999b6490648a7f19a59e92fe39c3d325b",
-    ("random", 16, 2, 1): "9e89afc1957e7496b712de90a568e60bbc26f70e0bf0f90a28475fde4becfc72",
+    ("random", 16, 1, 1): "2cf780a7bd7af71be4b9e245b70fe8187b60128b8919bd9f8b5ae8519f5eedf2",
+    ("random", 16, 2, 1): "73806afdcd86e057b259df09e6e6534bfbe8aface6146ad10b6dae22df171505",
     ("random", 20, 3, 0): "22b453746e3b099f9d99d550d3fbf71e8dd6e622902b29d363a3149f4543cb56",
     ("random", 24, 3, 1): "85ebe1b2112d529789e0ff8f2f5010ca88bf5fbeef9ae3223114369e50845751",
     ("random", 25, 3, 0): "f466bab5d47a7dcf8fff622e7f4084233c8a1dc241451aa054eddb9367f556ae",

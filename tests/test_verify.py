@@ -299,6 +299,22 @@ def test_exact_exceeds_kmax_returns_none():
     assert exact_rx3(path_graph(5), kmax=2) is None
 
 
+def test_exact_node_budget_exceeded(monkeypatch):
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", 3)
+    with pytest.raises(VerifyLimitError, match="node budget 3 exceeded"):
+        exact_rx3(cycle_graph(5))
+
+
+def test_walk_state_budget_exceeded(monkeypatch):
+    g = cycle_graph(5)
+    col = spanning_tree_coloring(g)
+    monkeypatch.setattr("rainbow3.verify.WALK_STATE_BUDGET", 3)
+    with pytest.raises(VerifyLimitError, match="state budget 3 exceeded"):
+        is_3_rainbow(g, col)
+    with pytest.raises(VerifyLimitError, match="state budget 3 exceeded"):
+        exists_rainbow_s_tree(g, col, {0, 1, 3})
+
+
 @given(colored_graphs(max_n=6, max_colors=3))
 @settings(max_examples=15, deadline=None)
 def test_exact_lower_bounded_by_sdiam(drawn):

@@ -85,8 +85,6 @@ def spanning_tree_coloring(h: Graph) -> EdgeColoring:
     valid 3-rainbow coloring."""
     if h.n == 0:
         return EdgeColoring.from_dict({})
-    if not is_connected(h):
-        raise GraphError("graph must be connected")
     tree = bfs_tree(h, range(h.n), 0)
     assignment = {
         edge_key(v, tree.parent[v]): col for col, v in enumerate(tree.order[1:], start=1)

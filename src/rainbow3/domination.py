@@ -3,7 +3,6 @@ scale, and a many-leaf spanning-tree heuristic."""
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,7 +21,7 @@ EXACT = "exact"
 HEURISTIC = "heuristic"
 USER = "user"
 
-# Default largest n for exact enumeration of the connected core or any kind of set
+# Largest n for exact enumeration of any kind of set; a hard cap on its memory
 CDS_EXACT_LIMIT = 24
 # Largest n at which bounds_report and `color --dom auto` enumerate route sets exactly
 ROUTE_EXACT_LIMIT = 14
@@ -95,76 +94,55 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
     return is_connected(g, dset)
 
 
-def min_dominating_set(
-    g: Graph, kind: DominationKind, limit: int = CDS_EXACT_LIMIT
-) -> DominatingSet:
-    """Smallest set satisfying ``kind`` by increasing-size enumeration; ties
-    broken lexicographically.  Exact only up to the size limit."""
+def min_dominating_set(g: Graph, kind: DominationKind) -> DominatingSet:
+    """Smallest ``kind`` set, the lexicographically first on a tie.
+
+    Grows connected sets level by level by one open neighbor each (dropping
+    a spanning-tree leaf shows every connected set is reached), deduplicated
+    as bitmasks.  A level lives in memory, so CDS_EXACT_LIMIT is a hard cap."""
     if not is_connected(g):
         raise GraphError("graph must be connected")
-    if g.n > limit:
-        raise LimitError(
-            f"exact enumeration limited to n <= {limit}, got n={g.n}; "
-            "use the heuristic variant"
-        )
-    nbr_mask = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            dmask = 0
-            for v in combo:
-                dmask |= 1 << v
-            # fast domination reject before the connectivity scan
-            ok = True
-            need = kind.k_dominating
-            for v in range(g.n):
-                bit = 1 << v
-                if dmask & bit:
-                    continue
-                inter = nbr_mask[v] & dmask
-                if need == 1:
-                    if not inter:
-                        ok = False
-                        break
-                elif bin(inter).count("1") < need:
-                    ok = False
-                    break
-                if kind.k_way and g.degree(v) < kind.k_way:
-                    ok = False
-                    break
-            if not ok:
+    if g.n > CDS_EXACT_LIMIT:
+        raise LimitError(f"exact enumeration limited to n <= {CDS_EXACT_LIMIT}, got n={g.n}; "
+                         "use the heuristic variant")
+    nbr = [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    full, need = (1 << g.n) - 1, kind.k_dominating
+    # an outside vertex of degree below k_way or below need always fails
+    forced = sum(1 << v for v in range(g.n) if g.degree(v) < max(kind.k_way, need))
+    level = {1 << v: nbr[v] for v in range(g.n)}  # set -> union of its neighborhoods
+    while level:
+        best = 0
+        for d, reach in level.items():
+            if forced & ~d or reach | d != full:
                 continue
-            if not _mask_connected(nbr_mask, dmask, combo[0]):
-                continue
-            return DominatingSet(frozenset(combo), kind, EXACT)
+            x = full ^ d if need > 1 else 0  # outside vertices left to count
+            while x and (nbr[(x & -x).bit_length() - 1] & d).bit_count() >= need:
+                x &= x - 1
+            diff = d ^ best  # d sorts first iff the least vertex of just one is in d
+            if not x and (not best or d & diff & -diff):
+                best = d
+        if best:
+            return DominatingSet(frozenset(v for v in range(g.n) if best >> v & 1), kind, EXACT)
+        grown: dict = {}
+        for d, reach in level.items():
+            x = reach & ~d
+            while x:
+                low = x & -x
+                if d | low not in grown:
+                    grown[d | low] = reach | nbr[low.bit_length() - 1]
+                x ^= low
+        level = grown
     raise DominationError(f"no {kind.label()} set exists")
 
 
-def _mask_connected(nbr_mask: list, dmask: int, start: int) -> bool:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            v = low.bit_length() - 1
-            f ^= low
-            nxt |= nbr_mask[v] & dmask & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == dmask
-
-
-def min_connected_dominating_set(g: Graph, limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
+def min_connected_dominating_set(g: Graph) -> DominatingSet:
     """Smallest connected dominating set (exact enumeration)."""
-    return min_dominating_set(g, CONNECTED, limit)
+    return min_dominating_set(g, CONNECTED)
 
 
-def min_connected_k_dominating_set(
-    g: Graph, k: int, limit: int = CDS_EXACT_LIMIT
-) -> DominatingSet:
+def min_connected_k_dominating_set(g: Graph, k: int) -> DominatingSet:
     """Smallest connected k-dominating set (exact enumeration)."""
-    return min_dominating_set(g, k_dominating(k), limit)
+    return min_dominating_set(g, k_dominating(k))
 
 
 def cds_heuristic(g: Graph) -> DominatingSet:
@@ -205,15 +183,11 @@ def cds_heuristic(g: Graph) -> DominatingSet:
         neg_new, best_v = heapq.heappop(heap)
         if -neg_new != outside[best_v]:
             continue
-        if neg_new == 0:
-            raise GraphError("graph must be connected")
         internal.add(best_v)
         for w in g.adj[best_v]:
             if not in_tree[w]:
                 join(w)
                 size += 1
-    if not internal:
-        internal = {root}
     result = DominatingSet(frozenset(internal), CONNECTED, HEURISTIC)
     if not check_domination(g, result.vertices, CONNECTED):
         raise AssertionError("heuristic produced an invalid connected dominating set")
@@ -224,7 +198,7 @@ def connected_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> Do
     """The connected dominating core every construction grows from: the
     exact minimum when n <= exact_limit, otherwise the many-leaf heuristic."""
     if g.n <= exact_limit:
-        return min_connected_dominating_set(g, exact_limit)
+        return min_connected_dominating_set(g)
     return cds_heuristic(g)
 
 
@@ -275,16 +249,13 @@ def dominating_set(
     """Smallest ``kind`` set when n <= exact_limit, otherwise ``core`` (by
     default ``connected_dominating_set(g)``) grown into a ``kind`` set."""
     if g.n <= exact_limit:
-        return min_dominating_set(g, kind, exact_limit)
+        return min_dominating_set(g, kind)
     if core is None:
         core = connected_dominating_set(g)
     return grow_dominating_set(g, core, kind)
 
 
 def three_way_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
-    """Connected dominating core unioned with every vertex of degree < 3.
-
-    The core is ``connected_dominating_set(g, exact_limit)``; the result
-    satisfies connected 3-way domination (post-checked) and carries the
-    core's provenance when no vertex was added."""
+    """``connected_dominating_set(g, exact_limit)`` grown into a connected
+    3-way dominating set: the core plus every vertex of degree < 3."""
     return grow_dominating_set(g, connected_dominating_set(g, exact_limit), k_way(3))

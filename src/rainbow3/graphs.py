@@ -172,7 +172,7 @@ def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
                 order.append(w)
                 queue.append(w)
     if len(order) != len(comp):
-        raise GraphError("component is not connected")
+        raise GraphError("graph must be connected")
     first_level = tuple(children[root])
     pi: dict = {}
     for v in order[1:]:

@@ -91,32 +91,21 @@ def threshold_from_weights(weights, threshold: float):
     return build_graph(n, edges)
 
 
-def oracle_min_connected_dominating(g):
-    """Smallest connected dominating set by full enumeration (plain sets)."""
+def oracle_min_dominating(g, k=1, way=0):
+    """First subset in `itertools.combinations` order (by size, then
+    lexicographic) that is connected and leaves no outside vertex with fewer
+    than k neighbors inside or degree below way, by plain set logic."""
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             dset = set(combo)
             if not oracle_connected(dset, g.edges):
                 continue
             if all(
-                v in dset or any(w in dset for w in g.adj[v]) for v in range(g.n)
-            ):
-                return dset
-    return set(range(g.n))
-
-
-def oracle_min_connected_k_dominating(g, k):
-    for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            dset = set(combo)
-            if not oracle_connected(dset, g.edges):
-                continue
-            if all(
-                v in dset or sum(1 for w in g.adj[v] if w in dset) >= k
+                v in dset
+                or (len(g.adj[v]) >= way and sum(1 for w in g.adj[v] if w in dset) >= k)
                 for v in range(g.n)
             ):
                 return dset
-    return set(range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,20 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbow3 import (
     CONNECTED,
+    DominationKind,
     LimitError,
     cds_heuristic,
     check_domination,
     complete_bipartite,
     complete_graph,
+    connected_dominating_set,
     cycle_graph,
     french_windmill,
+    gstar,
     k_dominating,
     k_way,
     min_connected_dominating_set,
@@ -27,8 +31,7 @@ from conftest import (
     graphs_with_subsets,
     connected_graphs,
     oracle_connected,
-    oracle_min_connected_dominating,
-    oracle_min_connected_k_dominating,
+    oracle_min_dominating,
 )
 
 
@@ -94,15 +97,14 @@ def test_min_cds_c6():
 def test_min_cds_limit():
     g = random_min_degree(30, 3, seed=1)
     with pytest.raises(LimitError, match="heuristic"):
-        min_connected_dominating_set(g, limit=24)
+        min_connected_dominating_set(g)
 
 
 @given(connected_graphs(min_n=2, max_n=8))
 @settings(max_examples=40)
 def test_min_cds_matches_enumeration_oracle(g):
     ours = min_connected_dominating_set(g)
-    truth = oracle_min_connected_dominating(g)
-    assert ours.size == len(truth)
+    assert ours.vertices == frozenset(oracle_min_dominating(g))
     assert check_domination(g, ours.vertices, CONNECTED)
 
 
@@ -110,7 +112,7 @@ def test_min_cds_oracle_up_to_twelve_vertices():
     for n, seed in [(10, 0), (11, 1), (12, 2), (12, 3), (11, 4), (12, 5)]:
         g = random_min_degree(n, 3, seed=seed)
         ours = min_connected_dominating_set(g)
-        assert ours.size == len(oracle_min_connected_dominating(g))
+        assert ours.vertices == frozenset(oracle_min_dominating(g))
 
 
 def test_heuristic_star():
@@ -175,7 +177,7 @@ def test_min_k_dominating_k33():
     g = complete_bipartite(3, 3)
     dom = min_connected_k_dominating_set(g, 3)
     assert dom.size == 4
-    assert dom.size == len(oracle_min_connected_k_dominating(g, 3))
+    assert dom.vertices == frozenset(oracle_min_dominating(g, k=3))
 
 
 def test_min_k_dominating_threshold_picks_the_ys():
@@ -189,5 +191,26 @@ def test_min_k_dominating_threshold_picks_the_ys():
 @settings(max_examples=25)
 def test_min_k_dominating_matches_oracle(g):
     ours = min_connected_k_dominating_set(g, 2)
-    assert ours.size == len(oracle_min_connected_k_dominating(g, 2))
+    assert ours.vertices == frozenset(oracle_min_dominating(g, k=2))
 
+
+ENUMERATED_KINDS = [CONNECTED, k_dominating(2), k_dominating(3), k_way(3), DominationKind(2, 3)]
+
+
+@given(connected_graphs(min_n=2, max_n=10), st.sampled_from(ENUMERATED_KINDS))
+@settings(max_examples=100, deadline=None)
+def test_min_dominating_set_is_first_oracle_subset(g, kind):
+    ours = min_dominating_set(g, kind)
+    assert ours.vertices == frozenset(oracle_min_dominating(g, kind.k_dominating, kind.k_way))
+
+
+def test_gamma_c_of_long_low_degree_graphs():
+    cases = [
+        (path_graph(24), 22),
+        (cycle_graph(24), 22),
+        (gstar(3, 3).graph, 13),
+        (gstar(4, 2).graph, 10),
+    ]
+    for g, gamma in cases:
+        core = connected_dominating_set(g)
+        assert (core.size, core.provenance) == (gamma, "exact"), g.n

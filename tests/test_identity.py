@@ -13,6 +13,10 @@ that reach every route: exact enumeration (n <= exact_limit), growth from an
 exact connected core (n <= 24) and growth from the heuristic core (n > 24).
 The +6 scheme, `rainbow3 color --method theorem3 --certs`, is pinned on the
 same graphs plus one n=2000 graph: the coloring file and the certificates.
+
+`min_dominating_set` grows connected sets level by level instead of scanning
+`itertools.combinations`; its tie-break is pinned, from the scan, on long
+low-degree graphs, where the two searches differ most.
 """
 import hashlib
 import io
@@ -23,10 +27,18 @@ import pytest
 from hypothesis import given, settings
 
 from rainbow3 import (
+    CONNECTED,
+    DominationKind,
     bounds_report,
     cds_heuristic,
+    chain_example,
+    cycle_graph,
     french_windmill,
     gstar,
+    k_dominating,
+    k_way,
+    min_dominating_set,
+    path_graph,
     random_min_degree,
     sdiam3_with_triple,
     three_way_dominating_set,
@@ -41,12 +53,21 @@ def _sha(text: str) -> str:
 
 
 def _graph(spec):
+    """("random", n, delta, seed), ("windmill", t), ("path", n), ("cycle", n),
+    ("chain", k, t), or ("gstar", m) / ("gstar", m, delta) with delta 3 by default."""
     kind, *params = spec
     if kind == "random":
         return random_min_degree(*params)
     if kind == "windmill":
         return french_windmill(*params).graph
-    return gstar(3, *params).graph
+    if kind == "path":
+        return path_graph(*params)
+    if kind == "cycle":
+        return cycle_graph(*params)
+    if kind == "chain":
+        return chain_example(*params).graph
+    m, delta = (*params, 3)[:2]
+    return gstar(delta, m).graph
 
 
 def random_digest(n, delta, seed):
@@ -262,3 +283,26 @@ def test_three_way_dominating_set_pinned(spec):
 @pytest.mark.parametrize("spec", BUILDER_SPECS, ids=str)
 def test_color_theorem4_output_pinned(spec, capsys, monkeypatch):
     assert theorem4_digest(spec, capsys, monkeypatch) == THEOREM4_DIGESTS[spec]
+
+MIN_SET_KINDS = [CONNECTED, k_dominating(2), k_dominating(3), k_way(3), DominationKind(2, 3)]
+
+MIN_SET_DIGESTS = {
+    ("path", 20): "4b1c083b30787e2c1376f6d9b270fa8666af83844fb4d5053c1b618572b2ecb6",
+    ("cycle", 20): "27f1ec4158d8a41808ec6e72591dc6712d3eef582b3d7d09169ae9ad6b75f9de",
+    ("gstar", 2): "44c7c75eaf9a3a89d2725f7c31f54b8680e449281441fa19a01c4e5c593b42fa",
+    ("gstar", 2, 4): "e529f7c9785f26c6f09f56425475db47783ecfc92a3958c1bf0bbd711dc87582",
+    ("chain", 10, 10): "e65d3b6ed1a88673a3e93a16fff9ba2601aa6b5f769f4ea7b64c898bff80fc10",
+    ("random", 18, 1, 0): "d75c33b6e6705fe598e099dd9dec2cd470dda4af591db6e3ff26d8f5e37a7915",
+    ("random", 18, 2, 1): "dd652f27130ca57c59c0c932d4bc98ebc0f07141422d05d291bf7d463c06bfad",
+    ("random", 20, 1, 1): "723924ab2648d9170739a09451dad52a554499b022dccdae15e13b119273dab0",
+    ("random", 20, 2, 0): "e7f659e758ff9b7b39278af1426fdfc90f711af492035441e46bca1f6d3a7320",
+    ("random", 22, 1, 3): "ba7d7a6e754a45422a0152f0911fc9b4e53ce55a2c41e8d06758b43795aa7d88",
+    ("random", 22, 2, 2): "7f44289501a5e0fdfa37be85e294aea79c72cde8656bf372b1317c0e2ac0a088",
+}
+
+
+@pytest.mark.parametrize("spec", list(MIN_SET_DIGESTS), ids=str)
+def test_min_dominating_set_pinned(spec):
+    g = _graph(spec)
+    sets = [min_dominating_set(g, kind).sorted() for kind in MIN_SET_KINDS]
+    assert _sha(repr(sets)) == MIN_SET_DIGESTS[spec]

@@ -56,7 +56,10 @@ from .verify import (
     verify_certificate,
 )
 
-_USAGE_ERRORS = (GraphError, DominationError, LimitError, VerifyLimitError)
+# an unreadable, missing or non-UTF-8 file is a usage error too
+_USAGE_ERRORS = (
+    GraphError, DominationError, LimitError, VerifyLimitError, OSError, UnicodeDecodeError
+)
 
 # `gen` family name -> its generator, called with the parsed options
 FAMILIES = {

@@ -10,12 +10,13 @@ vertex carries three internally disjoint super-rainbow paths into D.
 
 Colorings of distinct components never interact, so components could be
 processed concurrently; within one component the repair pass is strictly
-sequential.  All returned values are immutable.
+sequential.  The stage functions update a mutable Stage1State in place;
+returned colorings hold plain dicts, which callers must not mutate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 from .domination import (
     DominatingSet,
@@ -200,9 +201,9 @@ class Stage1State:
     leg: dict = field(default_factory=dict)         # vertex -> chosen foot
     colors: dict = field(default_factory=dict)      # shared edge -> color map
     certs: dict = field(default_factory=dict)       # certified vertex -> (p1, p2, p3)
-    dangerous: list = field(default_factory=list)   # leaves, later the ordered A
+    dangerous: list = field(default_factory=list)   # the stage-1 leaves
     recolored: set = field(default_factory=set)
-    steps: list = field(default_factory=list)
+    steps: list = field(default_factory=list)       # (leaf, rule key) per repair step
 
     def leg_edge(self, v: int) -> tuple:
         return edge_key(v, self.leg[v])
@@ -212,24 +213,23 @@ class Stage1State:
 
 
 def stage1_periodic(
-    g: Graph, dom: Iterable[int], component: Iterable[int], tree: BfsTree, colors: dict | None = None
+    g: Graph, dom: Container[int], tree: BfsTree, colors: dict | None = None
 ) -> Stage1State:
-    """Periodic coloring of one >=3-vertex component.
+    """Periodic coloring of the >=3-vertex component spanned by ``tree``.
 
     Colors every vertex's tree edge and one leg by the (subtree type,
     height mod 3) table.  Afterwards every non-leaf holds three internally
-    disjoint super-rainbow paths into D and every leaf is dangerous."""
-    comp = set(component)
-    if len(comp) < 3:
+    disjoint super-rainbow paths into D and every leaf is dangerous.
+    ``dom`` is used as given, only for membership tests."""
+    if len(tree.order) < 3:
         raise GraphError("periodic stage needs a component with >= 3 vertices")
     if len(tree.first_level) < 2:
         raise ColoringInternalError(
             "BFS root of a >=3-vertex component must have two component neighbors"
         )
-    dset = set(dom)
     state = Stage1State(tree=tree, colors=colors if colors is not None else {})
-    for v in sorted(comp):
-        ft = [w for w in g.adj[v] if w in dset]
+    for v in tree.order:
+        ft = [w for w in g.adj[v] if w in dom]
         if not ft:
             raise DominationError(f"vertex {v} has no leg into D")
         state.leg[v] = ft[0]
@@ -389,22 +389,6 @@ def stage2_rule_keys() -> list[tuple]:
     return keys
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    w: int
-    v: int
-    case: int
-    h_mod: int
-    dh: int
-    ev_recolored: bool
-    edge_color: int
-    recolored_to: int | None
-
-    @property
-    def rule_key(self) -> tuple:
-        return (self.case, self.h_mod, self.dh, self.ev_recolored)
-
-
 def _shape_parent(state: Stage1State, x: int, kind: str) -> tuple:
     tree = state.tree
     p = tree.parent[x]
@@ -432,17 +416,18 @@ def _expect_check(state: Stage1State, vertex: int, expected: tuple) -> None:
         )
 
 
-def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> StepInfo:
+def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
     """Process one dangerous leaf: pick its repair edge, color it, recolor
-    the leaf's own leg when the tables say so, and certify the endpoints.
+    the leaf's own leg when the tables say so, certify the endpoints, and
+    return the rule key (also recorded in ``state.steps``).
 
-    Raises ColoringInternalError when the situation contradicts the
-    dispatch tables; that would falsify the transcription, not the method.
+    Raises ColoringInternalError, before any write, when the key is missing
+    from STAGE2_RULES or its rule needs an already certified target; that
+    would falsify the transcription, not the method.
     """
     tree = state.tree
-    comp = set(tree.order)
     targets = [
-        u for u in g.adj[w] if u in comp and edge_key(w, u) not in state.colors
+        u for u in g.adj[w] if u in tree.parent and edge_key(w, u) not in state.colors
     ]
     if not targets:
         raise ColoringInternalError(
@@ -456,33 +441,14 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> StepInfo:
     pool = type_one if type_one else targets
     v = min(pool, key=lambda u: (tree.height[u], u))
     h = tree.height[w]
-    dh = tree.height[v] - h
-    if abs(dh) > 1:
-        raise ColoringInternalError(f"edge ({w},{v}) skips a BFS level")
-    if case == 1 and dh not in (0, 1):
-        raise ColoringInternalError(
-            f"case 1 target at height offset {dh}; type-I targets of a type-II "
-            "leaf must sit at the same height or one level deeper"
-        )
-    if case == 4 and dh not in (-1, 0):
-        raise ColoringInternalError(
-            f"case 4 target at height offset {dh}; type-II targets of a type-I "
-            "leaf must sit at the same height or one level higher"
-        )
-    ev_rec = v in state.recolored
-    if case == 1 and ev_rec:
-        raise ColoringInternalError("case 1 targets never have a recolored leg")
-    if case in (2, 3) and dh == 1 and ev_rec:
-        raise ColoringInternalError("a target one level deeper cannot be recolored yet")
-    if case in (2, 3) and dh == -1 and v not in state.certs:
-        raise ColoringInternalError("a target one level higher must already be certified")
-    if case == 4 and v not in state.certs:
-        raise ColoringInternalError("case 4 targets must already be certified")
-    rule = STAGE2_RULES.get((case, h % 3, dh, ev_rec))
+    key = (case, h % 3, tree.height[v] - h, v in state.recolored)
+    rule = STAGE2_RULES.get(key)
     if rule is None:
         raise ColoringInternalError(
-            f"no dispatch rule for case={case} h%3={h % 3} dh={dh} recolored={ev_rec}"
+            f"no dispatch rule for case {case}, h%3={key[1]}, dh={key[2]}, recolored={key[3]}"
         )
+    if rule.v_cert is None and v not in state.certs:
+        raise ColoringInternalError(f"rule {key} leaves target {v} uncertified")
     state.colors[edge_key(w, v)] = rule.edge_color
     if rule.recolor is not None:
         state.colors[state.leg_edge(w)] = rule.recolor
@@ -510,22 +476,8 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> StepInfo:
             _shape_via(state, v, w, vp3),
         )
         _expect_check(state, v, rule.expect_v)
-    elif rule.v_cert is None and v not in state.certs:
-        raise ColoringInternalError(
-            f"rule {(case, h % 3, dh, ev_rec)} leaves target {v} uncertified"
-        )
-    info = StepInfo(
-        w=w,
-        v=v,
-        case=case,
-        h_mod=h % 3,
-        dh=dh,
-        ev_recolored=ev_rec,
-        edge_color=rule.edge_color,
-        recolored_to=rule.recolor,
-    )
-    state.steps.append(info)
-    return info
+    state.steps.append((w, key))
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +529,8 @@ def three_way_coloring(
     colors: dict = {}
     cert_paths: dict = {}
     comps = components_minus(g, dset)
-    stage2_steps: list[StepInfo] = []
+    stage2_steps = 0
+    rule_keys: set = set()
     recolored = 0
     for comp in comps:
         if len(comp) == 1:
@@ -586,27 +539,22 @@ def three_way_coloring(
         if len(comp) == 2:
             _color_isolated_edge(g, dset, comp[0], comp[1], colors, cert_paths)
             continue
+        # comp is ascending, connected and has >= 3 vertices, so this root exists
         compset = set(comp)
-        roots = [
-            v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2
-        ]
-        if not roots:
-            raise ColoringInternalError(
-                f"component {comp} has no vertex with two inside neighbors"
-            )
-        tree = bfs_tree(g, comp, min(roots))
-        state = stage1_periodic(g, dset, comp, tree, colors)
+        root = next(v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2)
+        tree = bfs_tree(g, comp, root)
+        state = stage1_periodic(g, dset, tree, colors)
         for leaf in state.dangerous:
             _repair_leaf_with_leg(g, dset, state, leaf)
-        remaining = [v for v in state.dangerous if v not in state.certs]
-        state.dangerous = order_dangerous(remaining, tree)
-        for w in state.dangerous:
+        pending = order_dangerous([v for v in state.dangerous if v not in state.certs], tree)
+        for w in pending:
             if w in state.certs:
                 continue
             stage2_repair_step(g, state, w)
             if check_steps:
                 _check_certified(g, dset, state)
-        stage2_steps.extend(state.steps)
+        stage2_steps += len(state.steps)
+        rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
         cert_paths.update(state.certs)
     for u, v in g.edges:
@@ -624,9 +572,9 @@ def three_way_coloring(
         num_colors=coloring.num_colors,
         inner_method=inner_method,
         components=len(comps),
-        stage2_steps=len(stage2_steps),
+        stage2_steps=stage2_steps,
         recolored=recolored,
-        rule_keys=tuple(sorted({s.rule_key for s in stage2_steps})),
+        rule_keys=tuple(sorted(rule_keys)),
     )
     return coloring, certificates, report
 

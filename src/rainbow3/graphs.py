@@ -1,9 +1,11 @@
-"""Immutable graph core: canonical edge lists, BFS trees with the level
-structure the colorings rely on, shortest-path tables and 3-terminal
-Steiner distances.
+"""Graph core: canonical edge lists, BFS trees with the level structure
+the colorings rely on, shortest-path tables and 3-terminal Steiner
+distances.
 
-All values are immutable after construction and every operation is a pure
-function, so shared graphs are safe to use concurrently.
+A Graph is immutable: frozen, with tuple adjacency and a frozenset of
+edges, so shared graphs are safe to use concurrently.  A BfsTree is frozen
+but holds plain dicts, which callers must not mutate.  No function here
+modifies its arguments.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...] = field(repr=False)
+    edge_set: frozenset = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -41,16 +44,7 @@ class Graph:
         return min((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edge_set
-
-    @property
-    def _edge_set(self) -> frozenset:
-        # computed lazily once; object.__setattr__ sidesteps frozen
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        return edge_key(u, v) in self.edge_set
 
 
 def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
@@ -75,7 +69,7 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
         adj_lists[u].append(v)
         adj_lists[v].append(u)
     adj = tuple(tuple(sorted(a)) for a in adj_lists)
-    return Graph(n=n, edges=edges, adj=adj)
+    return Graph(n=n, edges=edges, adj=adj, edge_set=frozenset(edges))
 
 
 def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -237,18 +237,16 @@ def _single_source_masks(
 ) -> list[list[int]]:
     """Minimal color masks of rainbow walks from source to every vertex.
 
-    Processes states in ascending popcount, so each antichain is add-only.
+    Processes states level by level; each step adds one color bit, so the
+    popcount ascends and each antichain is add-only.
     """
     budget = WALK_STATE_BUDGET
     ant: list[list[int]] = [[] for _ in range(n)]
     ant[source].append(0)
-    buckets: dict[int, list[tuple[int, int]]] = {0: [(source, 0)]}
+    layer = [(source, 0)]
     states = 1
-    size = 0
-    while buckets:
-        if size not in buckets:
-            size = min(buckets)
-        layer = buckets.pop(size)
+    while layer:
+        grown: list[tuple[int, int]] = []
         for v, mask in layer:
             for w, b in adj_bits[v]:
                 if mask & b:
@@ -261,8 +259,8 @@ def _single_source_masks(
                 states += 1
                 if states > budget:
                     raise VerifyLimitError(f"rainbow-walk state budget {budget} exceeded")
-                buckets.setdefault(size + 1, []).append((w, m2))
-        size += 1
+                grown.append((w, m2))
+        layer = grown
     return ant
 
 
@@ -341,17 +339,18 @@ def verify_certificate(
     g: Graph, c: EdgeColoring, dom: Container[int], cert: SafetyCertificate
 ) -> bool:
     """Check the three stored paths: v-D endpoints, inner vertices outside D,
-    pairwise internal disjointness, and the rainbowness of the union.
+    pairwise internal disjointness, the rainbowness of the union, and that
+    each recorded color set is the set of colors along its path.
 
     ``dom`` is used as given, only for membership tests: pass a set built
     once for the whole batch of certificates."""
     if cert.vertex in dom:
         return False
     paths = cert.paths
-    if len(paths) != 3 or len(paths[0]) != 2:
+    if len(paths) != 3 or len(paths[0]) != 2 or len(cert.color_sets) != 3:
         return False
     seen_colors: set[int] = set()
-    for path in paths:
+    for path, recorded in zip(paths, cert.color_sets):
         if len(path) < 2 or path[0] != cert.vertex:
             return False
         if path[-1] not in dom:
@@ -360,11 +359,15 @@ def verify_certificate(
             return False
         if len(set(path)) != len(path):
             return False
+        # the path's colors are distinct, so equal sizes and containment
+        # make the recorded set exactly the path's colors
+        if len(recorded) != len(path) - 1:
+            return False
         for a, b in zip(path, path[1:]):
             if not g.has_edge(a, b):
                 return False
             col = c.assignment.get(edge_key(a, b))
-            if col is None or col in seen_colors:
+            if col is None or col in seen_colors or col not in recorded:
                 return False
             seen_colors.add(col)
     for i, j in itertools.combinations(range(3), 2):

@@ -277,6 +277,27 @@ def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_pat
     assert err.startswith("rainbow3: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,stdin_text",
+    [
+        (["bounds", "--in", "{tmp}/missing.txt"], ""),
+        (["color", "--dom", "{tmp}/missing"], "4 3\n0 1\n1 2\n2 3\n"),
+        (["verify", "--certs", "{tmp}/missing"], COLORED_PATH),
+        (["bounds", "--in", "{tmp}/latin1.txt"], ""),
+        (["gen", "path", "--out", "{tmp}/no-such-dir/path.txt"], ""),
+    ],
+    ids=["bounds-missing-input", "color-missing-dom", "verify-missing-certs",
+         "non-utf8-input", "gen-out-missing-dir"],
+)
+def test_cli_file_errors_exit_two(argv, stdin_text, tmp_path, capsys, monkeypatch):
+    (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 # caf\xe9\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = _run(argv, stdin_text=stdin_text, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("rainbow3: ") and err.count("\n") == 1
+
+
 def test_read_coloring_rejects_bad_header_value():
     with pytest.raises(GraphError, match="header"):
         read_coloring("# method=spanning n=three\n0 1 1\n")
@@ -304,6 +325,29 @@ def test_cli_dom_file_and_certs(tmp_path, capsys, monkeypatch):
     data = json.loads(out)
     assert data["certificates"]["ok"] is True
     assert data["certificates"]["checked"] == 9
+
+
+def test_cli_verify_rejects_wrong_certificate_color_set(tmp_path, capsys, monkeypatch):
+    g = french_windmill(3).graph
+    certs_file = tmp_path / "certs.json"
+    colored_file = tmp_path / "col.txt"
+    code, _, _ = _run(
+        ["color", "--certs", str(certs_file), "--out", str(colored_file)],
+        stdin_text=write_edge_list(g), capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    data = json.loads(certs_file.read_text())
+    bad = data["certificates"][4]
+    bad["color_sets"][2] = [99]
+    certs_file.write_text(json.dumps(data))
+    code, out, _ = _run(
+        ["verify", "--certs", str(certs_file)], stdin_text=colored_file.read_text(),
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    result = json.loads(out)
+    assert result["verdict"] is True
+    assert result["certificates"] == {"checked": 9, "ok": False, "failing": [bad["vertex"]]}
 
 
 def test_cli_spanning_method(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 
@@ -32,7 +34,7 @@ from rainbow3 import (
     threshold_example,
     verify_certificate,
 )
-from rainbow3.coloring import STAGE2_RULES
+from rainbow3.coloring import STAGE2_RULES, ColoringInternalError
 from rainbow3 import chain_example
 from conftest import connected_graphs, hub_graph, prism_graph, wheel_graph
 
@@ -131,7 +133,7 @@ def _component_state(g, dom):
     compset = set(comp)
     root = min(v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2)
     tree = bfs_tree(g, comp, root)
-    return tree, stage1_periodic(g, dom, comp, tree)
+    return tree, stage1_periodic(g, dom, tree)
 
 
 def test_stage1_root_certificate(example_graph):
@@ -164,7 +166,7 @@ def test_stage1_rejects_small_component():
     comp = components_minus(g, dom)[0]
     tree = bfs_tree(g, comp, 0)
     with pytest.raises(Exception, match=">= 3"):
-        stage1_periodic(g, dom, comp, tree)
+        stage1_periodic(g, dom, tree)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -203,8 +205,10 @@ def test_order_dangerous_rules():
 
 
 def test_stage2_table_covers_every_key():
-    for key in stage2_rule_keys():
-        assert key in STAGE2_RULES, key
+    # the dispatcher reads only the table, so it must hold every reachable key and no other
+    keys = stage2_rule_keys()
+    assert len(keys) == len(set(keys)) == 48
+    assert set(keys) == set(STAGE2_RULES)
 
 
 def test_stage2_recolors_only_the_processed_leg():
@@ -212,14 +216,15 @@ def test_stage2_recolors_only_the_processed_leg():
     g, dom = hub_graph([(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)], 6, spare=[1])
     comp = components_minus(g, dom)[0]
     tree = bfs_tree(g, comp, 0)
-    state = stage1_periodic(g, dom, comp, tree)
+    state = stage1_periodic(g, dom, tree)
     before = dict(state.colors)
     for w in order_dangerous([3, 4, 5], tree):
         if w not in state.certs:
             stage2_repair_step(g, state, w)
     changed = {e for e in before if before[e] != state.colors[e]}
     assert changed == {state.leg_edge(w) for w in state.recolored}
-    assert state.recolored == {s.w for s in state.steps if s.recolored_to is not None}
+    recolored = {w for w, key in state.steps if STAGE2_RULES[key].recolor is not None}
+    assert state.recolored == recolored
 
 
 WHEEL_EXPECTED_RULE = {
@@ -268,13 +273,11 @@ def test_crafted_components_hit_recolored_target_rows(rule):
 
 
 def test_dispatcher_diagnoses_tampered_state():
-    from rainbow3.coloring import ColoringInternalError
-
     # a recolored type-I target contradicts the case-1 tables
     g, dom = wheel_graph(7)
     comp = components_minus(g, dom)[0]
     tree = bfs_tree(g, comp, 0)
-    state = stage1_periodic(g, dom, comp, tree)
+    state = stage1_periodic(g, dom, tree)
     pending = order_dangerous([v for v in state.dangerous], tree)
     w = pending[0]
     target = [u for u in g.adj[w] if u in set(comp)
@@ -282,6 +285,26 @@ def test_dispatcher_diagnoses_tampered_state():
     state.recolored.add(target)
     with pytest.raises(ColoringInternalError, match="case 1"):
         stage2_repair_step(g, state, w)
+
+
+def test_dispatcher_checks_target_certificate_before_writing():
+    # in the 5-prism, leaf 7 takes row (3, 0, -1, False), whose target must be certified
+    g, dom = prism_graph(5)
+    tree = bfs_tree(g, components_minus(g, dom)[0], 0)
+    state = stage1_periodic(g, dom, tree)
+    for w in order_dangerous(state.dangerous, tree):
+        if w == 7:
+            break
+        if w not in state.certs:
+            stage2_repair_step(g, state, w)
+    trial = copy.deepcopy(state)
+    assert stage2_repair_step(g, trial, 7) == (3, 0, -1, False)
+    (v,) = {x for e in set(trial.colors) - set(state.colors) for x in e} - {7}
+    del state.certs[v]
+    before = copy.deepcopy(state)
+    with pytest.raises(ColoringInternalError, match=f"leaves target {v} uncertified"):
+        stage2_repair_step(g, state, 7)
+    assert state == before
 
 
 def test_first_level_recolor_reroutes_root_path():

@@ -128,6 +128,18 @@ def test_certificate_three_legs():
     assert verify_certificate(g, col, {1, 2, 3}, cert)
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [[{1}, {2}, {4}], [{1}, {2, 9}, {3}], [{1}, {2}, set()], [{1}, {2}]],
+    ids=["wrong-color", "extra-color", "empty-set", "two-sets"],
+)
+def test_certificate_wrong_color_set_fails(sets):
+    g = complete_graph(4)
+    col = _coloring([((0, 1), 1), ((0, 2), 2), ((0, 3), 3), ((1, 2), 7), ((1, 3), 8), ((2, 3), 9)])
+    cert = _windmill_cert([(0, 1), (0, 2), (0, 3)], sets)
+    assert not verify_certificate(g, col, {1, 2, 3}, cert)
+
+
 def test_certificate_shared_inner_vertex_fails():
     g = build_graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)])
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((1, 3), 3), ((0, 4), 4)])

@@ -17,11 +17,17 @@ same graphs plus one n=2000 graph: the coloring file and the certificates.
 `min_dominating_set` grows connected sets level by level instead of scanning
 `itertools.combinations`; its tie-break is pinned, from the scan, on long
 low-degree graphs, where the two searches differ most.
+
+`exact_rx3_coloring` witnesses color G[D] in the `color` and `bounds`
+outputs, so the minimum color count and the witness coloring are pinned on
+named graphs (the windmills behind the tightness claims, the star K1,7 that
+is G[D] of `bound_b` on the windmill t=7) and on seeded random graphs.
 """
 import hashlib
 import io
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +36,13 @@ from rainbow3 import (
     CONNECTED,
     DominationKind,
     bounds_report,
+    build_graph,
     cds_heuristic,
     chain_example,
+    complete_bipartite,
+    complete_graph,
     cycle_graph,
+    exact_rx3_coloring,
     french_windmill,
     gstar,
     k_dominating,
@@ -41,6 +51,7 @@ from rainbow3 import (
     path_graph,
     random_min_degree,
     sdiam3_with_triple,
+    star_graph,
     three_way_dominating_set,
     write_edge_list,
 )
@@ -306,3 +317,52 @@ def test_min_dominating_set_pinned(spec):
     g = _graph(spec)
     sets = [min_dominating_set(g, kind).sorted() for kind in MIN_SET_KINDS]
     assert _sha(repr(sets)) == MIN_SET_DIGESTS[spec]
+
+
+def random_connected(seed):
+    """Seeded connected graph on 3..8 vertices with at most 14 edges: a
+    random attachment tree plus random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+    edges.update(rng.sample(pairs, rng.randint(0, min(len(pairs), 14 - len(edges)))))
+    return build_graph(n, sorted(edges))
+
+
+def exact_digest(graphs, **limits):
+    """(k, sorted witness) or None from `exact_rx3_coloring` on each graph."""
+    results = []
+    for g in graphs:
+        found = exact_rx3_coloring(g, **limits)
+        results.append(None if found is None else (found[0], sorted(found[1].items())))
+    return _sha(repr(results))
+
+
+EXACT_CASES = {
+    "path 9": ([path_graph(9)], {}),
+    "cycles 5..7": ([cycle_graph(n) for n in (5, 6, 7)], {}),
+    "K3,3 K4 K5": ([complete_bipartite(3, 3), complete_graph(4), complete_graph(5)], {}),
+    "windmill 2": ([french_windmill(2).graph], {}),
+    "windmill 3 kmax 3": ([french_windmill(3).graph], {"kmax": 3, "max_edges": 18}),
+    "windmill 3 kmax 4": ([french_windmill(3).graph], {"kmax": 4, "max_edges": 18}),
+    "star K1,7": ([star_graph(8)], {}),
+    "random 0..149": ([random_connected(seed) for seed in range(150)], {}),
+}
+
+EXACT_DIGESTS = {
+    "path 9": "ad21be44a561599ed4b0d73202885e074616679619e77dad6f0334f3d018b3fd",
+    "cycles 5..7": "da0311e23ea75b2595d331e7aa365199de884503db7a9b8312408ce705f541db",
+    "K3,3 K4 K5": "fce0cdbe4058e5f000a807f0be509074ba337f88f6caf130cc17f4f2c3f78c9b",
+    "windmill 2": "cfab78f701e97b50127430a01c66bf2af92ebe0dad268a5b333413e82c123173",
+    "windmill 3 kmax 3": "778d5d27b716881dd9d3b58baaed62878f93076984cf0cbb45d393bedf363cb2",
+    "windmill 3 kmax 4": "aabab851ae9f66fbd862b12f6175a547438f53a9d55ae10022df27999d5461b8",
+    "star K1,7": "098ab698b6bb4f79652e70bd807fc063fca194ce4a51e25679e7048a43caf814",
+    "random 0..149": "97dd7af5583e82d1149cc4b9a44e7d390cd1b0b04dd93ea5d842fc475adc81b4",
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_exact_rx3_coloring_pinned(case):
+    graphs, limits = EXACT_CASES[case]
+    assert exact_digest(graphs, **limits) == EXACT_DIGESTS[case]

@@ -4,7 +4,7 @@ with honest exact-vs-heuristic provenance flags."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .coloring import inner_coloring
 from .domination import (
@@ -36,20 +36,7 @@ class BoundsReport:
     best: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "delta": self.delta,
-            "n1": self.n1,
-            "n2": self.n2,
-            "gamma_c": self.gamma_c,
-            "sdiam3": self.sdiam3,
-            "bound_a": self.bound_a,
-            "bound_b": self.bound_b,
-            "bound_c": self.bound_c,
-            "corollary_bounds": self.corollary_bounds,
-            "best": self.best,
-        }
+        return asdict(self)
 
 
 def _route(g: Graph, dom: DominatingSet, extra: int) -> dict:

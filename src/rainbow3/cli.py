@@ -22,13 +22,10 @@ from .coloring import (
 )
 from .domination import (
     ROUTE_EXACT_LIMIT,
-    USER,
-    DominatingSet,
     DominationError,
     LimitError,
     dominating_set,
     k_dominating,
-    k_way,
     three_way_dominating_set,
 )
 from .generators import (
@@ -169,9 +166,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
         if args.dom == "auto":
             dom = _auto_dom(graph, args.method)
         else:
-            verts = _read_dom(_read_text(args.dom))
-            kind = k_way(3) if args.method == "theorem3" else k_dominating(3)
-            dom = DominatingSet(verts, kind, USER)
+            dom = _read_dom(_read_text(args.dom))
         if args.method == "theorem3":
             coloring, certificates, report = three_way_coloring(graph, dom)
         else:

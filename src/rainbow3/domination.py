@@ -19,7 +19,6 @@ class LimitError(RuntimeError):
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
-USER = "user"
 
 # Largest n for exact enumeration of any kind of set; a hard cap on its memory
 CDS_EXACT_LIMIT = 24
@@ -61,7 +60,6 @@ def k_dominating(k: int) -> DominationKind:
 @dataclass(frozen=True)
 class DominatingSet:
     vertices: frozenset
-    kind: DominationKind
     provenance: str
 
     @property
@@ -122,7 +120,7 @@ def min_dominating_set(g: Graph, kind: DominationKind) -> DominatingSet:
             if not x and (not best or d & diff & -diff):
                 best = d
         if best:
-            return DominatingSet(frozenset(v for v in range(g.n) if best >> v & 1), kind, EXACT)
+            return DominatingSet(frozenset(v for v in range(g.n) if best >> v & 1), EXACT)
         grown: dict = {}
         for d, reach in level.items():
             x = reach & ~d
@@ -162,7 +160,7 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     if not is_connected(g):
         raise GraphError("graph must be connected")
     if g.n == 1:
-        return DominatingSet(frozenset({0}), CONNECTED, HEURISTIC)
+        return DominatingSet(frozenset({0}), HEURISTIC)
     root = max(range(g.n), key=lambda v: (g.degree(v), -v))
     outside = [len(nbrs) for nbrs in g.adj]
     in_tree = [False] * g.n
@@ -188,7 +186,7 @@ def cds_heuristic(g: Graph) -> DominatingSet:
             if not in_tree[w]:
                 join(w)
                 size += 1
-    result = DominatingSet(frozenset(internal), CONNECTED, HEURISTIC)
+    result = DominatingSet(frozenset(internal), HEURISTIC)
     if not check_domination(g, result.vertices, CONNECTED):
         raise AssertionError("heuristic produced an invalid connected dominating set")
     return result
@@ -237,7 +235,7 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
                         inside.append(w)
             changed = True
     provenance = core.provenance if dset == core.vertices else HEURISTIC
-    result = DominatingSet(frozenset(dset), kind, provenance)
+    result = DominatingSet(frozenset(dset), provenance)
     if not check_domination(g, result.vertices, kind):
         raise AssertionError(f"growth failed to reach a {kind.label()} set")
     return result

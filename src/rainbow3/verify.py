@@ -382,52 +382,33 @@ def verify_certificate(
 # Exact minimum 3-rainbow color count.
 #
 # Backtracking over edge colorings with first-use color canonicalization.
-# Because a rainbow tree with k colors has at most k edges, enumerating all
-# trees up to k edges per triple gives an exact incremental feasibility
-# structure: a branch dies the moment some triple has no conflict-free tree
-# left.
+# A rainbow tree with k colors has at most k edges, so each triple gets every
+# subtree of up to k edges, as an edge bitmask grown from a single edge by
+# one edge with exactly one endpoint inside at a time (dropping a leaf edge
+# shows every tree is reached).  The search keeps one edge mask per color: a
+# tree clashes with edge e colored c exactly when it meets the mask of c, and
+# a branch dies the moment some triple has no clash-free tree left.
 
-def _trees_by_triple(g: Graph, k: int) -> list[list[tuple[int, ...]]] | None:
-    """For each vertex triple, every <=k-edge subtree containing it, as
-    tuples of edge indices.  None signals an empty list for some triple."""
-    n = g.n
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    triples = list(itertools.combinations(range(n), 3))
-    triple_pos = {t: i for i, t in enumerate(triples)}
-    per_triple: list[list[tuple[int, ...]]] = [[] for _ in triples]
-    max_size = min(k, g.m)
-    for size in range(2, max_size + 1):
-        for combo in itertools.combinations(g.edges, size):
-            verts: set[int] = set()
-            for u, v in combo:
-                verts.add(u)
-                verts.add(v)
-            if len(verts) != size + 1:
-                continue
-            # acyclic and |V| = |E|+1 => tree; check connectivity via union-find
-            parent = {v: v for v in verts}
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for u, v in combo:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    ok = False
-                    break
-                parent[ru] = rv
-            if not ok:
-                continue
-            idxs = tuple(edge_index[e] for e in combo)
-            for t in itertools.combinations(sorted(verts), 3):
-                per_triple[triple_pos[t]].append(idxs)
-    if any(not lst for lst in per_triple):
+def _trees_by_triple(g: Graph, k: int) -> list[list[int]] | None:
+    """For each vertex triple, every <=k-edge subtree containing it, as an
+    edge bitmask.  None signals an empty list for some triple."""
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    level = {1 << ei: e for ei, e in enumerate(ends)}  # tree -> its vertex mask
+    per_triple: dict = {t: [] for t in itertools.combinations(range(g.n), 3)}
+    for _ in range(1, k):
+        grown: dict = {}
+        for tree, verts in level.items():
+            for ei, e in enumerate(ends):
+                if (e & verts).bit_count() == 1:
+                    grown[tree | 1 << ei] = verts | e
+        level = grown
+        for tree, verts in level.items():
+            inside = [v for v in range(g.n) if verts >> v & 1]
+            for t in itertools.combinations(inside, 3):
+                per_triple[t].append(tree)
+    if any(not lst for lst in per_triple.values()):
         return None
-    return per_triple
+    return list(per_triple.values())
 
 
 def _search_coloring(g: Graph, k: int) -> dict | None:
@@ -437,46 +418,33 @@ def _search_coloring(g: Graph, k: int) -> dict | None:
     if per_triple is None:
         return None
     m = g.m
-    tree_edges: list[tuple[int, ...]] = []
-    tree_triple: list[int] = []
-    for ti, lst in enumerate(per_triple):
-        for idxs in lst:
-            tree_edges.append(idxs)
-            tree_triple.append(ti)
-    trees_with_edge: list[list[int]] = [[] for _ in range(m)]
-    for tid, idxs in enumerate(tree_edges):
-        for ei in idxs:
-            trees_with_edge[ei].append(tid)
-    alive = [True] * len(tree_edges)
+    tree_mask = [tree for lst in per_triple for tree in lst]
+    tree_triple = [ti for ti, lst in enumerate(per_triple) for _ in lst]
+    trees_with_edge = [
+        [tid for tid, tree in enumerate(tree_mask) if tree >> ei & 1] for ei in range(m)
+    ]
+    alive = [True] * len(tree_mask)
     alive_count = [len(lst) for lst in per_triple]
-    color = [0] * m
+    by_color = [0] * (k + 1)  # edge mask of each color
     nodes = 0
     budget = EXACT_NODE_BUDGET
 
     def assign(ei: int, col: int) -> list[int] | None:
         """Kill trees that now carry a color conflict; None on a dead triple."""
-        color[ei] = col
         killed: list[int] = []
         for tid in trees_with_edge[ei]:
-            if not alive[tid]:
-                continue
-            conflict = False
-            for ej in tree_edges[tid]:
-                if ej != ei and color[ej] == col:
-                    conflict = True
-                    break
-            if conflict:
+            if alive[tid] and tree_mask[tid] & by_color[col]:
                 alive[tid] = False
                 killed.append(tid)
                 ti = tree_triple[tid]
                 alive_count[ti] -= 1
                 if alive_count[ti] == 0:
-                    _undo(ei, killed)
+                    revive(killed)
                     return None
+        by_color[col] |= 1 << ei
         return killed
 
-    def _undo(ei: int, killed: list[int]) -> None:
-        color[ei] = 0
+    def revive(killed: list[int]) -> None:
         for tid in killed:
             alive[tid] = True
             alive_count[tree_triple[tid]] += 1
@@ -494,12 +462,16 @@ def _search_coloring(g: Graph, k: int) -> dict | None:
                 continue
             if dfs(ei + 1, max(used, col)):
                 return True
-            _undo(ei, killed)
+            by_color[col] ^= 1 << ei
+            revive(killed)
         return False
 
-    if dfs(0, 0):
-        return {e: color[i] for i, e in enumerate(g.edges)}
-    return None
+    if not dfs(0, 0):
+        return None
+    return {
+        e: next(col for col, mask in enumerate(by_color) if mask >> ei & 1)
+        for ei, e in enumerate(g.edges)
+    }
 
 
 def exact_rx3_coloring(

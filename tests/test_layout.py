@@ -1,6 +1,10 @@
 """Package layout rules: every import sits at the top of its module, and no
-module imports another module's private (underscore) names."""
+module imports another module's private (underscore) names.  The benchmark
+harness in bench/ names package functions by string and by attribute, so the
+names it uses are checked here too, by reading its files."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import rainbow3
 
 MODULES = sorted(pathlib.Path(rainbow3.__file__).parent.glob("*.py"))
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def _layout_problems(tree: ast.Module) -> list[str]:
@@ -43,3 +48,31 @@ def test_layout_check_catches_both_faults():
         "line 4: import inside f()",
         "line 1: private import _helper",
     ]
+
+
+def test_bench_traced_names_are_package_functions():
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    missing = []
+    for dotted in traced:
+        layer, name = dotted.split(".")
+        module = importlib.import_module(f"rainbow3.{layer}")
+        if not inspect.isfunction(getattr(module, name, None)):
+            missing.append(dotted)
+    assert traced and missing == []
+
+
+def test_bench_workload_attributes_exist():
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "rb"
+    }
+    assert used and sorted(n for n in used if not hasattr(rainbow3, n)) == []

@@ -28,7 +28,7 @@ from rainbow3 import (
     three_way_coloring,
     verify_certificate,
 )
-from conftest import colored_graphs, oracle_rainbow_s_tree
+from conftest import colored_graphs, connected_graphs, oracle_rainbow_s_tree
 
 
 def _coloring(pairs):
@@ -325,6 +325,21 @@ def test_walk_state_budget_exceeded(monkeypatch):
         is_3_rainbow(g, col)
     with pytest.raises(VerifyLimitError, match="state budget 3 exceeded"):
         exists_rainbow_s_tree(g, col, {0, 1, 3})
+
+
+def _oracle_3_rainbow(g, coloring):
+    return all(
+        oracle_rainbow_s_tree(g, coloring, t) for t in itertools.combinations(range(g.n), 3)
+    )
+
+
+@given(connected_graphs(min_n=3, max_n=5).filter(lambda g: g.m <= 6))
+@settings(max_examples=100, deadline=None)
+def test_exact_is_minimal_by_oracle(g):
+    k, witness = exact_rx3_coloring(g)
+    assert _oracle_3_rainbow(g, EdgeColoring.from_dict(witness))
+    for cols in itertools.product(range(1, k), repeat=g.m):
+        assert not _oracle_3_rainbow(g, EdgeColoring.from_dict(dict(zip(g.edges, cols))))
 
 
 @given(colored_graphs(max_n=6, max_colors=3))

@@ -45,7 +45,6 @@ from .graphs import GraphError, read_edge_list, sdiam3_with_triple, write_edge_l
 from .verify import (
     EXACT_KMAX,
     EXACT_MAX_EDGES,
-    MAX_VERIFY_COLORS,
     SafetyCertificate,
     VerifyLimitError,
     exact_rx3,
@@ -190,7 +189,7 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     graph, coloring, meta = read_coloring(_read_text(args.infile))
-    report = is_3_rainbow(graph, coloring, max_colors=args.max_colors)
+    report = is_3_rainbow(graph, coloring)
     payload = report.to_json_dict()
     ok = report.verdict
     if args.certs:
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a coloring file")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--certs", default=None, help="re-check a certificate file")
-    p.add_argument("--max-colors", type=int, default=MAX_VERIFY_COLORS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("exact", help="exact minimum 3-rainbow color count")

@@ -370,25 +370,6 @@ def _load_rules() -> dict:
 STAGE2_RULES = _load_rules()
 
 
-def stage2_rule_keys() -> list[tuple]:
-    """Every (case, h mod 3, height offset, leg-recolored) key the
-    dispatcher can be asked for."""
-    keys = []
-    for hmod in range(3):
-        for dh in (0, 1):
-            keys.append((1, hmod, dh, False))
-        for dh in (-1, 0, 1):
-            keys.append((2, hmod, dh, False))
-            keys.append((3, hmod, dh, False))
-            if dh in (-1, 0):
-                keys.append((2, hmod, dh, True))
-                keys.append((3, hmod, dh, True))
-        for dh in (-1, 0):
-            keys.append((4, hmod, dh, False))
-            keys.append((4, hmod, dh, True))
-    return keys
-
-
 def _shape_parent(state: Stage1State, x: int, kind: str) -> tuple:
     tree = state.tree
     p = tree.parent[x]

@@ -3,9 +3,9 @@
 The two value types every construction returns are defined here.  The rest
 checks colorings without trusting how they were built:
 rainbow-tree existence by mask dynamic programming, exhaustive 3-rainbow
-verification, safety-certificate checking, the pickability predicate with
-its brute-force twin, the transcribed color-set class tables, and an exact
-minimum-color solver used as ground truth on small instances.
+verification, safety-certificate checking, the pickability predicate, the
+transcribed color-set class tables, and an exact minimum-color solver used
+as ground truth on small instances.
 """
 from __future__ import annotations
 
@@ -20,14 +20,16 @@ class VerifyLimitError(RuntimeError):
     """A verifier or solver was asked to exceed its configured limit."""
 
 
-# Default limits: colors the exhaustive verifier accepts, and the largest
-# color count and edge count the exact solver searches.
-MAX_VERIFY_COLORS = 14
+# Default limits: the largest color count and edge count the exact solver
+# searches.
 EXACT_KMAX = 8
 EXACT_MAX_EDGES = 14
-# Work budgets, read at call time: rainbow-walk states per source vertex,
-# and search nodes per color count of the exact solver.
-WALK_STATE_BUDGET = 200_000
+# Work budgets, read at call time.  One call of the rainbow-tree verifiers
+# may spend VERIFY_WORK_BUDGET units: a candidate walk mask costs 1 plus the
+# antichain it is compared against, a median-join pair costs 1, and a scan of
+# the third antichain that finds no match costs its length.  The exact solver
+# may expand EXACT_NODE_BUDGET search nodes per color count.
+VERIFY_WORK_BUDGET = 200_000_000
 EXACT_NODE_BUDGET = 20_000_000
 
 
@@ -41,12 +43,6 @@ class EdgeColoring:
     @classmethod
     def from_dict(cls, assignment: dict) -> "EdgeColoring":
         return cls(dict(assignment), len(set(assignment.values())) if assignment else 0)
-
-    def color(self, u: int, v: int) -> int:
-        return self.assignment[edge_key(u, v)]
-
-    def colors_used(self) -> list[int]:
-        return sorted(set(self.assignment.values()))
 
 
 @dataclass(frozen=True)
@@ -191,17 +187,6 @@ def pickable(cu: Sequence[frozenset], cv: Sequence[frozenset], cw: Sequence[froz
     return False
 
 
-def pickable_bruteforce(cu, cv, cw) -> bool:
-    """Oracle twin: try all 27 path selections; true iff some selection has
-    pairwise-disjoint color sets (duplicate-free multiset union)."""
-    triples = (tuple(map(frozenset, cu)), tuple(map(frozenset, cv)), tuple(map(frozenset, cw)))
-    for i, j, k in itertools.product(range(3), repeat=3):
-        a, b, c = triples[0][i], triples[1][j], triples[2][k]
-        if len(a) + len(b) + len(c) == len(a | b | c):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Rainbow S-tree existence.
 #
@@ -210,13 +195,16 @@ def pickable_bruteforce(cu, cv, cw) -> bool:
 # a connected rainbow subgraph, and its spanning tree is a rainbow S-tree.
 # Conversely a rainbow S-tree restricts to three such walks at its median.
 
-def _color_bits(g: Graph, c: EdgeColoring, max_colors: int) -> list[list[tuple[int, int]]]:
+def _spend(work: list[int], units: int) -> None:
+    """Take units from work[0], the units one verifier call has left."""
+    work[0] -= units
+    if work[0] < 0:
+        raise VerifyLimitError(f"verifier work budget {VERIFY_WORK_BUDGET} exceeded")
+
+
+def _color_bits(g: Graph, c: EdgeColoring) -> list[list[tuple[int, int]]]:
     """Each vertex's (neighbor, color bit) pairs, after checking that ``c``
-    uses at most ``max_colors`` colors and colors every edge of g."""
-    if c.num_colors > max_colors:
-        raise VerifyLimitError(
-            f"coloring uses {c.num_colors} colors, above the limit {max_colors}"
-        )
+    colors every edge of g."""
     missing = [e for e in g.edges if e not in c.assignment]
     if missing:
         raise GraphError(f"coloring is not total: {missing[0]} uncolored")
@@ -234,32 +222,31 @@ def _single_source_masks(
     n: int,
     adj_bits: list[list[tuple[int, int]]],
     source: int,
+    work: list[int],
 ) -> list[list[int]]:
     """Minimal color masks of rainbow walks from source to every vertex.
 
     Processes states level by level; each step adds one color bit, so the
     popcount ascends and each antichain is add-only.
     """
-    budget = WALK_STATE_BUDGET
     ant: list[list[int]] = [[] for _ in range(n)]
     ant[source].append(0)
     layer = [(source, 0)]
-    states = 1
     while layer:
         grown: list[tuple[int, int]] = []
         for v, mask in layer:
+            cost = 0
             for w, b in adj_bits[v]:
                 if mask & b:
                     continue
                 m2 = mask | b
                 existing = ant[w]
+                cost += 1 + len(existing)
                 if any(a & m2 == a for a in existing):
                     continue
                 existing.append(m2)
-                states += 1
-                if states > budget:
-                    raise VerifyLimitError(f"rainbow-walk state budget {budget} exceeded")
                 grown.append((w, m2))
+            _spend(work, cost)
         layer = grown
     return ant
 
@@ -268,7 +255,6 @@ def exists_rainbow_s_tree(
     g: Graph,
     c: EdgeColoring,
     s: Iterable[int],
-    max_colors: int = MAX_VERIFY_COLORS,
 ) -> bool:
     """True iff some tree of g contains the 3-set ``s`` with pairwise
     distinct edge colors.
@@ -281,19 +267,20 @@ def exists_rainbow_s_tree(
     terms = sorted(set(s))
     if len(terms) != 3 or terms[0] < 0 or terms[-1] >= g.n:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
-    adj_bits = _color_bits(g, c, max_colors)
-    ants = [_single_source_masks(g.n, adj_bits, t) for t in terms]
-    return _median_join(g.n, ants) is not None
+    adj_bits = _color_bits(g, c)
+    work = [VERIFY_WORK_BUDGET]
+    ants = [_single_source_masks(g.n, adj_bits, t, work) for t in terms]
+    return _median_join(ants, range(g.n), work) is not None
 
 
-def _median_join(n: int, ants: list[list[list[int]]], order: Iterable[int] | None = None):
+def _median_join(ants: list[list[list[int]]], order: Iterable[int], work: list[int]):
     """First median vertex admitting pairwise-disjoint walk masks, or None."""
-    medians = order if order is not None else range(n)
-    for m in medians:
+    for m in order:
         aa, bb, cc = ants[0][m], ants[1][m], ants[2][m]
         if not (aa and bb and cc):
             continue
         for ma in aa:
+            cost = len(bb)
             for mb in bb:
                 if ma & mb:
                     continue
@@ -301,13 +288,14 @@ def _median_join(n: int, ants: list[list[list[int]]], order: Iterable[int] | Non
                 for mc in cc:
                     if not (mab & mc):
                         return m
+                cost += len(cc)
+            _spend(work, cost)
     return None
 
 
 def is_3_rainbow(
     g: Graph,
     c: EdgeColoring,
-    max_colors: int = MAX_VERIFY_COLORS,
 ) -> VerifyReport:
     """Check every vertex triple for a rainbow tree; first failure wins.
 
@@ -317,13 +305,14 @@ def is_3_rainbow(
     """
     if g.n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
-    adj_bits = _color_bits(g, c, max_colors)
-    ants = [_single_source_masks(g.n, adj_bits, v) for v in range(g.n)]
+    adj_bits = _color_bits(g, c)
+    work = [VERIFY_WORK_BUDGET]
+    ants = [_single_source_masks(g.n, adj_bits, v, work) for v in range(g.n)]
     medians = list(range(g.n))
     checked = 0
     for a, b, cc in itertools.combinations(range(g.n), 3):
         checked += 1
-        m = _median_join(g.n, [ants[a], ants[b], ants[cc]], medians)
+        m = _median_join([ants[a], ants[b], ants[cc]], medians, work)
         if m is None:
             return VerifyReport(False, (a, b, cc), checked, c.num_colors)
         if medians[0] != m:

@@ -80,6 +80,36 @@ def oracle_rainbow_s_tree(g, coloring, s) -> bool:
     return False
 
 
+def pickable_bruteforce(cu, cv, cw) -> bool:
+    """Oracle twin of ``pickable``: try all 27 path selections; true iff some
+    selection has pairwise-disjoint color sets (duplicate-free multiset union)."""
+    triples = (tuple(map(frozenset, cu)), tuple(map(frozenset, cv)), tuple(map(frozenset, cw)))
+    for i, j, k in itertools.product(range(3), repeat=3):
+        a, b, c = triples[0][i], triples[1][j], triples[2][k]
+        if len(a) + len(b) + len(c) == len(a | b | c):
+            return True
+    return False
+
+
+def stage2_rule_keys() -> list[tuple]:
+    """Every (case, h mod 3, height offset, leg-recolored) key the stage-2
+    dispatcher can be asked for, listed independently of its rule table."""
+    keys = []
+    for hmod in range(3):
+        for dh in (0, 1):
+            keys.append((1, hmod, dh, False))
+        for dh in (-1, 0, 1):
+            keys.append((2, hmod, dh, False))
+            keys.append((3, hmod, dh, False))
+            if dh in (-1, 0):
+                keys.append((2, hmod, dh, True))
+                keys.append((3, hmod, dh, True))
+        for dh in (-1, 0):
+            keys.append((4, hmod, dh, False))
+            keys.append((4, hmod, dh, True))
+    return keys
+
+
 def threshold_from_weights(weights, threshold: float):
     """The threshold graph of the weights: edge uv iff w(u)+w(v) >= threshold."""
     n = len(weights)

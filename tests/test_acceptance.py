@@ -31,7 +31,6 @@ from rainbow3 import (
     is_3_rainbow,
     path_graph,
     pickable,
-    pickable_bruteforce,
     random_min_degree,
     sdiam3,
     star_graph,
@@ -42,7 +41,7 @@ from rainbow3 import (
     threshold_example,
     verify_certificate,
 )
-from conftest import oracle_rainbow_s_tree, oracle_steiner3, wheel_graph
+from conftest import oracle_rainbow_s_tree, oracle_steiner3, pickable_bruteforce, wheel_graph
 
 
 def _report(criterion, ok, detail=""):
@@ -206,7 +205,7 @@ def corpus_results():
         g = random_min_degree(n, 3, seed=i)
         dom = three_way_dominating_set(g, exact_limit=20)
         coloring, certs, report = three_way_coloring(g, dom, check_steps=True)
-        verdict = is_3_rainbow(g, coloring, max_colors=24).verdict
+        verdict = is_3_rainbow(g, coloring).verdict
         certs_ok = all(verify_certificate(g, coloring, dom.vertices, c) for c in certs)
         in_table = all(
             frozenset(c.color_sets) in {frozenset(t) for t in table} for c in certs

@@ -202,13 +202,13 @@ def test_cli_verify_false_coloring_exits_one(capsys, monkeypatch):
     assert json.loads(out)["verdict"] is False
 
 
-def test_cli_verify_over_state_budget_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr("rainbow3.verify.WALK_STATE_BUDGET", 2)
+def test_cli_verify_over_work_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 2)
     code, out, err = _run(["verify"], stdin_text=COLORED_PATH, capsys=capsys,
                           monkeypatch=monkeypatch)
     assert code == 2
     assert out == ""
-    assert err == "rainbow3: rainbow-walk state budget 2 exceeded\n"
+    assert err == "rainbow3: verifier work budget 2 exceeded\n"
 
 
 def test_cli_usage_error_exits_two(capsys, monkeypatch):
@@ -413,7 +413,7 @@ def test_cli_every_emitted_coloring_verifies(gen_argv, method, capsys, monkeypat
     code, colored, _ = _run(["color", "--method", method], stdin_text=graph_text,
                             capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0
-    code, out, _ = _run(["verify", "--max-colors", "20"], stdin_text=colored,
+    code, out, _ = _run(["verify"], stdin_text=colored,
                         capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0
     assert json.loads(out)["verdict"] is True

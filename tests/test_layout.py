@@ -1,7 +1,8 @@
 """Package layout rules: every import sits at the top of its module, and no
 module imports another module's private (underscore) names.  The benchmark
-harness in bench/ names package functions by string and by attribute, so the
-names it uses are checked here too, by reading its files."""
+harness in bench/ names package functions by string and by attribute, and it
+and scripts/ pass keywords to them, so the names and keywords they use are
+checked here too, by reading their files."""
 import ast
 import importlib
 import inspect
@@ -12,7 +13,8 @@ import pytest
 import rainbow3
 
 MODULES = sorted(pathlib.Path(rainbow3.__file__).parent.glob("*.py"))
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _layout_problems(tree: ast.Module) -> list[str]:
@@ -76,3 +78,49 @@ def test_bench_workload_attributes_exist():
         and node.value.id == "rb"
     }
     assert used and sorted(n for n in used if not hasattr(rainbow3, n)) == []
+
+
+def _keyword_calls(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, function, keyword) of every keyword passed to a package
+    function called as ``rb.f(...)`` or by a name imported from rainbow3."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rainbow3"
+        for alias in node.names
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = func.attr if func.value.id == "rb" else None
+        else:
+            name = imported.get(func.id) if isinstance(func, ast.Name) else None
+        if name is not None:
+            calls += [(node.lineno, name, kw.arg) for kw in node.keywords]
+    return calls
+
+
+def _unknown_keywords(tree: ast.Module) -> list[str]:
+    return [
+        f"line {line}: {name}({kw}=...)"
+        for line, name, kw in _keyword_calls(tree)
+        if kw not in inspect.signature(getattr(rainbow3, name)).parameters
+    ]
+
+
+def test_keyword_check_catches_a_removed_parameter():
+    source = "import rainbow3 as rb\nfrom rainbow3 import exact_rx3 as ex\n"
+    source += "rb.exact_rx3(g, max_edges=3)\nex(g, max_edge=3)\nrb.is_3_rainbow(g, c, max_colors=9)\n"
+    assert _unknown_keywords(ast.parse(source)) == [
+        "line 4: exact_rx3(max_edge=...)",
+        "line 5: is_3_rainbow(max_colors=...)",
+    ]
+
+
+@pytest.mark.parametrize("path", ["bench/workloads.py", "scripts/reproduce_bounds.py"])
+def test_bench_and_script_keywords_are_parameters(path):
+    tree = ast.parse((ROOT / path).read_text())
+    assert _keyword_calls(tree) and _unknown_keywords(tree) == []

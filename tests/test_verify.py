@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +20,23 @@ from rainbow3 import (
     exact_rx3_coloring,
     exists_rainbow_s_tree,
     french_windmill,
+    gstar,
     is_3_rainbow,
     path_graph,
     pickable,
-    pickable_bruteforce,
+    random_min_degree,
     sdiam3,
     spanning_tree_coloring,
     three_way_coloring,
+    three_way_dominating_set,
     verify_certificate,
 )
-from conftest import colored_graphs, connected_graphs, oracle_rainbow_s_tree
+from conftest import (
+    colored_graphs,
+    connected_graphs,
+    oracle_rainbow_s_tree,
+    pickable_bruteforce,
+)
 
 
 def _coloring(pairs):
@@ -53,11 +61,26 @@ def test_exists_monochromatic_triangle_fails():
     assert not exists_rainbow_s_tree(g, col, {0, 1, 2})
 
 
-def test_exists_limit_exceeded():
+def test_exists_limit_exceeded(monkeypatch):
+    # {0, 1, 3} on the rainbow path costs 9 units of walks from its three
+    # terminals and 2 of a failed join at median 0; the join at median 1
+    # succeeds before its cost is taken
     g = path_graph(4)
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((2, 3), 3)])
-    with pytest.raises(VerifyLimitError, match="limit"):
-        exists_rainbow_s_tree(g, col, {0, 1, 3}, max_colors=2)
+    monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 11)
+    assert exists_rainbow_s_tree(g, col, {0, 1, 3})
+    monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 10)
+    with pytest.raises(VerifyLimitError, match="work budget 10 exceeded"):
+        exists_rainbow_s_tree(g, col, {0, 1, 3})
+    with pytest.raises(VerifyLimitError, match="work budget 10 exceeded"):
+        is_3_rainbow(g, col)
+
+
+def test_default_work_budget_stops_many_colors():
+    g = complete_graph(8)
+    col = EdgeColoring.from_dict({e: i + 1 for i, e in enumerate(g.edges)})
+    with pytest.raises(VerifyLimitError, match="verifier work budget"):
+        is_3_rainbow(g, col)
 
 
 @given(colored_graphs(max_n=6, max_colors=4))
@@ -317,20 +340,55 @@ def test_exact_node_budget_exceeded(monkeypatch):
         exact_rx3(cycle_graph(5))
 
 
-def test_walk_state_budget_exceeded(monkeypatch):
+def test_work_budget_exceeded(monkeypatch):
     g = cycle_graph(5)
     col = spanning_tree_coloring(g)
-    monkeypatch.setattr("rainbow3.verify.WALK_STATE_BUDGET", 3)
-    with pytest.raises(VerifyLimitError, match="state budget 3 exceeded"):
+    monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 2)
+    with pytest.raises(VerifyLimitError, match="verifier work budget 2 exceeded"):
         is_3_rainbow(g, col)
-    with pytest.raises(VerifyLimitError, match="state budget 3 exceeded"):
+    with pytest.raises(VerifyLimitError, match="verifier work budget 2 exceeded"):
         exists_rainbow_s_tree(g, col, {0, 1, 3})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_min_degree(40, 3, 1), random_min_degree(60, 3, 1), gstar(3, 8).graph],
+    ids=["random-40", "random-60", "gstar-3-8"],
+)
+def test_is_3_rainbow_verifies_plus6_past_desk_size(g):
+    # 20, 24 and 32 colors, verified exhaustively within the default work budget
+    col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
+    rep = is_3_rainbow(g, col)
+    assert col.num_colors >= 20
+    assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
 
 
 def _oracle_3_rainbow(g, coloring):
     return all(
         oracle_rainbow_s_tree(g, coloring, t) for t in itertools.combinations(range(g.n), 3)
     )
+
+
+@st.composite
+def _many_colored_graphs(draw):
+    """A Hamiltonian path plus about three quarters of the other pairs on 6
+    or 7 vertices, colored with a drawn number of colors, up to one per edge."""
+    n = draw(st.integers(6, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = st.sampled_from((False, True, True, True))
+    keep = draw(st.lists(kept, min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [p for p, k in zip(pairs, keep) if k or p[1] == p[0] + 1])
+    order = draw(st.permutations(range(1, g.m + 1)))
+    cap = draw(st.sampled_from(range(1, g.m + 1)))
+    return g, EdgeColoring.from_dict({e: min(c, cap) for e, c in zip(g.edges, order)})
+
+
+@given(_many_colored_graphs())
+@settings(max_examples=30, deadline=None)
+def test_is_3_rainbow_matches_oracle_with_many_colors(drawn):
+    # up to one distinct color per edge, so more than 14 colors can occur
+    g, col = drawn
+    assert is_3_rainbow(g, col).verdict == _oracle_3_rainbow(g, col)
 
 
 @given(connected_graphs(min_n=3, max_n=5).filter(lambda g: g.m <= 6))

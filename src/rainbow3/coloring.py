@@ -243,17 +243,16 @@ def stage1_periodic(
     first, last = tree.first_level[0], tree.first_level[-1]
     state.certs[root] = (
         (root, state.leg[root]),
-        (root, first, state.leg[first]),
-        (root, last, state.leg[last]),
+        _path(state, root, first, 2),
+        _path(state, root, last, 2),
     )
     for v in tree.order[1:]:
         kids = tree.children[v]
         if kids:
-            ch = kids[0]
             state.certs[v] = (
                 (v, state.leg[v]),
-                (v, tree.parent[v], state.leg[tree.parent[v]]),
-                (v, ch, state.leg[ch]),
+                _path(state, v, tree.parent[v], 2),
+                _path(state, v, kids[0], 2),
             )
         else:
             state.dangerous.append(v)
@@ -276,69 +275,65 @@ def order_dangerous(a: Iterable[int], tree: BfsTree) -> list[int]:
 # and 2) or not (3 and 4), and the chosen edge leads into a type-I subtree
 # (1 and 3) or only type-II targets exist (2 and 4).
 #
-# Row: color of the chosen edge wv; optional recolor of w's leg; shapes of
-# w's second path (via parent or grandparent) and third path (via v, short
-# or through v's parent); same for v when it gets certified; the expected
-# color-set triples, checked at runtime against the produced certificates.
-
-_SHAPE_P = "p"
-_SHAPE_VIA_SHORT = ("v1", "w1")
+# Row: color of the chosen edge wv; optional recolor of w's leg; the
+# expected color-set triples of w and, when the row certifies it, of v,
+# checked at runtime against the produced certificates.  A set's size fixes
+# its path: two colors are x->y->leg, three are x->y->parent(y)->leg, where y
+# is the parent of x for the second path and the other endpoint of wv for
+# the third.
 
 
 @dataclass(frozen=True)
 class _Rule:
     edge_color: int
     recolor: int | None
-    wi_p2: str
-    wi_p3: str
-    v_cert: tuple | None
     expect_wi: tuple
     expect_v: tuple | None
 
 
 _RULES_SPEC = """
-1 0  0 F  c5 -   p  v2  p w2  2|14|356  2|36|145
-1 0 +1 F  c5 -   pp v1  pp w1 2|346|15  1|346|25
-1 1  0 F  c6 -   p  v1  p w1  3|25|16   1|24|36
-1 1 +1 F  c4 r6  p  v1  p w1  6|25|34   3|15|46
-1 2  0 F  c2 r4  p  v2  p w1  4|36|125  3|15|24
-1 2 +1 F  c5 -   p  v1  p w1  1|36|25   2|36|15
-2 0 -1 B  c5 -   p  v2  - -   2|14|356  -
-2 0  0 F  c6 r5  p  v1  p w1  5|14|26   2|14|56
-2 0  0 T  c6 -   p  v1  - -   2|14|56   -
-2 0 +1 F  c6 -   p  v1  p w2  2|14|36   3|25|146
-2 1 -1 B  c6 -   p  v2  - -   3|25|146  -
-2 1  0 F  c4 r6  p  v1  p w1  6|25|34   3|25|46
-2 1  0 T  c4 -   p  v1  - -   3|25|46   -
-2 1 +1 F  c4 -   p  v1  p w2  3|25|14   1|36|245
-2 2 -1 B  c4 -   p  v2  - -   1|36|245  -
-2 2  0 F  c5 r4  p  v1  p w1  4|36|15   1|36|45
-2 2  0 T  c5 -   p  v1  - -   1|36|45   -
-2 2 +1 F  c5 -   p  v1  p w2  1|36|25   2|14|356
-3 0 -1 B  c4 -   p  v2  - -   2|36|145  -
-3 0  0 F  c5 r4  p  v1  p w1  4|36|25   2|36|45
-3 0  0 T  c5 -   p  v1  - -   2|36|45   -
-3 0 +1 F  c5 -   p  v1  p w2  2|36|15   1|24|356
-3 1 -1 B  c5 -   p  v2  - -   1|24|356  -
-3 1  0 F  c6 r5  p  v1  p w1  5|24|16   1|24|56
-3 1  0 T  c6 -   p  v1  - -   1|24|56   -
-3 1 +1 F  c6 -   p  v1  p w2  1|24|36   3|15|246
-3 2 -1 B  c6 -   p  v2  - -   3|15|246  -
-3 2  0 F  c4 r6  p  v1  p w1  6|15|34   3|15|46
-3 2  0 T  c4 -   p  v1  - -   3|15|46   -
-3 2 +1 F  c4 -   p  v1  p w2  3|15|24   2|36|145
-4 0 -1 F  c5 -   p  v1  - -   2|36|15   -
-4 0 -1 T  c5 -   p  v1  - -   2|36|45   -
-4 0  0 F  c5 -   p  v2  - -   2|36|145  -
-4 0  0 T  c4 -   p  v1  - -   2|36|45   -
-4 1 -1 F  c5 -   pp v1  - -   1|346|25  -
-4 1 -1 T  c6 -   p  v1  - -   1|24|56   -
-4 1  0 F  c6 -   p  v1  - -   1|24|36   -
-4 1  0 T  c3 -   p  v1  - -   1|24|36   -
-4 2 -1 F  c4 r6  p  v1  - -   6|15|34   -
-4 2 -1 T  c4 -   p  v1  - -   3|15|46   -
-4 2  0 F  c3 r6  pp v1  - -   6|245|13  -
-4 2  0 T  c6 -   p  v1  - -   3|15|46   -
+1 0  0 F  c5 -   2|14|356  2|36|145
+1 0 +1 F  c5 -   2|346|15  1|346|25
+1 1  0 F  c6 -   3|25|16   1|24|36
+1 1 +1 F  c4 r6  6|25|34   3|15|46
+1 2  0 F  c2 r4  4|36|125  3|15|24
+1 2 +1 F  c5 -   1|36|25   2|36|15
+2 0 -1 B  c5 -   2|14|356  -
+2 0  0 F  c6 r5  5|14|26   2|14|56
+2 0  0 T  c6 -   2|14|56   -
+2 0 +1 F  c6 -   2|14|36   3|25|146
+2 1 -1 B  c6 -   3|25|146  -
+2 1  0 F  c4 r6  6|25|34   3|25|46
+2 1  0 T  c4 -   3|25|46   -
+2 1 +1 F  c4 -   3|25|14   1|36|245
+2 2 -1 B  c4 -   1|36|245  -
+2 2  0 F  c5 r4  4|36|15   1|36|45
+2 2  0 T  c5 -   1|36|45   -
+2 2 +1 F  c5 -   1|36|25   2|14|356
+3 0 -1 B  c4 -   2|36|145  -
+3 0  0 F  c5 r4  4|36|25   2|36|45
+3 0  0 T  c5 -   2|36|45   -
+3 0 +1 F  c5 -   2|36|15   1|24|356
+3 1 -1 B  c5 -   1|24|356  -
+3 1  0 F  c6 r5  5|24|16   1|24|56
+3 1  0 T  c6 -   1|24|56   -
+3 1 +1 F  c6 -   1|24|36   3|15|246
+3 2 -1 B  c6 -   3|15|246  -
+3 2  0 F  c4 r6  6|15|34   3|15|46
+3 2  0 T  c4 -   3|15|46   -
+3 2 +1 F  c4 -   3|15|24   2|36|145
+4 0 -1 F  c5 -   2|36|15   -
+4 0 -1 T  c5 -   2|36|45   -
+4 0  0 F  c5 -   2|36|145  -
+4 0  0 T  c4 -   2|36|45   -
+4 1 -1 F  c5 -   1|346|25  -
+4 1 -1 T  c6 -   1|24|56   -
+4 1  0 F  c6 -   1|24|36   -
+4 1  0 T  c3 -   1|24|36   -
+4 2 -1 F  c4 r6  6|15|34   -
+4 2 -1 T  c4 -   3|15|46   -
+4 2  0 F  c3 r6  6|245|13  -
+4 2  0 T  c6 -   3|15|46   -
 """
 
 
@@ -351,13 +346,10 @@ def _parse_sets(spec: str) -> tuple | None:
 def _load_rules() -> dict:
     rules: dict = {}
     for line in _RULES_SPEC.strip().splitlines():
-        case, hmod, dh, flag, col, rec, p2, p3, vp2, vp3, exp_wi, exp_v = line.split()
+        case, hmod, dh, flag, col, rec, exp_wi, exp_v = line.split()
         rule = _Rule(
             edge_color=int(col[1:]),
             recolor=None if rec == "-" else int(rec[1:]),
-            wi_p2=p2,
-            wi_p3=p3,
-            v_cert=None if vp2 == "-" else (vp2, vp3),
             expect_wi=_parse_sets(exp_wi),
             expect_v=_parse_sets(exp_v),
         )
@@ -370,22 +362,26 @@ def _load_rules() -> dict:
 STAGE2_RULES = _load_rules()
 
 
-def _shape_parent(state: Stage1State, x: int, kind: str) -> tuple:
-    tree = state.tree
-    p = tree.parent[x]
-    if kind == _SHAPE_P:
-        return (x, p, state.leg[p])
-    pp = tree.parent[p]
-    if pp is None:
-        raise ColoringInternalError(f"grandparent path requested at height {tree.height[x]}")
-    return (x, p, pp, state.leg[pp])
-
-
-def _shape_via(state: Stage1State, x: int, y: int, kind: str) -> tuple:
-    if kind in _SHAPE_VIA_SHORT:
+def _path(state: Stage1State, x: int, y: int, edges: int) -> tuple:
+    """The certificate path x->y->leg of y (2 edges) or x->y->parent(y)->leg
+    of parent(y) (3 edges)."""
+    if edges == 2:
         return (x, y, state.leg[y])
     py = state.tree.parent[y]
+    if py is None:
+        raise ColoringInternalError(f"3-edge path from {x} through {y} runs past the root")
     return (x, y, py, state.leg[py])
+
+
+def _certify(state: Stage1State, x: int, y: int, expected: tuple) -> None:
+    """Certify x by its leg, the path through its parent and the path
+    through y, sized by the expected color sets, then check those sets."""
+    state.certs[x] = (
+        (x, state.leg[x]),
+        _path(state, x, state.tree.parent[x], len(expected[1])),
+        _path(state, x, y, len(expected[2])),
+    )
+    _expect_check(state, x, expected)
 
 
 def _expect_check(state: Stage1State, vertex: int, expected: tuple) -> None:
@@ -428,7 +424,7 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
         raise ColoringInternalError(
             f"no dispatch rule for case {case}, h%3={key[1]}, dh={key[2]}, recolored={key[3]}"
         )
-    if rule.v_cert is None and v not in state.certs:
+    if rule.expect_v is None and v not in state.certs:
         raise ColoringInternalError(f"rule {key} leaves target {v} uncertified")
     state.colors[edge_key(w, v)] = rule.edge_color
     if rule.recolor is not None:
@@ -438,25 +434,10 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
         root_cert = state.certs.get(root)
         # the root's stored second path may ride on w's leg; reroute it via v
         if root_cert is not None and len(root_cert[1]) == 3 and root_cert[1][1] == w:
-            state.certs[root] = (
-                root_cert[0],
-                (root, v, state.leg[v]),
-                root_cert[2],
-            )
-    state.certs[w] = (
-        (w, state.leg[w]),
-        _shape_parent(state, w, rule.wi_p2),
-        _shape_via(state, w, v, rule.wi_p3),
-    )
-    _expect_check(state, w, rule.expect_wi)
-    if rule.v_cert is not None and v not in state.certs:
-        vp2, vp3 = rule.v_cert
-        state.certs[v] = (
-            (v, state.leg[v]),
-            _shape_parent(state, v, vp2),
-            _shape_via(state, v, w, vp3),
-        )
-        _expect_check(state, v, rule.expect_v)
+            state.certs[root] = (root_cert[0], _path(state, root, v, 2), root_cert[2])
+    _certify(state, w, v, rule.expect_wi)
+    if rule.expect_v is not None and v not in state.certs:
+        _certify(state, v, w, rule.expect_v)
     state.steps.append((w, key))
     return key
 
@@ -570,10 +551,8 @@ def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) ->
     if not spare:
         return
     foot = min(spare)
-    tree = state.tree
-    p = tree.parent[leaf]
     p1 = (leaf, state.leg[leaf])
-    p3 = (leaf, p, state.leg[p])
+    p3 = _path(state, leaf, state.tree.parent[leaf], 2)
     used = _path_colors(state.colors, p1) | _path_colors(state.colors, p3)
     col = min(c for c in range(1, 7) if c not in used)
     state.colors[edge_key(leaf, foot)] = col

@@ -206,7 +206,8 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
     Adds every vertex of degree below ``kind.k_way``, then for each outside
     vertex short of ``kind.k_dominating`` neighbors inside, the vertex itself
     when its degree is too small and otherwise its outside neighbors in
-    ascending order until it has enough; repeated until nothing changes.
+    ascending order until it has enough.  One pass suffices: adding vertices
+    never lowers a count, so every vertex already passed stays satisfied.
     Every added vertex is adjacent to the core, so the set stays connected.
     The core's provenance is kept only when nothing was added: every
     connected ``kind`` set dominates, so a minimum connected dominating set
@@ -215,25 +216,21 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
     dset = set(core.vertices)
     if kind.k_way:
         dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            if v in dset:
-                continue
-            inside = [w for w in g.adj[v] if w in dset]
-            if len(inside) >= kind.k_dominating:
-                continue
-            if g.degree(v) < kind.k_dominating:
-                dset.add(v)
-            else:
-                for w in g.adj[v]:
-                    if w not in dset:
-                        dset.add(w)
-                        if len(inside) + 1 >= kind.k_dominating:
-                            break
-                        inside.append(w)
-            changed = True
+    for v in range(g.n):
+        if v in dset:
+            continue
+        inside = [w for w in g.adj[v] if w in dset]
+        if len(inside) >= kind.k_dominating:
+            continue
+        if g.degree(v) < kind.k_dominating:
+            dset.add(v)
+            continue
+        for w in g.adj[v]:
+            if w not in dset:
+                dset.add(w)
+                if len(inside) + 1 >= kind.k_dominating:
+                    break
+                inside.append(w)
     provenance = core.provenance if dset == core.vertices else HEURISTIC
     result = DominatingSet(frozenset(dset), provenance)
     if not check_domination(g, result.vertices, kind):

@@ -10,7 +10,7 @@ as ground truth on small instances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Container, Iterable, Sequence
 
 from .graphs import Graph, GraphError, edge_key, sdiam3
@@ -63,12 +63,7 @@ class VerifyReport:
     colors: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "triples_checked": self.triples_checked,
-            "colors": self.colors,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -327,44 +322,39 @@ def is_3_rainbow(
 def verify_certificate(
     g: Graph, c: EdgeColoring, dom: Container[int], cert: SafetyCertificate
 ) -> bool:
-    """Check the three stored paths: v-D endpoints, inner vertices outside D,
-    pairwise internal disjointness, the rainbowness of the union, and that
-    each recorded color set is the set of colors along its path.
+    """Check the three stored paths: each runs along edges of g from the
+    vertex to D, the vertex and all inner vertices are pairwise distinct and
+    outside D, the union is rainbow, and each recorded color set is the set
+    of colors along its path.
+
+    Path ends lie in D and no other path vertex may, so the one distinctness
+    test makes each path simple and the three internally disjoint.
 
     ``dom`` is used as given, only for membership tests: pass a set built
     once for the whole batch of certificates."""
-    if cert.vertex in dom:
-        return False
+    v = cert.vertex
     paths = cert.paths
     if len(paths) != 3 or len(paths[0]) != 2 or len(cert.color_sets) != 3:
         return False
+    inner = [v]
     seen_colors: set[int] = set()
     for path, recorded in zip(paths, cert.color_sets):
-        if len(path) < 2 or path[0] != cert.vertex:
-            return False
-        if path[-1] not in dom:
-            return False
-        if any(p in dom for p in path[1:-1]):
-            return False
-        if len(set(path)) != len(path):
+        if len(path) < 2 or path[0] != v or path[-1] not in dom:
             return False
         # the path's colors are distinct, so equal sizes and containment
         # make the recorded set exactly the path's colors
         if len(recorded) != len(path) - 1:
             return False
+        inner.extend(path[1:-1])
         for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
+            e = edge_key(a, b)
+            if e not in g.edge_set:
                 return False
-            col = c.assignment.get(edge_key(a, b))
+            col = c.assignment.get(e)
             if col is None or col in seen_colors or col not in recorded:
                 return False
             seen_colors.add(col)
-    for i, j in itertools.combinations(range(3), 2):
-        inner_i = set(paths[i][1:-1])
-        inner_j = set(paths[j][1:-1])
-        if inner_i & set(paths[j]) or inner_j & set(paths[i]):
-            return False
-    return True
+    return len(set(inner)) == len(inner) and not any(x in dom for x in inner)
 
 
 # ---------------------------------------------------------------------------

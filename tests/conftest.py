@@ -11,7 +11,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from rainbow3 import build_graph
+from rainbow3 import build_graph, edge_key
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,44 @@ def pickable_bruteforce(cu, cv, cw) -> bool:
         if len(a) + len(b) + len(c) == len(a | b | c):
             return True
     return False
+
+
+def oracle_certificate(g, c, dom, cert) -> bool:
+    """The certificate check as it stood before the single distinctness
+    test: per-path simplicity, an inner-in-D scan and a pairwise
+    internal-disjointness loop, each tested separately."""
+    if cert.vertex in dom:
+        return False
+    paths = cert.paths
+    if len(paths) != 3 or len(paths[0]) != 2 or len(cert.color_sets) != 3:
+        return False
+    seen_colors: set[int] = set()
+    for path, recorded in zip(paths, cert.color_sets):
+        if len(path) < 2 or path[0] != cert.vertex:
+            return False
+        if path[-1] not in dom:
+            return False
+        if any(p in dom for p in path[1:-1]):
+            return False
+        if len(set(path)) != len(path):
+            return False
+        # the path's colors are distinct, so equal sizes and containment
+        # make the recorded set exactly the path's colors
+        if len(recorded) != len(path) - 1:
+            return False
+        for a, b in zip(path, path[1:]):
+            if not g.has_edge(a, b):
+                return False
+            col = c.assignment.get(edge_key(a, b))
+            if col is None or col in seen_colors or col not in recorded:
+                return False
+            seen_colors.add(col)
+    for i, j in itertools.combinations(range(3), 2):
+        inner_i = set(paths[i][1:-1])
+        inner_j = set(paths[j][1:-1])
+        if inner_i & set(paths[j]) or inner_j & set(paths[i]):
+            return False
+    return True
 
 
 def stage2_rule_keys() -> list[tuple]:
@@ -210,3 +248,17 @@ def colored_graphs(draw, max_n=7, max_colors=4):
     g = draw(connected_graphs(min_n=3, max_n=max_n))
     cols = {e: draw(st.integers(1, max_colors)) for e in g.edges}
     return g, cols
+
+
+@st.composite
+def many_colored_graphs(draw):
+    """A Hamiltonian path plus about three quarters of the other pairs on 6
+    or 7 vertices, colored with a drawn number of colors, up to one per edge."""
+    n = draw(st.integers(6, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = st.sampled_from((False, True, True, True))
+    keep = draw(st.lists(kept, min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [p for p, k in zip(pairs, keep) if k or p[1] == p[0] + 1])
+    order = draw(st.permutations(range(1, g.m + 1)))
+    cap = draw(st.sampled_from(range(1, g.m + 1)))
+    return g, {e: min(c, cap) for e, c in zip(g.edges, order)}

@@ -210,6 +210,16 @@ def test_stage2_table_covers_every_key():
     assert set(keys) == set(STAGE2_RULES)
 
 
+def test_stage2_expected_triples_are_class_triples():
+    # the table's set sizes fix the certificate paths, so tie them to the class table
+    expected = [
+        t for rule in STAGE2_RULES.values() for t in (rule.expect_wi, rule.expect_v) if t
+    ]
+    assert len(expected) == 48 + 18  # every key certifies w, 18 of them v too
+    assert all(class_membership(t) is not None for t in expected)
+    assert all(len(s) in (2, 3) for t in expected for s in t[1:])
+
+
 def test_stage2_recolors_only_the_processed_leg():
     # two sibling leaves under the type-II subtree joined by two chords
     g, dom = hub_graph([(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)], 6, spare=[1])

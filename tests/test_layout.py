@@ -124,3 +124,18 @@ def test_keyword_check_catches_a_removed_parameter():
 def test_bench_and_script_keywords_are_parameters(path):
     tree = ast.parse((ROOT / path).read_text())
     assert _keyword_calls(tree) and _unknown_keywords(tree) == []
+
+
+MAX_LINE = 99
+
+
+def test_source_lines_fit_the_width():
+    # wc -l measures size, so a line count must not drop by joining lines
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    long_lines = [
+        f"{path.relative_to(ROOT)}:{i}"
+        for path in sources
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert sources and long_lines == []

@@ -1,8 +1,9 @@
+import functools
 import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbow3 import (
@@ -16,6 +17,7 @@ from rainbow3 import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    edge_key,
     exact_rx3,
     exact_rx3_coloring,
     exists_rainbow_s_tree,
@@ -34,6 +36,8 @@ from rainbow3 import (
 from conftest import (
     colored_graphs,
     connected_graphs,
+    many_colored_graphs,
+    oracle_certificate,
     oracle_rainbow_s_tree,
     pickable_bruteforce,
 )
@@ -83,7 +87,7 @@ def test_default_work_budget_stops_many_colors():
         is_3_rainbow(g, col)
 
 
-@given(colored_graphs(max_n=6, max_colors=4))
+@given(st.one_of(colored_graphs(max_n=6, max_colors=4), many_colored_graphs()))
 @settings(max_examples=40, deadline=None)
 def test_exists_matches_subtree_enumeration(drawn):
     g, cols = drawn
@@ -92,7 +96,7 @@ def test_exists_matches_subtree_enumeration(drawn):
         assert exists_rainbow_s_tree(g, col, s) == oracle_rainbow_s_tree(g, col, s)
 
 
-@given(colored_graphs(max_n=9, max_colors=6))
+@given(st.one_of(colored_graphs(max_n=9, max_colors=6), many_colored_graphs()))
 @settings(max_examples=40, deadline=None)
 def test_full_verifier_agrees_with_per_triple_dp(drawn):
     g, cols = drawn
@@ -170,6 +174,19 @@ def test_certificate_shared_inner_vertex_fails():
     assert not verify_certificate(g, col, {2, 3, 4}, cert)
 
 
+@pytest.mark.parametrize(
+    "paths",
+    [[(0, 3), (0, 1, 4), (0, 2, 1, 5)], [(0, 3), (0, 1, 2, 0, 4), (0, 5)]],
+    ids=["inner-vertex", "start-vertex"],
+)
+def test_certificate_shared_vertex_on_distinct_edges_fails(paths):
+    # every edge has its own color, so only the repeated vertex is wrong
+    g = build_graph(6, [(0, 3), (0, 1), (1, 4), (0, 2), (1, 2), (1, 5), (0, 4), (0, 5)])
+    col = EdgeColoring.from_dict({e: i for i, e in enumerate(g.edges, start=1)})
+    sets = [{col.assignment[edge_key(a, b)] for a, b in zip(p, p[1:])} for p in paths]
+    assert not verify_certificate(g, col, {3, 4, 5}, _windmill_cert(paths, sets))
+
+
 def test_certificate_repeated_color_fails():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     col = _coloring([((0, 1), 1), ((0, 2), 1), ((0, 3), 3)])
@@ -190,6 +207,132 @@ def test_certificate_first_path_must_be_single_edge():
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((0, 3), 3), ((0, 2), 4)])
     cert = _windmill_cert([(0, 1, 2), (0, 2), (0, 3)], [{1, 2}, {4}, {3}])
     assert not verify_certificate(g, col, {2, 3}, cert)
+
+
+def _path_edges(paths):
+    return {edge_key(a, b) for p in paths for a, b in zip(p, p[1:])}
+
+
+def _shared_vertex_paths(g, cert):
+    """The cert's paths with one vertex inserted or replaced by its start or
+    one of its inner vertices, over two edges of g the cert does not use:
+    a repeated vertex is then the only fault once every edge has a color of
+    its own."""
+    used = _path_edges(cert.paths)
+    reused = {cert.vertex} | {x for p in cert.paths for x in p[1:-1]}
+    out = []
+    for i, path in enumerate(cert.paths):
+        for k in range(1, len(path)):
+            for tail in filter(None, (path[k:], path[k + 1:])):
+                for x in sorted(reused):
+                    new = {edge_key(path[k - 1], x), edge_key(x, tail[0])}
+                    if new <= g.edge_set and not new & used:
+                        paths = list(cert.paths)
+                        paths[i] = path[:k] + (x,) + tail
+                        out.append((cert, tuple(paths)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _plus6(n, delta, seed):
+    g = random_min_degree(n, delta, seed)
+    dom = three_way_dominating_set(g)
+    coloring, certs, _ = three_way_coloring(g, dom)
+    shared = [m for cert in certs for m in _shared_vertex_paths(g, cert)]
+    return g, dom.vertices, coloring, certs, shared
+
+
+def _fresh_colors_on(coloring, paths):
+    """The coloring with every edge along ``paths`` given a color of its own
+    that nothing else uses; an edge the paths repeat keeps one color."""
+    assignment = dict(coloring.assignment)
+    fresh = max(assignment.values())
+    for e in _path_edges(paths):
+        if e in assignment:
+            fresh += 1
+            assignment[e] = fresh
+    return EdgeColoring.from_dict(assignment)
+
+
+def _sets_along(coloring, paths):
+    return tuple(
+        frozenset(coloring.assignment.get(edge_key(a, b)) for a, b in zip(p, p[1:]))
+        for p in paths
+    )
+
+
+def _shared_vertex_case(n, delta, seed):
+    g, dom, coloring, _, shared = _plus6(n, delta, seed)
+    cert, paths = shared[0]
+    coloring = _fresh_colors_on(coloring, paths)
+    return g, dom, coloring, SafetyCertificate(cert.vertex, paths, _sets_along(coloring, paths))
+
+
+MUTATIONS = ("none", "replace", "insert", "delete", "swap", "tail", "set", "vertex", "share")
+
+
+@st.composite
+def _mutated_certificates(draw):
+    """A certificate of a +6 construction with one mutation, checked against
+    the construction's coloring or one that gives the mutated paths fresh
+    colors (always, for "share").  The recorded sets follow the mutated
+    paths except under "set", which flips one color of one set."""
+    g, dom, coloring, certs, shared = _plus6(
+        draw(st.integers(12, 24)), draw(st.sampled_from(range(3, 11))), draw(st.integers(0, 20))
+    )
+    kind = draw(st.sampled_from(MUTATIONS))
+    cert = draw(st.sampled_from(certs))
+    paths = cert.paths
+    if kind == "share" and shared:
+        cert, paths = draw(st.sampled_from(shared))
+    v, sets = cert.vertex, list(cert.color_sets)
+    paths = [list(p) for p in paths]
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    path = paths[i]
+    if kind in ("replace", "insert"):
+        k = draw(st.integers(1, len(path) - (kind == "replace")))
+        tail = path[k + 1:] if kind == "replace" else path[k:]
+        fits = [
+            x for x in range(g.n)
+            if g.has_edge(path[k - 1], x) and (not tail or g.has_edge(x, tail[0]))
+        ]
+        paths[i] = path[:k] + [draw(st.sampled_from(fits or range(g.n)))] + tail
+    elif kind == "delete":
+        del path[draw(st.integers(0, len(path) - 1))]
+    elif kind == "swap":
+        paths[i], paths[j], sets[i], sets[j] = paths[j], paths[i], sets[j], sets[i]
+    elif kind == "tail":
+        src = paths[j]
+        paths[i] = path[: draw(st.integers(1, len(path)))] + src[draw(st.integers(1, len(src) - 1)):]
+    elif kind == "vertex":
+        v = draw(st.sampled_from(sorted({x for p in paths for x in p})))
+    paths = tuple(map(tuple, paths))
+    if kind == "share" or draw(st.booleans()):
+        coloring = _fresh_colors_on(coloring, paths)
+    if kind == "set":
+        sets[i] = sets[i] ^ {draw(st.sampled_from(sorted(set(coloring.assignment.values()))))}
+    else:
+        sets = _sets_along(coloring, paths)
+    return g, dom, coloring, SafetyCertificate(v, paths, tuple(sets))
+
+
+def test_certificate_check_matches_separate_tests():
+    # the one distinctness test against the three separate ones it replaced;
+    # the pinned case repeats an inner vertex over unused edges, a fault the
+    # construction's own six colors almost never leave as the only one
+    verdicts = set()
+
+    @given(_mutated_certificates())
+    @example(_shared_vertex_case(16, 8, 0))
+    @settings(max_examples=400, deadline=None)
+    def agree(drawn):
+        g, dom, coloring, cert = drawn
+        got = verify_certificate(g, coloring, dom, cert)
+        assert got == oracle_certificate(g, coloring, dom, cert)
+        verdicts.add(got)
+
+    agree()
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +512,12 @@ def _oracle_3_rainbow(g, coloring):
     )
 
 
-@st.composite
-def _many_colored_graphs(draw):
-    """A Hamiltonian path plus about three quarters of the other pairs on 6
-    or 7 vertices, colored with a drawn number of colors, up to one per edge."""
-    n = draw(st.integers(6, 7))
-    pairs = list(itertools.combinations(range(n), 2))
-    kept = st.sampled_from((False, True, True, True))
-    keep = draw(st.lists(kept, min_size=len(pairs), max_size=len(pairs)))
-    g = build_graph(n, [p for p, k in zip(pairs, keep) if k or p[1] == p[0] + 1])
-    order = draw(st.permutations(range(1, g.m + 1)))
-    cap = draw(st.sampled_from(range(1, g.m + 1)))
-    return g, EdgeColoring.from_dict({e: min(c, cap) for e, c in zip(g.edges, order)})
-
-
-@given(_many_colored_graphs())
+@given(many_colored_graphs())
 @settings(max_examples=30, deadline=None)
 def test_is_3_rainbow_matches_oracle_with_many_colors(drawn):
     # up to one distinct color per edge, so more than 14 colors can occur
-    g, col = drawn
+    g, cols = drawn
+    col = EdgeColoring.from_dict(cols)
     assert is_3_rainbow(g, col).verdict == _oracle_3_rainbow(g, col)
 
 

@@ -237,10 +237,12 @@ def _single_source_masks(
                 m2 = mask | b
                 existing = ant[w]
                 cost += 1 + len(existing)
-                if any(a & m2 == a for a in existing):
-                    continue
-                existing.append(m2)
-                grown.append((w, m2))
+                for a in existing:
+                    if a & m2 == a:
+                        break
+                else:
+                    existing.append(m2)
+                    grown.append((w, m2))
             _spend(work, cost)
         layer = grown
     return ant
@@ -265,27 +267,26 @@ def exists_rainbow_s_tree(
     adj_bits = _color_bits(g, c)
     work = [VERIFY_WORK_BUDGET]
     ants = [_single_source_masks(g.n, adj_bits, t, work) for t in terms]
-    return _median_join(ants, range(g.n), work) is not None
+    return any(_joins(ants[0][m], ants[1][m], ants[2][m], work) for m in range(g.n))
 
 
-def _median_join(ants: list[list[list[int]]], order: Iterable[int], work: list[int]):
-    """First median vertex admitting pairwise-disjoint walk masks, or None."""
-    for m in order:
-        aa, bb, cc = ants[0][m], ants[1][m], ants[2][m]
-        if not (aa and bb and cc):
-            continue
-        for ma in aa:
-            cost = len(bb)
-            for mb in bb:
-                if ma & mb:
-                    continue
-                mab = ma | mb
-                for mc in cc:
-                    if not (mab & mc):
-                        return m
-                cost += len(cc)
-            _spend(work, cost)
-    return None
+def _joins(aa: list[int], bb: list[int], cc: list[int], work: list[int]) -> bool:
+    """True iff the three walk antichains at one median hold pairwise
+    disjoint masks."""
+    if not (aa and bb and cc):
+        return False
+    for ma in aa:
+        cost = len(bb)
+        for mb in bb:
+            if ma & mb:
+                continue
+            mab = ma | mb
+            for mc in cc:
+                if not (mab & mc):
+                    return True
+            cost += len(cc)
+        _spend(work, cost)
+    return False
 
 
 def is_3_rainbow(
@@ -294,21 +295,27 @@ def is_3_rainbow(
 ) -> VerifyReport:
     """Check every vertex triple for a rainbow tree; first failure wins.
 
-    Walk antichains are computed once per source vertex and shared across
-    the C(n,3) triples; a move-to-front median list keeps the per-triple
-    join cheap on valid colorings.
+    A rainbow walk reversed is one with the same colors, so the walks from
+    a median m to every vertex serve all triples: they are searched once,
+    when m is first tried, and a move-to-front median list keeps the
+    per-triple join cheap on valid colorings.
     """
     if g.n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
     adj_bits = _color_bits(g, c)
     work = [VERIFY_WORK_BUDGET]
-    ants = [_single_source_masks(g.n, adj_bits, v, work) for v in range(g.n)]
+    ends: list[list[list[int]] | None] = [None] * g.n
     medians = list(range(g.n))
     checked = 0
     for a, b, cc in itertools.combinations(range(g.n), 3):
         checked += 1
-        m = _median_join([ants[a], ants[b], ants[cc]], medians, work)
-        if m is None:
+        for m in medians:
+            if ends[m] is None:
+                ends[m] = _single_source_masks(g.n, adj_bits, m, work)
+            at = ends[m]
+            if _joins(at[a], at[b], at[cc], work):
+                break
+        else:
             return VerifyReport(False, (a, b, cc), checked, c.num_colors)
         if medians[0] != m:
             medians.remove(m)

@@ -1,5 +1,6 @@
-"""Package layout rules: every import sits at the top of its module, and no
-module imports another module's private (underscore) names.  The benchmark
+"""Package layout rules: every import sits at the top of its module, no
+module imports another module's private (underscore) names, and every
+module-level private name is used in its own module.  The benchmark
 harness in bench/ names package functions by string and by attribute, and it
 and scripts/ pass keywords to them, so the names and keywords they use are
 checked here too, by reading their files."""
@@ -50,6 +51,39 @@ def test_layout_check_catches_both_faults():
         "line 4: import inside f()",
         "line 1: private import _helper",
     ]
+
+
+def _unused_private_names(tree: ast.Module) -> list[str]:
+    """Module-level _private functions, classes and constants that nothing
+    else in the module reads."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_are_used_in_their_module(path):
+    assert _unused_private_names(ast.parse(path.read_text())) == []
+
+
+def test_private_name_check_catches_a_leftover_helper():
+    source = "_A = 1\n_B: int = 2\n\nclass _C:\n    pass\n\n"
+    source += "def _median_join():\n    return _A\n\ndef _joins():\n    _B = 3\n\n_joins()\n"
+    assert _unused_private_names(ast.parse(source)) == ["_B", "_C", "_median_join"]
 
 
 def test_bench_traced_names_are_package_functions():

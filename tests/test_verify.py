@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rainbow3.verify
 from rainbow3 import (
     CLASS_TABLE,
     EdgeColoring,
@@ -81,8 +82,14 @@ def test_exists_limit_exceeded(monkeypatch):
 
 
 def test_default_work_budget_stops_many_colors():
+    # K8 with 28 distinct colors is trivially 3-rainbow and fits the budget;
+    # K10 with 28 colors, each on one or two edges, needs over 3 times it
     g = complete_graph(8)
     col = EdgeColoring.from_dict({e: i + 1 for i, e in enumerate(g.edges)})
+    rep = is_3_rainbow(g, col)
+    assert (rep.verdict, rep.witness, rep.triples_checked) == (True, None, 56)
+    g = complete_graph(10)
+    col = EdgeColoring.from_dict({e: i % 28 + 1 for i, e in enumerate(g.edges)})
     with pytest.raises(VerifyLimitError, match="verifier work budget"):
         is_3_rainbow(g, col)
 
@@ -102,11 +109,37 @@ def test_full_verifier_agrees_with_per_triple_dp(drawn):
     g, cols = drawn
     col = EdgeColoring.from_dict(cols)
     rep = is_3_rainbow(g, col)
+    triples = list(itertools.combinations(range(g.n), 3))
     if rep.verdict:
-        for s in itertools.combinations(range(g.n), 3):
-            assert exists_rainbow_s_tree(g, col, s)
+        assert rep.witness is None and rep.triples_checked == math.comb(g.n, 3)
+        assert all(exists_rainbow_s_tree(g, col, s) for s in triples)
     else:
+        # the witness is the first failing triple, and its 1-based rank is
+        # the number of triples checked
+        rank = triples.index(rep.witness) + 1
+        assert rep.triples_checked == rank
         assert not exists_rainbow_s_tree(g, col, rep.witness)
+        assert all(exists_rainbow_s_tree(g, col, s) for s in triples[: rank - 1])
+
+
+def test_is_3_rainbow_searches_only_tried_medians(monkeypatch):
+    sources = []
+    search = rainbow3.verify._single_source_masks
+
+    def counted(n, adj_bits, source, work):
+        sources.append(source)
+        return search(n, adj_bits, source, work)
+
+    monkeypatch.setattr("rainbow3.verify._single_source_masks", counted)
+    g = french_windmill(10).graph
+    col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
+    assert is_3_rainbow(g, col).verdict
+    assert sources == [0]  # the hub serves every triple
+    sources.clear()
+    rep = is_3_rainbow(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
+    # the first triple fails at every median, so every vertex is searched once
+    assert (rep.witness, rep.triples_checked) == ((0, 1, 2), 1)
+    assert sources == list(range(g.n))
 
 
 def test_is_3_rainbow_spanning_k33():

@@ -289,6 +289,19 @@ def _joins(aa: list[int], bb: list[int], cc: list[int], work: list[int]) -> bool
     return False
 
 
+def _median(n: int, adj_bits: list[list[tuple[int, int]]], m: int, work: list[int]) -> tuple:
+    """The walk antichains from median m, each vertex's twin class id and
+    class bitset (vertices with the same antichain, as a set, are twins at
+    m), and an empty ``good`` map from class pairs to settled third vertices."""
+    ends = _single_source_masks(n, adj_bits, m, work)
+    ids: dict[tuple, int] = {}
+    cls = [ids.setdefault(tuple(sorted(masks)), len(ids)) for masks in ends]
+    bits = [0] * len(ids)
+    for v, k in enumerate(cls):
+        bits[k] |= 1 << v
+    return ends, cls, [bits[k] for k in cls], {}
+
+
 def is_3_rainbow(
     g: Graph,
     c: EdgeColoring,
@@ -299,27 +312,56 @@ def is_3_rainbow(
     a median m to every vertex serve all triples: they are searched once,
     when m is first tried, and a move-to-front median list keeps the
     per-triple join cheap on valid colorings.
+
+    Whether a triple joins at m depends only on the three antichains, so a
+    join that succeeds holds for every triple of the same twin classes at m;
+    ``good[(class a, class b)]`` collects the third vertices so settled.  For
+    each pair (a, b), the run of settled third vertices below the next
+    unsettled one at the front median needs no join: that median would serve
+    each of them first, leaving the median order as it was.
     """
+    adj_bits = _color_bits(g, c)
     if g.n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
-    adj_bits = _color_bits(g, c)
     work = [VERIFY_WORK_BUDGET]
-    ends: list[list[list[int]] | None] = [None] * g.n
+    seen: list[tuple | None] = [None] * g.n
+    seen[0] = _median(g.n, adj_bits, 0, work)  # the first median the first triple tries
     medians = list(range(g.n))
+    every = (1 << g.n) - 1
     checked = 0
-    for a, b, cc in itertools.combinations(range(g.n), 3):
-        checked += 1
-        for m in medians:
-            if ends[m] is None:
-                ends[m] = _single_source_masks(g.n, adj_bits, m, work)
-            at = ends[m]
-            if _joins(at[a], at[b], at[cc], work):
+    for a, b in itertools.combinations(range(g.n - 1), 2):
+        # known: the third vertices settled for (a, b) at the front median
+        cc, front = b, -1
+        while True:
+            if medians[0] != front:
+                front = medians[0]
+                _, cls, bits, good = seen[front]
+                key = (cls[a], cls[b])
+                known = good.get(key, 0)
+            # jump to the next unsettled third vertex; the settled ones passed
+            # over are counted with the pair, the first failure gives its rank
+            rest = (every ^ known) >> (cc + 1)
+            if not rest:
                 break
-        else:
-            return VerifyReport(False, (a, b, cc), checked, c.num_colors)
-        if medians[0] != m:
-            medians.remove(m)
-            medians.insert(0, m)
+            cc += (rest & -rest).bit_length()
+            for m in medians:
+                if seen[m] is None:
+                    seen[m] = _median(g.n, adj_bits, m, work)
+                at = seen[m][0]
+                if _joins(at[a], at[b], at[cc], work):
+                    break
+            else:
+                return VerifyReport(False, (a, b, cc), checked + cc - b, c.num_colors)
+            if m == front:
+                known |= bits[cc]
+                good[key] = known
+            else:
+                _, cls_m, bits_m, good_m = seen[m]
+                key_m = (cls_m[a], cls_m[b])
+                good_m[key_m] = good_m.get(key_m, 0) | bits_m[cc]
+                medians.remove(m)
+                medians.insert(0, m)
+        checked += g.n - 1 - b
     return VerifyReport(True, None, checked, c.num_colors)
 
 

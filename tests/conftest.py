@@ -2,7 +2,9 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.
+itself against its own machinery.  The one exception, `oracle_is_3_rainbow`,
+runs one join per triple with the library's walk search and join, so that
+tests can compare what it and `is_3_rainbow` search and spend.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+import rainbow3.verify as verify
 from rainbow3 import build_graph, edge_key
 
 
@@ -78,6 +81,34 @@ def oracle_rainbow_s_tree(g, coloring, s) -> bool:
             if s <= verts:
                 return True
     return False
+
+
+def oracle_is_3_rainbow(g, c):
+    """`is_3_rainbow` with one join per triple: every triple tries the
+    medians in move-to-front order, each median searched when first tried.
+    The search, the join and the budget are looked up in `rainbow3.verify`
+    at call time, so a test can patch and count them."""
+    if g.n < 3:
+        return verify.VerifyReport(True, None, 0, c.num_colors)
+    adj_bits = verify._color_bits(g, c)
+    work = [verify.VERIFY_WORK_BUDGET]
+    ends = [None] * g.n
+    medians = list(range(g.n))
+    checked = 0
+    for a, b, cc in itertools.combinations(range(g.n), 3):
+        checked += 1
+        for m in medians:
+            if ends[m] is None:
+                ends[m] = verify._single_source_masks(g.n, adj_bits, m, work)
+            at = ends[m]
+            if verify._joins(at[a], at[b], at[cc], work):
+                break
+        else:
+            return verify.VerifyReport(False, (a, b, cc), checked, c.num_colors)
+        if medians[0] != m:
+            medians.remove(m)
+            medians.insert(0, m)
+    return verify.VerifyReport(True, None, checked, c.num_colors)
 
 
 def pickable_bruteforce(cu, cv, cw) -> bool:

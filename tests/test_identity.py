@@ -22,6 +22,11 @@ low-degree graphs, where the two searches differ most.
 outputs, so the minimum color count and the witness coloring are pinned on
 named graphs (the windmills behind the tightness claims, the star K1,7 that
 is G[D] of `bound_b` on the windmill t=7) and on seeded random graphs.
+
+`is_3_rainbow` skips joins it can prove redundant, so its report (verdict,
+first failing triple, triples checked) is pinned on +6 and +3 constructions,
+on monochrome colorings, which fail at the first triple, and on
+constructions with one edge recolored, most of which fail late in the scan.
 """
 import hashlib
 import io
@@ -35,6 +40,7 @@ from hypothesis import given, settings
 from rainbow3 import (
     CONNECTED,
     DominationKind,
+    EdgeColoring,
     bounds_report,
     build_graph,
     cds_heuristic,
@@ -45,14 +51,19 @@ from rainbow3 import (
     exact_rx3_coloring,
     french_windmill,
     gstar,
+    is_3_rainbow,
     k_dominating,
     k_way,
+    min_connected_k_dominating_set,
     min_dominating_set,
     path_graph,
     random_min_degree,
     sdiam3_with_triple,
     star_graph,
+    three_dom_coloring,
+    three_way_coloring,
     three_way_dominating_set,
+    threshold_example,
     write_edge_list,
 )
 from rainbow3.cli import main
@@ -65,7 +76,8 @@ def _sha(text: str) -> str:
 
 def _graph(spec):
     """("random", n, delta, seed), ("windmill", t), ("path", n), ("cycle", n),
-    ("chain", k, t), or ("gstar", m) / ("gstar", m, delta) with delta 3 by default."""
+    ("chain", k, t), ("threshold", t), or ("gstar", m) / ("gstar", m, delta) with
+    delta 3 by default."""
     kind, *params = spec
     if kind == "random":
         return random_min_degree(*params)
@@ -77,6 +89,8 @@ def _graph(spec):
         return cycle_graph(*params)
     if kind == "chain":
         return chain_example(*params).graph
+    if kind == "threshold":
+        return threshold_example(*params).graph
     m, delta = (*params, 3)[:2]
     return gstar(delta, m).graph
 
@@ -366,3 +380,56 @@ EXACT_DIGESTS = {
 def test_exact_rx3_coloring_pinned(case):
     graphs, limits = EXACT_CASES[case]
     assert exact_digest(graphs, **limits) == EXACT_DIGESTS[case]
+
+
+def verify_digest(spec, extra, change):
+    """`is_3_rainbow` report on the +``extra`` coloring of the graph, with
+    ``change`` applied: None, "mono" (every edge color 1) or (edge, color)."""
+    g = _graph(spec)
+    if extra == 6:
+        col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
+    else:
+        col, _ = three_dom_coloring(g, min_connected_k_dominating_set(g, 3))
+    if change == "mono":
+        col = EdgeColoring.from_dict({e: 1 for e in g.edges})
+    elif change is not None:
+        edge, color = change
+        col = EdgeColoring.from_dict({**col.assignment, edge: color})
+    rep = is_3_rainbow(g, col)
+    return _sha(repr((rep.verdict, rep.witness, rep.triples_checked)))
+
+
+VERIFY_DIGESTS = {
+    (("windmill", 3), 6, None): "0cba51f942a150bc243f1c677bb85223e9402482fead0caad157ab8bf8d19c9f",
+    (("windmill", 10), 6, None): "2b8a06a644fb68da81c3310e1095ae18834304c1d306d54163d2972b35d5569a",
+    (("windmill", 20), 6, None): "6af54b465d06b683d5df17513eede88354c8fb8340a7834601043c61bda053fc",
+    (("windmill", 40), 6, None): "9b02266545a2de78ea713eca7dbc6a9b71aaed0b25bf8de970e85fd7f42263c5",
+    (("threshold", 5), 6, None): "1d440e37799756a31b9682688a2e1bad136bb594dd560bd00df2a957a3aa5ac5",
+    (("threshold", 40), 6, None): "84adbd167613f34ebc82e75f6bd89fb84262a4d3c6c19178761037c74f728c80",
+    (("threshold", 10), 3, None): "b0ab702bbad662f26b1ab519ad73624a190c35e4f1b270cb9b23b6350d726d01",
+    (("chain", 4, 4), 6, None): "1d440e37799756a31b9682688a2e1bad136bb594dd560bd00df2a957a3aa5ac5",
+    (("chain", 10, 10), 6, None): "4c0a974f2440e45000d39238e637e0798fbe01909108068d5c1d9bec5b79d408",
+    (("chain", 6, 8), 3, None): "1151ad0855a28b883d2ff776fdcacadca607bee18fcc988aabc0cd6857e4b274",
+    (("random", 12, 3, 1), 6, None): "5084cb2f888edc9a4820dfad85e8129d85ebd79237877c50393f48c439de3c56",
+    (("random", 16, 3, 2), 6, None): "100f6f86cfa384ea4fd219319a90504ca3aaeb61160f3abaa49b7a196b4d3afa",
+    (("random", 20, 3, 3), 6, None): "4c0a974f2440e45000d39238e637e0798fbe01909108068d5c1d9bec5b79d408",
+    (("random", 40, 3, 1), 6, None): "0951e68a1f8f6c0493f90713f143ef65022bbecb04384083076ff8bb46412d9c",
+    (("gstar", 4), 6, None): "4d8db9425d872b956e1775d8d67d8fb9ea40df3fb8ea588327cf30bd91f83eb7",
+    (("windmill", 20), 6, "mono"): "d188cc4d5c4f4912a032b9d39b2c4d1c208faae1aacccb915b98ca55b1057944",
+    (("chain", 4, 4), 6, "mono"): "d188cc4d5c4f4912a032b9d39b2c4d1c208faae1aacccb915b98ca55b1057944",
+    (("random", 16, 3, 2), 6, "mono"): "d188cc4d5c4f4912a032b9d39b2c4d1c208faae1aacccb915b98ca55b1057944",
+    (("windmill", 10), 6, ((0, 1), 1)): "2b8a06a644fb68da81c3310e1095ae18834304c1d306d54163d2972b35d5569a",
+    (("threshold", 40), 6, ((40, 41), 3)): "48243fdebba76210be55ef42c52b63167ae02a8bbfd61893ff30cc46f547e20e",
+    (("threshold", 10), 3, ((11, 12), 2)): "d188cc4d5c4f4912a032b9d39b2c4d1c208faae1aacccb915b98ca55b1057944",
+    (("chain", 10, 10), 6, ((7, 11), 2)): "3f301d8ff12db202b2a6ef94042bbece1acf79a8aaeb9d08c86f78bc773994c5",
+    (("chain", 6, 8), 3, ((4, 8), 4)): "ed8e98ce10540e88eb59a72dd8e61a06e3e8712917e2b62cb657812c96f0ecaf",
+    (("random", 16, 3, 2), 6, ((1, 7), 1)): "1c793fd8368b4ebcc3ef72cf4a785c42408862763c19e8bb0247da9eec168403",
+    (("random", 20, 3, 3), 6, ((1, 8), 2)): "c7c5c1e7583da8417371d0dc6d21b890338b47c491571f76becf3f18b5d72eb7",
+    (("random", 40, 3, 1), 6, ((0, 10), 3)): "2b404e1bc5d0bd4e5517aa6054f08112eb22e8f6c523be7f4f978900e407f2e9",
+    (("gstar", 4), 6, ((1, 2), 8)): "8f28271991133e5f4fa8703b02221552929b0f54ad4cc037dbb634877d06b9a4",
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_DIGESTS), ids=str)
+def test_is_3_rainbow_report_pinned(case):
+    assert verify_digest(*case) == VERIFY_DIGESTS[case]

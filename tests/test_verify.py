@@ -10,10 +10,13 @@ import rainbow3.verify
 from rainbow3 import (
     CLASS_TABLE,
     EdgeColoring,
+    GraphError,
     SafetyCertificate,
     VerifyLimitError,
+    VerifyReport,
     all_class_triples,
     build_graph,
+    chain_example,
     class_membership,
     complete_bipartite,
     complete_graph,
@@ -32,6 +35,7 @@ from rainbow3 import (
     spanning_tree_coloring,
     three_way_coloring,
     three_way_dominating_set,
+    threshold_example,
     verify_certificate,
 )
 from conftest import (
@@ -39,6 +43,7 @@ from conftest import (
     connected_graphs,
     many_colored_graphs,
     oracle_certificate,
+    oracle_is_3_rainbow,
     oracle_rainbow_s_tree,
     pickable_bruteforce,
 )
@@ -140,6 +145,114 @@ def test_is_3_rainbow_searches_only_tried_medians(monkeypatch):
     # the first triple fails at every median, so every vertex is searched once
     assert (rep.witness, rep.triples_checked) == ((0, 1, 2), 1)
     assert sources == list(range(g.n))
+
+
+def _traced(verifier, g, col):
+    """The verifier's report, the sources it searched from, in order, the
+    work units it was charged and the number of joins it ran."""
+    sources, spent, joins = [], [0], [0]
+    search, spend, join = (
+        rainbow3.verify._single_source_masks, rainbow3.verify._spend, rainbow3.verify._joins
+    )
+
+    def counted_search(n, adj_bits, source, work):
+        sources.append(source)
+        return search(n, adj_bits, source, work)
+
+    def counted_spend(work, units):
+        spent[0] += units
+        spend(work, units)
+
+    def counted_join(aa, bb, cc, work):
+        joins[0] += 1
+        return join(aa, bb, cc, work)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rainbow3.verify, "_single_source_masks", counted_search)
+        mp.setattr(rainbow3.verify, "_spend", counted_spend)
+        mp.setattr(rainbow3.verify, "_joins", counted_join)
+        rep = verifier(g, col)
+    return rep, sources, spent[0], joins[0]
+
+
+_FAMILIES = {
+    "windmill": lambda t: french_windmill(t).graph,
+    "threshold": lambda t: threshold_example(t).graph,
+    "chain": lambda t: chain_example(4 + t % 3, 4 + t // 3).graph,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _family_plus6(kind, t):
+    g = _FAMILIES[kind](t)
+    return g, three_way_coloring(g, three_way_dominating_set(g))[0]
+
+
+def _recolored(kind, t, e, f):
+    """The +6 coloring of the family graph with edge e given f's color."""
+    g, col = _family_plus6(kind, t)
+    return g, {**col.assignment, e: col.assignment[f]}
+
+
+@st.composite
+def recolored_families(draw):
+    """The +6 coloring of a windmill, threshold or chain graph with one edge
+    given the color of an edge next to it."""
+    kind = draw(st.sampled_from(sorted(_FAMILIES)))
+    t = draw(st.integers(2, 9))
+    g, _ = _family_plus6(kind, t)
+    e = draw(st.sampled_from(g.edges))
+    f = draw(st.sampled_from([f for f in g.edges if f != e and set(f) & set(e)]))
+    return _recolored(kind, t, e, f)
+
+
+# Skipping known-good third vertices past the next unknown one keeps the
+# report but not the median order; here it charges 86 units against 85.
+_DRIFT_EXAMPLE = (
+    build_graph(8, [(0, 1), (0, 3), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1, 7), (3, 6), (4, 6)]),
+    {(0, 1): 2, (0, 3): 2, (0, 4): 1, (0, 7): 1, (1, 2): 1, (1, 3): 1, (1, 5): 1, (1, 7): 1,
+     (3, 6): 3, (4, 6): 2},
+)
+
+
+@given(st.one_of(colored_graphs(max_n=10, max_colors=3), recolored_families()))
+@example(_DRIFT_EXAMPLE)
+@example(_recolored("threshold", 4, (4, 5), (0, 5)))  # fails at triple 16 of 35
+@example(_recolored("chain", 6, (1, 4), (0, 4)))  # fails at the last triple
+@settings(max_examples=150, deadline=None)
+def test_is_3_rainbow_matches_one_join_per_triple(drawn):
+    # skipping joins keeps the report and the walk searches, in order, and
+    # never charges more work than one join per triple
+    g, cols = drawn
+    col = EdgeColoring.from_dict(cols)
+    rep, sources, spent, _ = _traced(is_3_rainbow, g, col)
+    want, want_sources, want_spent, _ = _traced(oracle_is_3_rainbow, g, col)
+    assert rep == want
+    assert sources == want_sources
+    assert spent <= want_spent
+
+
+def test_is_3_rainbow_skips_joins_for_twins():
+    g = french_windmill(20).graph
+    col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
+    rep, _, _, joins = _traced(is_3_rainbow, g, col)
+    assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
+    assert joins < math.comb(g.n, 2)
+    # a path with a color per edge has no twins at any median: from m, every
+    # vertex is reached by one walk with its own color set
+    g = path_graph(12)
+    col = EdgeColoring.from_dict({e: i + 1 for i, e in enumerate(g.edges)})
+    rep, _, _, joins = _traced(is_3_rainbow, g, col)
+    want, _, _, want_joins = _traced(oracle_is_3_rainbow, g, col)
+    assert rep == want and rep.verdict
+    assert joins == want_joins
+
+
+def test_is_3_rainbow_checks_totality_below_three_vertices():
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(GraphError, match="not total"):
+        is_3_rainbow(g, EdgeColoring.from_dict({}))
+    assert is_3_rainbow(g, EdgeColoring.from_dict({(0, 1): 1})) == VerifyReport(True, None, 0, 1)
 
 
 def test_is_3_rainbow_spanning_k33():

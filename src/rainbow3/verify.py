@@ -410,49 +410,65 @@ def verify_certificate(
 # Exact minimum 3-rainbow color count.
 #
 # Backtracking over edge colorings with first-use color canonicalization.
-# A rainbow tree with k colors has at most k edges, so each triple gets every
-# subtree of up to k edges, as an edge bitmask grown from a single edge by
-# one edge with exactly one endpoint inside at a time (dropping a leaf edge
-# shows every tree is reached).  The search keeps one edge mask per color: a
-# tree clashes with edge e colored c exactly when it meets the mask of c, and
-# a branch dies the moment some triple has no clash-free tree left.
+# A rainbow tree with k colors has at most k edges.  Pruning the leaves
+# outside triple t from a clash-free tree containing t leaves a clash-free
+# tree whose leaves lie in t: it has leaves exactly t, or is a path between
+# two vertices of t through the third.  Only these minimal trees are kept,
+# each once with the triples it serves.  They are edge bitmasks grown from a
+# single edge by one leaf edge at a time; the leaf count never falls as a tree
+# grows, and dropping a leaf edge reaches each from a smaller one, so trees
+# with 4 leaves are dropped at once.  The search keeps one edge mask per
+# color: a tree clashes with edge e colored c exactly when it meets the mask
+# of c, and a branch dies the moment some triple has no clash-free tree left.
 
-def _trees_by_triple(g: Graph, k: int) -> list[list[int]] | None:
-    """For each vertex triple, every <=k-edge subtree containing it, as an
-    edge bitmask.  None signals an empty list for some triple."""
+def _trees_by_triple(g: Graph, k: int) -> tuple[list[tuple[int, list[int]]], list[int]] | None:
+    """Each minimal tree of 2..k edges as (edge bitmask, ids of the triples
+    it serves), and each triple's tree count; None if a count is 0."""
     ends = [1 << u | 1 << v for u, v in g.edges]
-    level = {1 << ei: e for ei, e in enumerate(ends)}  # tree -> its vertex mask
-    per_triple: dict = {t: [] for t in itertools.combinations(range(g.n), 3)}
+    triples = itertools.combinations(range(g.n), 3)
+    triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
+    counts = [0] * len(triple_id)
+    trees: list[tuple[int, list[int]]] = []
+    level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
     for _ in range(1, k):
         grown: dict = {}
-        for tree, verts in level.items():
+        for tree, (verts, leaves) in level.items():
             for ei, e in enumerate(ends):
                 if (e & verts).bit_count() == 1:
-                    grown[tree | 1 << ei] = verts | e
+                    tips = leaves & ~e | e & ~verts  # the new vertex replaces its anchor
+                    if tips.bit_count() <= 3:
+                        grown[tree | 1 << ei] = (verts | e, tips)
         level = grown
-        for tree, verts in level.items():
-            inside = [v for v in range(g.n) if verts >> v & 1]
-            for t in itertools.combinations(inside, 3):
-                per_triple[t].append(tree)
-    if any(not lst for lst in per_triple.values()):
+        for tree, (verts, leaves) in level.items():
+            if leaves.bit_count() == 3:
+                serves = [triple_id[leaves]]
+            else:  # a path serves its ends with each inner vertex
+                inner = verts ^ leaves
+                serves = [triple_id[leaves | 1 << v] for v in range(g.n) if inner >> v & 1]
+            for ti in serves:
+                counts[ti] += 1
+            trees.append((tree, serves))
+    if 0 in counts:
         return None
-    return list(per_triple.values())
+    return trees, counts
 
 
 def _search_coloring(g: Graph, k: int) -> dict | None:
     """First k-coloring (canonical order) under which every triple keeps a
     rainbow tree, or None."""
-    per_triple = _trees_by_triple(g, k)
-    if per_triple is None:
+    found = _trees_by_triple(g, k)
+    if found is None:
         return None
+    trees, alive_count = found
     m = g.m
-    tree_mask = [tree for lst in per_triple for tree in lst]
-    tree_triple = [ti for ti, lst in enumerate(per_triple) for _ in lst]
-    trees_with_edge = [
-        [tid for tid, tree in enumerate(tree_mask) if tree >> ei & 1] for ei in range(m)
-    ]
-    alive = [True] * len(tree_mask)
-    alive_count = [len(lst) for lst in per_triple]
+    trees_with_edge: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m)]
+    for tid, (tree, serves) in enumerate(trees):
+        rest = tree
+        while rest:
+            low = rest & -rest
+            trees_with_edge[low.bit_length() - 1].append((tid, tree, serves))
+            rest ^= low
+    alive = [True] * len(trees)
     by_color = [0] * (k + 1)  # edge mask of each color
     nodes = 0
     budget = EXACT_NODE_BUDGET
@@ -460,13 +476,16 @@ def _search_coloring(g: Graph, k: int) -> dict | None:
     def assign(ei: int, col: int) -> list[int] | None:
         """Kill trees that now carry a color conflict; None on a dead triple."""
         killed: list[int] = []
-        for tid in trees_with_edge[ei]:
-            if alive[tid] and tree_mask[tid] & by_color[col]:
+        mask = by_color[col]
+        for tid, tree, serves in trees_with_edge[ei]:
+            if tree & mask and alive[tid]:
                 alive[tid] = False
                 killed.append(tid)
-                ti = tree_triple[tid]
-                alive_count[ti] -= 1
-                if alive_count[ti] == 0:
+                dead = False
+                for ti in serves:
+                    alive_count[ti] -= 1
+                    dead |= not alive_count[ti]
+                if dead:
                     revive(killed)
                     return None
         by_color[col] |= 1 << ei
@@ -475,7 +494,8 @@ def _search_coloring(g: Graph, k: int) -> dict | None:
     def revive(killed: list[int]) -> None:
         for tid in killed:
             alive[tid] = True
-            alive_count[tree_triple[tid]] += 1
+            for ti in trees[tid][1]:
+                alive_count[ti] += 1
 
     def dfs(ei: int, used: int) -> bool:
         nonlocal nodes
@@ -508,8 +528,10 @@ def exact_rx3_coloring(
     max_edges: int = EXACT_MAX_EDGES,
 ) -> tuple[int, dict] | None:
     """(minimum color count, witness coloring), or None above kmax."""
-    if kmax > EXACT_KMAX:
-        raise VerifyLimitError(f"kmax is limited to {EXACT_KMAX}, got {kmax}")
+    if not 1 <= kmax <= EXACT_KMAX:
+        raise VerifyLimitError(f"kmax must be in 1..{EXACT_KMAX}, got {kmax}")
+    if max_edges < 0:
+        raise VerifyLimitError(f"max_edges must be >= 0, got {max_edges}")
     if g.m > max_edges:
         raise VerifyLimitError(
             f"exact solver limited to {max_edges} edges, got {g.m}"

@@ -2,9 +2,11 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  The one exception, `oracle_is_3_rainbow`,
-runs one join per triple with the library's walk search and join, so that
-tests can compare what it and `is_3_rainbow` search and spend.
+itself against its own machinery.  Two exceptions keep an earlier form of a
+library routine so tests can compare what each searches and spends:
+`oracle_is_3_rainbow` runs one join per triple with the library's walk search
+and join, and `oracle_exact_rx3_coloring` searches every subtree of each
+triple under the exact solver's node budget.
 """
 from __future__ import annotations
 
@@ -109,6 +111,105 @@ def oracle_is_3_rainbow(g, c):
             medians.remove(m)
             medians.insert(0, m)
     return verify.VerifyReport(True, None, checked, c.num_colors)
+
+
+def _oracle_trees_by_triple(g, k):
+    """For each vertex triple, every <=k-edge subtree containing it, as an
+    edge bitmask.  None signals an empty list for some triple."""
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    level = {1 << ei: e for ei, e in enumerate(ends)}  # tree -> its vertex mask
+    per_triple = {t: [] for t in itertools.combinations(range(g.n), 3)}
+    for _ in range(1, k):
+        grown = {}
+        for tree, verts in level.items():
+            for ei, e in enumerate(ends):
+                if (e & verts).bit_count() == 1:
+                    grown[tree | 1 << ei] = verts | e
+        level = grown
+        for tree, verts in level.items():
+            inside = [v for v in range(g.n) if verts >> v & 1]
+            for t in itertools.combinations(inside, 3):
+                per_triple[t].append(tree)
+    if any(not lst for lst in per_triple.values()):
+        return None
+    return list(per_triple.values())
+
+
+def _oracle_search_coloring(g, k):
+    """First k-coloring (canonical order) under which every triple keeps a
+    clash-free subtree, or None; one entry per (triple, subtree) pair."""
+    per_triple = _oracle_trees_by_triple(g, k)
+    if per_triple is None:
+        return None
+    m = g.m
+    tree_mask = [tree for lst in per_triple for tree in lst]
+    tree_triple = [ti for ti, lst in enumerate(per_triple) for _ in lst]
+    trees_with_edge = [
+        [tid for tid, tree in enumerate(tree_mask) if tree >> ei & 1] for ei in range(m)
+    ]
+    alive = [True] * len(tree_mask)
+    alive_count = [len(lst) for lst in per_triple]
+    by_color = [0] * (k + 1)  # edge mask of each color
+    nodes = 0
+    budget = verify.EXACT_NODE_BUDGET
+
+    def assign(ei, col):
+        """Kill trees that now carry a color conflict; None on a dead triple."""
+        killed = []
+        for tid in trees_with_edge[ei]:
+            if alive[tid] and tree_mask[tid] & by_color[col]:
+                alive[tid] = False
+                killed.append(tid)
+                ti = tree_triple[tid]
+                alive_count[ti] -= 1
+                if alive_count[ti] == 0:
+                    revive(killed)
+                    return None
+        by_color[col] |= 1 << ei
+        return killed
+
+    def revive(killed):
+        for tid in killed:
+            alive[tid] = True
+            alive_count[tree_triple[tid]] += 1
+
+    def dfs(ei, used):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise verify.VerifyLimitError(f"exact search node budget {budget} exceeded")
+        if ei == m:
+            return True
+        for col in range(1, min(k, used + 1) + 1):
+            killed = assign(ei, col)
+            if killed is None:
+                continue
+            if dfs(ei + 1, max(used, col)):
+                return True
+            by_color[col] ^= 1 << ei
+            revive(killed)
+        return False
+
+    if not dfs(0, 0):
+        return None
+    return {
+        e: next(col for col, mask in enumerate(by_color) if mask >> ei & 1)
+        for ei, e in enumerate(g.edges)
+    }
+
+
+def oracle_exact_rx3_coloring(g, kmax=verify.EXACT_KMAX):
+    """`exact_rx3_coloring` with every subtree of up to k edges stored once
+    per triple it contains: (k, witness) for the first k from the Steiner
+    3-diameter (by subset enumeration) up to kmax, or None.  Edge limits are
+    not checked; the node budget is read from `rainbow3.verify` at call time."""
+    triples = itertools.combinations(range(g.n), 3)
+    lower = max([2] + [oracle_steiner3(g, t) for t in triples])
+    for k in range(lower, kmax + 1):
+        found = _oracle_search_coloring(g, k)
+        if found is not None:
+            return k, found
+    return None
 
 
 def pickable_bruteforce(cu, cv, cw) -> bool:

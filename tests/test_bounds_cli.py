@@ -174,6 +174,20 @@ def test_cli_exact_exceeds(capsys, monkeypatch):
     assert json.loads(out)["rx3"] is None
 
 
+@pytest.mark.parametrize("limits, named", [
+    (["--kmax", "-3"], "kmax"),
+    (["--kmax", "0"], "kmax"),
+    (["--max-edges", "-1"], "max_edges"),
+], ids=["kmax-negative", "kmax-zero", "max-edges-negative"])
+def test_cli_exact_malformed_limits_exit_two(limits, named, capsys, monkeypatch):
+    g = write_edge_list(build_graph(3, [(0, 1), (1, 2)]))
+    code, out, err = _run(["exact"] + limits, stdin_text=g,
+                          capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"rainbow3: {named} must be ") and err.count("\n") == 1
+
+
 def test_cli_bounds_fields(capsys, monkeypatch):
     g = write_edge_list(threshold_example(5).graph)
     code, out, _ = _run(["bounds"], stdin_text=g, capsys=capsys, monkeypatch=monkeypatch)

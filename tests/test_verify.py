@@ -43,6 +43,7 @@ from conftest import (
     connected_graphs,
     many_colored_graphs,
     oracle_certificate,
+    oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
     oracle_rainbow_s_tree,
     pickable_bruteforce,
@@ -629,6 +630,41 @@ def test_exact_node_budget_exceeded(monkeypatch):
         exact_rx3(cycle_graph(5))
 
 
+def test_exact_rejects_malformed_limits():
+    with pytest.raises(VerifyLimitError, match="kmax must be in 1..8, got 0"):
+        exact_rx3_coloring(path_graph(3), kmax=0)
+    with pytest.raises(VerifyLimitError, match="kmax must be in 1..8, got -3"):
+        exact_rx3_coloring(path_graph(3), kmax=-3)
+    with pytest.raises(VerifyLimitError, match="max_edges must be >= 0, got -1"):
+        exact_rx3_coloring(path_graph(3), max_edges=-1)
+    assert exact_rx3_coloring(path_graph(3), kmax=1) is None
+
+
+# Search nodes the all-subtrees solver needed at its busiest color count:
+# (graph, limits, nodes).  Storing only minimal trees must not change them.
+EXACT_NODES = {
+    "path 9": (path_graph(9), {}, 9),
+    "windmill 2": (french_windmill(2).graph, {}, 109),
+    "windmill 3 kmax 3": (french_windmill(3).graph, {"kmax": 3, "max_edges": 18}, 28),
+    "windmill 3 kmax 4": (french_windmill(3).graph, {"kmax": 4, "max_edges": 18}, 198),
+    "K5": (complete_graph(5), {}, 39),
+    "C7": (cycle_graph(7), {}, 8),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_NODES))
+def test_exact_node_count_pinned(case, monkeypatch):
+    g, limits, nodes = EXACT_NODES[case]
+    kmax = limits.get("kmax", rainbow3.verify.EXACT_KMAX)
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes)
+    assert exact_rx3_coloring(g, **limits) == oracle_exact_rx3_coloring(g, kmax=kmax)
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes - 1)
+    for solve in (lambda: exact_rx3_coloring(g, **limits),
+                  lambda: oracle_exact_rx3_coloring(g, kmax=kmax)):
+        with pytest.raises(VerifyLimitError, match=f"node budget {nodes - 1} exceeded"):
+            solve()
+
+
 def test_work_budget_exceeded(monkeypatch):
     g = cycle_graph(5)
     col = spanning_tree_coloring(g)
@@ -674,6 +710,28 @@ def test_exact_is_minimal_by_oracle(g):
     assert _oracle_3_rainbow(g, EdgeColoring.from_dict(witness))
     for cols in itertools.product(range(1, k), repeat=g.m):
         assert not _oracle_3_rainbow(g, EdgeColoring.from_dict(dict(zip(g.edges, cols))))
+
+
+@given(connected_graphs(min_n=3, max_n=8).filter(lambda g: g.m <= 14))
+@example(build_graph(8, [(a, b) for a, b in itertools.combinations(range(8), 2)
+                         if (a ^ b).bit_count() == 1]))  # the cube
+@example(build_graph(8, [(i, 4 + j) for i in range(4) for j in range(4)
+                         if i != j or i > 1]))  # K4,4 less two edges: m = 14
+@example(build_graph(8, [(i, (i + 1) % 7) for i in range(7)]
+                     + [(i, 7) for i in range(7)]))  # the wheel on 8 vertices
+@settings(max_examples=60, deadline=None)
+def test_exact_matches_all_subtrees_oracle(g):
+    # same minimum and the same witness: minimal trees settle every triple
+    # at the same search nodes as all its subtrees
+    assert exact_rx3_coloring(g) == oracle_exact_rx3_coloring(g)
+
+
+@pytest.mark.parametrize("kmax", [3, 4])
+def test_exact_matches_all_subtrees_oracle_on_windmill_3(kmax):
+    g = french_windmill(3).graph
+    found = exact_rx3_coloring(g, kmax=kmax, max_edges=18)
+    assert found == oracle_exact_rx3_coloring(g, kmax=kmax)
+    assert (found is None) == (kmax == 3)
 
 
 @given(colored_graphs(max_n=6, max_colors=3))

@@ -199,21 +199,64 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Symmetric shortest-path matrix; raises naming two unreachable vertices."""
+def _ball_table(g: Graph) -> list[list[int]]:
+    """``balls[v][r]``: bitmask of the vertices within distance r of v, for
+    r = 0..ecc(v), grown level by level as ball(v, r) | OR of ball(u, r) over
+    the neighbors u; a ball that stops growing is v's whole component.
+    Raises naming two unreachable vertices."""
+    n = g.n
+    adj = g.adj
+    cur = [1 << v for v in range(n)]
+    balls = [[b] for b in cur]
+    growing = range(n)
+    while growing:
+        nxt = cur[:]
+        still = []
+        for v in growing:
+            b = cur[v]
+            for u in adj[v]:
+                b |= cur[u]
+            if b != cur[v]:
+                nxt[v] = b
+                balls[v].append(b)
+                still.append(v)
+        cur, growing = nxt, still
+    for v, b in enumerate(cur):
+        if b != (1 << n) - 1:
+            u = next(u for u in range(n) if not b >> u & 1)
+            raise GraphError(f"graph is disconnected: no path between {v} and {u}")
+    return balls
+
+
+def _distance_rows(balls: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Distance rows read off the rings ``ball(v, r) & ~ball(v, r-1)``."""
+    n = len(balls)
     rows = []
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        for v, d in enumerate(dist):
-            if d < 0:
-                raise GraphError(f"graph is disconnected: no path between {s} and {v}")
-        rows.append(tuple(dist))
+    for levels in balls:
+        row = [0] * n
+        prev = 0
+        for r, b in enumerate(levels):
+            ring = b ^ prev
+            prev = b
+            while ring:
+                low = ring & -ring
+                row[low.bit_length() - 1] = r
+                ring ^= low
+        rows.append(tuple(row))
     return tuple(rows)
 
 
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Symmetric shortest-path matrix; raises naming two unreachable vertices."""
+    return _distance_rows(_ball_table(g))
+
+
 def diameter(g: Graph) -> int:
-    dist = all_pairs_distances(g)
-    return max(max(row) for row in dist)
+    """Largest eccentricity; raises on an empty or disconnected graph."""
+    balls = _ball_table(g)
+    if not balls:
+        raise GraphError("diameter needs at least 1 vertex, got n=0")
+    return max(map(len, balls)) - 1
 
 
 def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
@@ -223,8 +266,12 @@ def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
     meeting at one median vertex, so the minimum over all vertices m of
     d(m,s1)+d(m,s2)+d(m,s3) is exact.
     """
-    terms = sorted(set(s))
-    if len(terms) != 3 or terms[0] < 0 or terms[-1] >= g.n:
+    terms = list(s)
+    for t in terms:
+        if not isinstance(t, int) or not 0 <= t < g.n:
+            raise GraphError(f"terminal {t!r} is not a vertex of g (n={g.n})")
+    terms = sorted(set(terms))
+    if len(terms) != 3:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
     dists = [bfs_distances(g, t) for t in terms]
     best = None
@@ -244,35 +291,56 @@ def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
 
     Triples are visited in lexicographic order and ``best`` only moves on a
     strict increase.  A triple is skipped, without its median minimum, when
-    an upper bound on its Steiner distance is already <= ``best``:
+    its median sum at some vertex is already <= ``best``.  With ball(v, r)
+    the vertices within distance r of v, and h the last median that ruled
+    out a triple, the sums tried are:
 
-    - the two shorter sides, dab + dac + dbc - max(dab, dac, dbc), which is
-      the median sum at whichever terminal joins them;
-    - for the whole pair (a, b), dab + min(ecc(a), ecc(b)), the median sum
-      at a or at b for any third terminal;
-    - da[h] + db[h] + dc[h] at the last median h that ruled out a triple.
+    - at a or b for the whole pair, dab + min(ecc(a), ecc(b)); every b in
+      ball(a, best - ecc(a)) fails it;
+    - at a, b or h, for every c in ball(a, best - dab), ball(b, best - dab)
+      or ball(h, best - da[h] - db[h]), dropped by one mask per pair;
+    - for each c left, at whichever terminal joins the two shorter sides,
+      dab + dac + dbc - max(dab, dac, dbc), and at h.
 
     A skipped triple could never have passed the strict update, so the
-    value and the first argmax are exactly those of the full scan.
+    value and the first argmax are exactly those of the full scan
+    (DECISIONS.md entry 5).
     """
     if g.n < 3:
         raise GraphError(f"sdiam3 needs at least 3 vertices, got n={g.n}")
-    dist = all_pairs_distances(g)
+    balls = _ball_table(g)
+    dist = _distance_rows(balls)
     n = g.n
-    ecc = [max(row) for row in dist]
+    ecc = [len(levels) - 1 for levels in balls]
+    full = (1 << n) - 1
     best = -1
     best_triple = (0, 1, 2)
     h = 0
     for a in range(n - 2):
-        da = dist[a]
-        for b in range(a + 1, n - 1):
+        da, ba, ea = dist[a], balls[a], ecc[a]
+        r = best - ea
+        pairs = full >> (a + 1) << (a + 1) & ~(ba[min(r, ea)] if r >= 0 else 0)
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            b = low.bit_length() - 1
             db = dist[b]
             dab = da[b]
-            if dab + min(ecc[a], ecc[b]) <= best:
+            if dab + min(ea, ecc[b]) <= best:
                 continue
-            sab = None
             sab_h, dh = da[h] + db[h], dist[h]
-            for c in range(b + 1, n):
+            # the pair bound keeps best - dab below ecc(a) and ecc(b)
+            r = best - dab
+            drop = ba[r] | balls[b][r] if r >= 0 else 0
+            r = best - sab_h
+            if r >= 0:
+                drop |= balls[h][min(r, ecc[h])]
+            cand = full >> (b + 1) << (b + 1) & ~drop
+            sab = None
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                c = low.bit_length() - 1
                 dac, dbc = da[c], db[c]
                 if dab + dac + dbc - max(dab, dac, dbc) <= best or sab_h + dh[c] <= best:
                     continue

@@ -2,21 +2,23 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Two exceptions keep an earlier form of a
+itself against its own machinery.  Three exceptions keep an earlier form of a
 library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
-and join, and `oracle_exact_rx3_coloring` searches every subtree of each
-triple under the exact solver's node budget.
+and join, `oracle_exact_rx3_coloring` searches every subtree of each
+triple under the exact solver's node budget, and `oracle_sdiam3_scan` runs the
+median minimum of every triple its per-triple bounds leave.
 """
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
 
 import rainbow3.verify as verify
-from rainbow3 import build_graph, edge_key
+from rainbow3 import GraphError, all_pairs_distances, build_graph, edge_key
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,44 @@ def oracle_exact_rx3_coloring(g, kmax=verify.EXACT_KMAX):
         if found is not None:
             return k, found
     return None
+
+
+def oracle_sdiam3_scan(g):
+    """`sdiam3_with_triple` as a loop over every triple in lexicographic
+    order: (max Steiner distance, first argmax), skipping a triple only by
+    its pair bound, its two shorter sides or the last ruling-out median."""
+    if g.n < 3:
+        raise GraphError(f"sdiam3 needs at least 3 vertices, got n={g.n}")
+    dist = all_pairs_distances(g)
+    n = g.n
+    ecc = [max(row) for row in dist]
+    best = -1
+    best_triple = (0, 1, 2)
+    h = 0
+    for a in range(n - 2):
+        da = dist[a]
+        for b in range(a + 1, n - 1):
+            db = dist[b]
+            dab = da[b]
+            if dab + min(ecc[a], ecc[b]) <= best:
+                continue
+            sab = None
+            sab_h, dh = da[h] + db[h], dist[h]
+            for c in range(b + 1, n):
+                dac, dbc = da[c], db[c]
+                if dab + dac + dbc - max(dab, dac, dbc) <= best or sab_h + dh[c] <= best:
+                    continue
+                if sab is None:
+                    sab = list(map(add, da, db))
+                sums = list(map(add, sab, dist[c]))
+                val = min(sums)
+                if val > best:
+                    best = val
+                    best_triple = (a, b, c)
+                else:
+                    h = sums.index(val)
+                    sab_h, dh = sab[h], dist[h]
+    return best, best_triple
 
 
 def pickable_bruteforce(cu, cv, cw) -> bool:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbow3 import (
@@ -16,6 +16,7 @@ from rainbow3 import (
     french_windmill,
     gstar,
     path_graph,
+    random_min_degree,
     read_edge_list,
     sdiam3,
     sdiam3_with_triple,
@@ -23,7 +24,8 @@ from rainbow3 import (
     steiner_distance3,
     write_edge_list,
 )
-from conftest import connected_graphs, oracle_steiner3
+from rainbow3.graphs import bfs_distances
+from conftest import connected_graphs, oracle_sdiam3_scan, oracle_steiner3
 
 
 def test_build_path_degrees():
@@ -147,6 +149,23 @@ def test_apsp_disconnected_names_vertices():
         all_pairs_distances(g)
 
 
+def test_diameter_of_one_vertex_and_of_none():
+    assert diameter(build_graph(1, [])) == 0
+    with pytest.raises(GraphError, match="n=0"):
+        diameter(build_graph(0, []))
+
+
+@given(connected_graphs(min_n=2, max_n=9))
+@example(random_min_degree(70, 1, 71))
+@example(random_min_degree(130, 3, 133))
+@example(random_min_degree(300, 2, 302))
+@settings(max_examples=60)
+def test_apsp_rows_are_bfs_rows(g):
+    dist = all_pairs_distances(g)
+    assert dist == tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
+    assert diameter(g) == max(max(row) for row in dist)
+
+
 def test_steiner_path():
     g = path_graph(3)
     assert steiner_distance3(g, {0, 1, 2}) == 2
@@ -166,6 +185,13 @@ def test_steiner_c5():
 def test_steiner_needs_three_distinct():
     with pytest.raises(GraphError):
         steiner_distance3(path_graph(4), {0, 1})
+
+
+def test_steiner_rejects_a_terminal_that_is_not_a_vertex():
+    with pytest.raises(GraphError, match=r"terminal 1\.5 is not a vertex"):
+        steiner_distance3(path_graph(4), [0, 1, 1.5])
+    with pytest.raises(GraphError, match="terminal 4 is not a vertex"):
+        steiner_distance3(path_graph(4), [0, 1, 4])
 
 
 @given(connected_graphs(min_n=3, max_n=7))
@@ -199,6 +225,27 @@ def test_sdiam_extremal_triple_is_consistent():
 def test_sdiam_needs_three_vertices():
     with pytest.raises(GraphError):
         sdiam3(path_graph(2))
+
+
+def test_sdiam3_disconnected_names_an_unreachable_pair():
+    with pytest.raises(GraphError, match="no path between 0 and 3"):
+        sdiam3_with_triple(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
+
+
+@pytest.mark.parametrize("family", ["random", "windmill", "gstar"])
+def test_sdiam3_matches_plain_scan(family):
+    """Value and first argmax equal the scan without the ball masks."""
+    if family == "random":
+        cases = [(n, d) for n in range(6, 151, 8) for d in range(1, 6)]
+        graphs = [random_min_degree(n, d, n + d) for n, d in cases]
+    elif family == "windmill":
+        cases = list(range(2, 41))
+        graphs = [french_windmill(t).graph for t in cases]
+    else:
+        cases = [(d, m) for d in (3, 4, 5) for m in range(17)]
+        graphs = [gstar(d, m).graph for d, m in cases]
+    for case, g in zip(cases, graphs):
+        assert sdiam3_with_triple(g) == oracle_sdiam3_scan(g), case
 
 
 @given(connected_graphs(min_n=3, max_n=9))

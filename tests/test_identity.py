@@ -150,6 +150,11 @@ def test_dominating_set_and_sdiam3_pinned(spec):
     assert structure_digest(spec) == STRUCTURE_DIGESTS[spec]
 
 
+def test_sdiam3_pinned_at_n500():
+    """`structure_digest` leaves n >= 500 out; this value is the plain scan's."""
+    assert sdiam3_with_triple(random_min_degree(500, 3, 1)) == (13, (3, 81, 146))
+
+
 @given(connected_graphs(min_n=3, max_n=8))
 @settings(max_examples=100, deadline=None)
 def test_sdiam3_triple_is_first_oracle_argmax(g):

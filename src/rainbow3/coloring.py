@@ -16,7 +16,7 @@ returned colorings hold plain dicts, which callers must not mutate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 from .domination import (
     DominatingSet,
@@ -34,15 +34,14 @@ from .graphs import (
     components_minus,
     edge_key,
     induced_subgraph,
-    is_connected,
 )
 from .verify import (
     EXACT_MAX_EDGES,
     EdgeColoring,
     SafetyCertificate,
     VerifyLimitError,
+    certificate_colors,
     exact_rx3_coloring,
-    verify_certificate,
 )
 
 
@@ -72,10 +71,6 @@ def _path_colors(colors: dict, path: tuple) -> frozenset:
     return frozenset(colors[edge_key(a, b)] for a, b in zip(path, path[1:]))
 
 
-def _cert_sets(colors: dict, paths: tuple) -> tuple:
-    return tuple(_path_colors(colors, p) for p in paths)
-
-
 # ---------------------------------------------------------------------------
 # Baseline: distinct colors down a spanning tree.
 
@@ -84,16 +79,35 @@ def spanning_tree_coloring(h: Graph) -> EdgeColoring:
     visitation order, every other edge reuses color 1.  Any triple is
     connected by a rainbow subtree of the spanning tree, so this is always a
     valid 3-rainbow coloring."""
-    if h.n == 0:
-        return EdgeColoring.from_dict({})
-    tree = bfs_tree(h, range(h.n), 0)
-    assignment = {
-        edge_key(v, tree.parent[v]): col for col, v in enumerate(tree.order[1:], start=1)
-    }
-    for e in h.edges:
-        if e not in assignment:
-            assignment[e] = 1
-    return EdgeColoring.from_dict(assignment)
+    colors = _spanning_colors(h, range(h.n), 0)
+    if colors is None:
+        raise GraphError("graph must be connected")
+    return EdgeColoring.from_dict(colors)
+
+
+def _spanning_colors(g: Graph, verts: Sequence[int], offset: int) -> dict | None:
+    """``spanning_tree_coloring`` of G[verts] shifted by offset, in g's labels, or None
+    if G[verts] is disconnected: a BFS from min(verts), the first of the ascending
+    ``verts``, has the order and parents of ``bfs_tree`` on the relabeled G[verts]."""
+    mark = bytearray(g.n)
+    for v in verts:
+        mark[v] = 1
+    colors: dict = {}
+    queue = list(verts[:1])
+    for u in queue:
+        mark[u] = 2
+        for w in g.adj[u]:
+            if mark[w] == 1:
+                mark[w] = 2
+                colors[(u, w) if u < w else (w, u)] = offset + len(queue)
+                queue.append(w)
+    if len(queue) != len(verts):
+        return None
+    for u in verts:
+        for w in g.adj[u]:
+            if w > u and mark[w]:
+                colors.setdefault((u, w), offset + 1)
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +125,23 @@ def inner_coloring(g: Graph, dom: Iterable[int], offset: int) -> tuple[EdgeColor
     spanning-tree coloring with |D|-1 colors (which the additive set-size
     bounds rely on).  Returns (coloring, method)."""
     dverts = sorted(set(dom))
-    if not dverts:
+    if any(not isinstance(v, int) or not 0 <= v < g.n for v in dverts):
+        raise GraphError(f"D must hold vertices of g (n={g.n})")
+    if len(dverts) < 2:
         return EdgeColoring.from_dict({}), "empty"
-    sub, back = induced_subgraph(g, dverts)
-    if sub.n == 1:
-        return EdgeColoring.from_dict({}), "empty"
-    if not is_connected(sub):
+    spanning = _spanning_colors(g, dverts, offset)
+    if spanning is None:
         raise GraphError("G[D] is disconnected")
-    solved = None
-    if 3 <= sub.n <= INNER_EXACT_MAX_VERTICES and sub.m <= EXACT_MAX_EDGES:
+    if 3 <= len(dverts) <= INNER_EXACT_MAX_VERTICES:
+        sub, back = induced_subgraph(g, dverts)
         try:
-            solved = exact_rx3_coloring(sub, kmax=sub.n - 1)
+            solved = exact_rx3_coloring(sub, kmax=sub.n - 1) if sub.m <= EXACT_MAX_EDGES else None
         except VerifyLimitError:
             solved = None
-    if solved is not None:
-        _, colmap = solved
-        method = "exact"
-    else:
-        colmap = spanning_tree_coloring(sub).assignment
-        method = "spanning"
-    shifted = {
-        edge_key(back[u], back[v]): col + offset for (u, v), col in colmap.items()
-    }
-    return EdgeColoring.from_dict(shifted), method
+        if solved is not None:
+            shifted = {edge_key(back[u], back[v]): c + offset for (u, v), c in solved[1].items()}
+            return EdgeColoring.from_dict(shifted), "exact"
+    return EdgeColoring.from_dict(spanning), "spanning"
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +384,15 @@ def _path(state: Stage1State, x: int, y: int, edges: int) -> tuple:
 def _certify(state: Stage1State, x: int, y: int, expected: tuple) -> None:
     """Certify x by its leg, the path through its parent and the path
     through y, sized by the expected color sets, then check those sets."""
-    state.certs[x] = (
+    paths = state.certs[x] = (
         (x, state.leg[x]),
         _path(state, x, state.tree.parent[x], len(expected[1])),
         _path(state, x, y, len(expected[2])),
     )
-    _expect_check(state, x, expected)
-
-
-def _expect_check(state: Stage1State, vertex: int, expected: tuple) -> None:
-    got = _cert_sets(state.colors, state.certs[vertex])
-    if tuple(got) != tuple(expected):
+    got = tuple(_path_colors(state.colors, p) for p in paths)
+    if got != tuple(expected):
         raise ColoringInternalError(
-            f"certificate color sets for vertex {vertex} came out as "
+            f"certificate color sets for vertex {x} came out as "
             f"{[sorted(s) for s in got]}, table says {[sorted(s) for s in expected]}"
         )
 
@@ -525,7 +529,10 @@ def three_way_coloring(
     inner, inner_method = inner_coloring(g, dset, offset=6)
     colors.update(inner.assignment)
     coloring = EdgeColoring.from_dict(colors)
-    certificates = _finalize_certificates(g, dset, coloring, cert_paths)
+    certificates = [
+        _checked_certificate(g, dset, coloring, v, cert_paths.get(v), "final pass")
+        for v in range(g.n) if v not in dset
+    ]
     report = ColoringReport(
         method="theorem3",
         n=g.n,
@@ -560,36 +567,25 @@ def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) ->
 
 
 def _checked_certificate(
-    g: Graph, dset, coloring: EdgeColoring, v: int, paths, when: str
+    g: Graph, dset, coloring: EdgeColoring, v: int, paths: tuple | None, when: str
 ) -> SafetyCertificate:
-    """The certificate of v's stored paths; CertificateError, naming the
-    pass ``when``, if it does not verify under ``coloring``."""
-    paths = tuple(tuple(p) for p in paths)
-    cert = SafetyCertificate(
-        vertex=v, paths=paths, color_sets=_cert_sets(coloring.assignment, paths)
-    )
-    if not verify_certificate(g, coloring, dset, cert):
+    """The certificate of v's stored paths, its color sets read off the one
+    ``certificate_colors`` walk; CertificateError, naming the pass ``when``,
+    if they do not verify under ``coloring``."""
+    if paths is None:
+        raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
+    colors = certificate_colors(g, coloring, dset, v, paths)
+    if colors is None:
         raise CertificateError(f"certificate of vertex {v} does not verify ({when})")
-    return cert
+    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
+    sets = (frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:]))
+    return SafetyCertificate(vertex=v, paths=paths, color_sets=sets)
 
 
 def _check_certified(g: Graph, dset: set, state: Stage1State) -> None:
     snapshot = EdgeColoring.from_dict(state.colors)
     for x in sorted(state.certs):
         _checked_certificate(g, dset, snapshot, x, state.certs[x], "after a repair step")
-
-
-def _finalize_certificates(
-    g: Graph, dset: frozenset, coloring: EdgeColoring, cert_paths: dict
-) -> list[SafetyCertificate]:
-    out = []
-    for v in range(g.n):
-        if v in dset:
-            continue
-        if v not in cert_paths:
-            raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-        out.append(_checked_certificate(g, dset, coloring, v, cert_paths[v], "final pass"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
     for v in range(g.n):
         if v in dset:
             continue
-        if kind.k_way and g.degree(v) < kind.k_way:
+        if kind.k_way and len(g.adj[v]) < kind.k_way:
             return False
         count = 0
         for w in g.adj[v]:
@@ -151,8 +151,8 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     a vertex of maximum degree (smallest id on a tie) and repeatedly make
     internal the tree vertex with the most neighbors not yet in the tree,
     the smallest id on a tie, adding all those neighbors.  Each vertex
-    keeps its count of outside neighbors; picks come from a heap keyed
-    ``(-count, v)`` whose stale entries are skipped on pop.
+    keeps its count of outside neighbors and a tree vertex one heap entry
+    ``(-count, v)``, pushed back with the new count if popped stale (DECISIONS.md entry 6).
 
     Always a valid connected dominating set (post-checked); no size
     guarantee is asserted.
@@ -170,8 +170,6 @@ def cds_heuristic(g: Graph) -> DominatingSet:
         in_tree[w] = True
         for x in g.adj[w]:
             outside[x] -= 1
-            if in_tree[x]:
-                heapq.heappush(heap, (-outside[x], x))
         heapq.heappush(heap, (-outside[w], w))
 
     join(root)
@@ -180,6 +178,7 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     while size < g.n:
         neg_new, best_v = heapq.heappop(heap)
         if -neg_new != outside[best_v]:
+            heapq.heappush(heap, (-outside[best_v], best_v))
             continue
         internal.add(best_v)
         for w in g.adj[best_v]:

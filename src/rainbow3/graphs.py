@@ -81,20 +81,22 @@ def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:
 
 
 def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
-    """Connectivity of g, or of the induced subgraph on ``within``."""
-    verts = set(within) if within is not None else set(range(g.n))
-    if not verts:
+    """Connectivity of g, or of its subgraph induced on ``within`` (vertices of g)."""
+    mark = bytearray(b"\x01") * g.n if within is None else bytearray(g.n)
+    for v in within or ():
+        if not isinstance(v, int) or not 0 <= v < g.n:
+            raise GraphError(f"vertex {v!r} is not a vertex of g (n={g.n})")
+        mark[v] = 1
+    if 1 not in mark:
         return True
-    start = min(verts)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if w in verts and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == verts
+    stack = [mark.index(1)]
+    mark[stack[0]] = 0
+    while stack:
+        for w in g.adj[stack.pop()]:
+            if mark[w]:
+                mark[w] = 0
+                stack.append(w)
+    return 1 not in mark
 
 
 def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
@@ -259,13 +261,8 @@ def diameter(g: Graph) -> int:
     return max(map(len, balls)) - 1
 
 
-def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
-    """Minimum size (edge count) of a tree containing the 3-vertex set ``s``.
-
-    For three terminals an optimal Steiner tree is three shortest paths
-    meeting at one median vertex, so the minimum over all vertices m of
-    d(m,s1)+d(m,s2)+d(m,s3) is exact.
-    """
+def three_terminals(g: Graph, s: Iterable[int]) -> list[int]:
+    """The 3-set ``s`` of vertices of g, ascending; a one-line GraphError if not."""
     terms = list(s)
     for t in terms:
         if not isinstance(t, int) or not 0 <= t < g.n:
@@ -273,6 +270,17 @@ def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
     terms = sorted(set(terms))
     if len(terms) != 3:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
+    return terms
+
+
+def steiner_distance3(g: Graph, s: Iterable[int]) -> int:
+    """Minimum size (edge count) of a tree containing the 3-vertex set ``s``.
+
+    For three terminals an optimal Steiner tree is three shortest paths
+    meeting at one median vertex, so the minimum over all vertices m of
+    d(m,s1)+d(m,s2)+d(m,s3) is exact.
+    """
+    terms = three_terminals(g, s)
     dists = [bfs_distances(g, t) for t in terms]
     best = None
     for m in range(g.n):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import asdict, dataclass
 from typing import Container, Iterable, Sequence
 
-from .graphs import Graph, GraphError, edge_key, sdiam3
+from .graphs import Graph, GraphError, sdiam3, three_terminals
 
 
 class VerifyLimitError(RuntimeError):
@@ -261,9 +261,7 @@ def exists_rainbow_s_tree(
     the three walk families merge at a median vertex on pairwise disjoint
     color sets.
     """
-    terms = sorted(set(s))
-    if len(terms) != 3 or terms[0] < 0 or terms[-1] >= g.n:
-        raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
+    terms = three_terminals(g, s)
     adj_bits = _color_bits(g, c)
     work = [VERIFY_WORK_BUDGET]
     ants = [_single_source_masks(g.n, adj_bits, t, work) for t in terms]
@@ -368,42 +366,50 @@ def is_3_rainbow(
 # ---------------------------------------------------------------------------
 # Safety certificates.
 
+def certificate_colors(
+    g: Graph, c: EdgeColoring, dom: Container[int], v: int, paths: Sequence
+) -> list[int] | None:
+    """The colors along v's three paths in path order, or None unless the first is
+    one edge, each runs along edges of g from v to D, v and the inner vertices are
+    pairwise distinct and outside D (so each path is simple and the three internally
+    disjoint), and the colors are distinct.  ``dom`` is only tested for membership."""
+    if len(paths) != 3 or len(paths[0]) != 2:
+        return None
+    edges, assignment = g.edge_set, c.assignment
+    colors = []
+    for path in paths:
+        if len(path) < 2 or path[0] != v or path[-1] not in dom:
+            return None
+        a = v
+        for b in path[1:]:
+            e = (a, b) if a < b else (b, a)
+            col = assignment.get(e)
+            if col is None or e not in edges:
+                return None
+            colors.append(col)
+            a = b
+    inner = (v, *paths[1][1:-1], *paths[2][1:-1])
+    if len(set(colors)) != len(colors) or len(set(inner)) != len(inner):
+        return None
+    for x in inner:
+        if x in dom:
+            return None
+    return colors
+
+
 def verify_certificate(
     g: Graph, c: EdgeColoring, dom: Container[int], cert: SafetyCertificate
 ) -> bool:
-    """Check the three stored paths: each runs along edges of g from the
-    vertex to D, the vertex and all inner vertices are pairwise distinct and
-    outside D, the union is rainbow, and each recorded color set is the set
-    of colors along its path.
-
-    Path ends lie in D and no other path vertex may, so the one distinctness
-    test makes each path simple and the three internally disjoint.
-
-    ``dom`` is used as given, only for membership tests: pass a set built
-    once for the whole batch of certificates."""
-    v = cert.vertex
-    paths = cert.paths
-    if len(paths) != 3 or len(paths[0]) != 2 or len(cert.color_sets) != 3:
+    """``certificate_colors`` of the stored paths, and each recorded color set
+    has its path's size and holds its path's colors, which are distinct."""
+    colors = certificate_colors(g, c, dom, cert.vertex, cert.paths)
+    if colors is None or len(cert.color_sets) != 3:
         return False
-    inner = [v]
-    seen_colors: set[int] = set()
-    for path, recorded in zip(paths, cert.color_sets):
-        if len(path) < 2 or path[0] != v or path[-1] not in dom:
+    k = len(cert.paths[1])  # the leg's color, then the k - 1 of the second path
+    for along, recorded in zip((colors[:1], colors[1:k], colors[k:]), cert.color_sets):
+        if len(recorded) != len(along) or not set(along).issubset(recorded):
             return False
-        # the path's colors are distinct, so equal sizes and containment
-        # make the recorded set exactly the path's colors
-        if len(recorded) != len(path) - 1:
-            return False
-        inner.extend(path[1:-1])
-        for a, b in zip(path, path[1:]):
-            e = edge_key(a, b)
-            if e not in g.edge_set:
-                return False
-            col = c.assignment.get(e)
-            if col is None or col in seen_colors or col not in recorded:
-                return False
-            seen_colors.add(col)
-    return len(set(inner)) == len(inner) and not any(x in dom for x in inner)
+    return True
 
 
 # ---------------------------------------------------------------------------

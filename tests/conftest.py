@@ -2,15 +2,17 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Three exceptions keep an earlier form of a
+itself against its own machinery.  Four exceptions keep an earlier form of a
 library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
-triple under the exact solver's node budget, and `oracle_sdiam3_scan` runs the
-median minimum of every triple its per-triple bounds leave.
+triple under the exact solver's node budget, `oracle_sdiam3_scan` runs the
+median minimum of every triple its per-triple bounds leave, and
+`oracle_cds_heuristic` pushes a heap entry on every count decrement.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from operator import add
 
@@ -250,6 +252,40 @@ def oracle_sdiam3_scan(g):
                     h = sums.index(val)
                     sab_h, dh = sab[h], dist[h]
     return best, best_triple
+
+
+def oracle_cds_heuristic(g) -> frozenset:
+    """`cds_heuristic` with its earlier heap: every count decrement of a tree
+    vertex pushes a fresh entry, and stale entries are skipped on pop.
+    Returns the internal vertices."""
+    if g.n == 1:
+        return frozenset({0})
+    root = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    outside = [len(nbrs) for nbrs in g.adj]
+    in_tree = [False] * g.n
+    heap = []
+
+    def join(w):
+        in_tree[w] = True
+        for x in g.adj[w]:
+            outside[x] -= 1
+            if in_tree[x]:
+                heapq.heappush(heap, (-outside[x], x))
+        heapq.heappush(heap, (-outside[w], w))
+
+    join(root)
+    size = 1
+    internal = set()
+    while size < g.n:
+        neg_new, best_v = heapq.heappop(heap)
+        if -neg_new != outside[best_v]:
+            continue
+        internal.add(best_v)
+        for w in g.adj[best_v]:
+            if not in_tree[w]:
+                join(w)
+                size += 1
+    return frozenset(internal)
 
 
 def pickable_bruteforce(cu, cv, cw) -> bool:

@@ -2,10 +2,16 @@ import copy
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rainbow3.coloring as coloring
+import rainbow3.verify as verify
 
 from rainbow3 import (
+    CertificateError,
     DominationError,
     EdgeColoring,
+    GraphError,
     all_class_triples,
     bfs_tree,
     build_graph,
@@ -16,7 +22,9 @@ from rainbow3 import (
     components_minus,
     cycle_graph,
     dominating_set,
+    edge_key,
     french_windmill,
+    induced_subgraph,
     inner_coloring,
     is_3_rainbow,
     k_dominating,
@@ -34,6 +42,7 @@ from rainbow3 import (
     verify_certificate,
 )
 from rainbow3.coloring import STAGE2_RULES, ColoringInternalError
+from rainbow3.graphs import bfs_distances
 from rainbow3 import chain_example
 from conftest import connected_graphs, hub_graph, prism_graph, stage2_rule_keys, wheel_graph
 
@@ -92,6 +101,45 @@ def test_inner_disconnected_rejected():
     g = cycle_graph(6)
     with pytest.raises(Exception, match="disconnected"):
         inner_coloring(g, {0, 3}, offset=6)
+
+
+def test_inner_rejects_a_member_that_is_not_a_vertex():
+    for bad in (-1, 6, 1.5):
+        with pytest.raises(GraphError, match=r"^D must hold vertices of g \(n=6\)$"):
+            inner_coloring(cycle_graph(6), {0, 1, bad}, offset=6)
+
+
+def _relabeled_spanning(g, dom, offset):
+    """spanning_tree_coloring of the relabeled G[D], shifted by offset, after
+    checking it against the bfs_tree coloring it replaced."""
+    sub, back = induced_subgraph(g, dom)
+    colors = spanning_tree_coloring(sub).assignment
+    tree = bfs_tree(sub, range(sub.n), 0)
+    want = {edge_key(v, tree.parent[v]): c for c, v in enumerate(tree.order[1:], start=1)}
+    want.update((e, 1) for e in sub.edges if e not in want)
+    assert list(colors.items()) == list(want.items())
+    return {edge_key(back[u], back[v]): c + offset for (u, v), c in colors.items()}
+
+
+@given(st.integers(9, 120), st.integers(1, 5), st.integers(0, 2**31 - 1), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_inner_spanning_route_is_the_relabeled_subgraph_coloring(n, delta, seed, offset):
+    # G[D] for D a distance ball around vertex seed % n (connected), grown
+    # until it is past the exact branch, and for D every vertex
+    g = random_min_degree(n, min(delta, n - 1), seed)
+    dist = bfs_distances(g, seed % n)
+    r = next(r for r in range(n) if sum(d <= r for d in dist) > 8)
+    for dom in ([v for v in range(n) if dist[v] <= r], range(n)):
+        col, method = inner_coloring(g, dom, offset)
+        assert method == "spanning"
+        assert list(col.assignment.items()) == list(_relabeled_spanning(g, dom, offset).items())
+    far = [v for v in range(n) if dist[v] > r + 1]
+    if far:
+        dom = [v for v in range(n) if dist[v] <= r] + far[:1]
+        with pytest.raises(GraphError, match=r"^G\[D\] is disconnected$"):
+            inner_coloring(g, dom, offset)
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            _relabeled_spanning(g, dom, offset)
 
 
 def test_three_dom_threshold():
@@ -442,6 +490,48 @@ def test_three_way_property_small(g):
     for cert in certs:
         assert verify_certificate(g, col, dom.vertices, cert)
         assert class_membership(cert.color_sets) is not None
+
+
+@pytest.mark.parametrize("reroute", ["through a non-edge", "to an end outside D"])
+def test_final_pass_rejects_a_broken_stored_path(monkeypatch, reroute):
+    # the root's third path is moved to a height-2 vertex, which the root
+    # does not reach by an edge, or cut short of D; nothing before the final
+    # pass reads it
+    g, dom = wheel_graph(9)
+    real = coloring.stage1_periodic
+
+    def broken(g, dom, tree, colors=None):
+        state = real(g, dom, tree, colors)
+        root, z = tree.root, next(v for v in tree.order if tree.height[v] == 2)
+        leg, second, third = state.certs[root]
+        third = (root, z, state.leg[z]) if reroute == "through a non-edge" else third[:-1]
+        state.certs[root] = (leg, second, third)
+        return state
+
+    monkeypatch.setattr(coloring, "stage1_periodic", broken)
+    with pytest.raises(CertificateError, match=r"vertex 0 does not verify \(final pass\)"):
+        three_way_coloring(g, dom)
+
+
+def test_final_pass_walks_each_certificate_once(monkeypatch):
+    g = random_min_degree(80, 3, seed=5)
+    dom = three_way_dominating_set(g)
+    walked = []
+    real = coloring.certificate_colors
+
+    def counted(g, c, dom, v, paths):
+        walked.append(v)
+        return real(g, c, dom, v, paths)
+
+    def forbidden(*args):
+        raise AssertionError("three_way_coloring called verify_certificate")
+
+    monkeypatch.setattr(coloring, "certificate_colors", counted)
+    monkeypatch.setattr(verify, "verify_certificate", forbidden)
+    monkeypatch.setattr(coloring, "verify_certificate", forbidden, raising=False)
+    _, certs, _ = three_way_coloring(g, dom)
+    outside = [v for v in range(g.n) if v not in dom.vertices]
+    assert walked == outside == [cert.vertex for cert in certs]
 
 
 def test_inner_fallback_to_spanning():

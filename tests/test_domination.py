@@ -30,6 +30,7 @@ from rainbow3 import (
 from conftest import (
     graphs_with_subsets,
     connected_graphs,
+    oracle_cds_heuristic,
     oracle_connected,
     oracle_min_dominating,
 )
@@ -134,6 +135,21 @@ def test_heuristic_valid_on_random_graph():
 @settings(max_examples=40)
 def test_heuristic_never_beats_exact(g):
     assert cds_heuristic(g).size >= min_connected_dominating_set(g).size
+
+
+@given(st.integers(5, 300), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_heuristic_matches_eager_push_oracle(n, delta, seed):
+    # one heap entry per tree vertex, pushed back when popped stale, makes
+    # the same picks as an entry on every count decrement (DECISIONS.md entry 6)
+    g = random_min_degree(n, min(delta, n - 1), seed)
+    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
+
+
+@given(connected_graphs(min_n=2, max_n=12))
+@settings(max_examples=60)
+def test_heuristic_matches_eager_push_oracle_on_small_graphs(g):
+    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 
 def test_three_way_windmill_is_hub():

@@ -15,6 +15,7 @@ from rainbow3 import (
     diameter,
     french_windmill,
     gstar,
+    is_connected,
     path_graph,
     random_min_degree,
     read_edge_list,
@@ -25,7 +26,13 @@ from rainbow3 import (
     write_edge_list,
 )
 from rainbow3.graphs import bfs_distances
-from conftest import connected_graphs, oracle_sdiam3_scan, oracle_steiner3
+from conftest import (
+    connected_graphs,
+    graphs_with_subsets,
+    oracle_connected,
+    oracle_sdiam3_scan,
+    oracle_steiner3,
+)
 
 
 def test_build_path_degrees():
@@ -59,6 +66,30 @@ def test_build_graph_canonical_under_permutation(perm):
     a = build_graph(4, perm)
     b = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
     assert a == b
+
+
+def test_is_connected_rejects_a_member_that_is_not_a_vertex():
+    # -1 would alias vertex 3 in a mark array and make {3} look connected
+    g = path_graph(4)
+    assert is_connected(g, [3, 2]) and not is_connected(g, [3, 1])
+    for bad, shown in ((-1, "-1"), (4, "4"), (1.5, r"1\.5")):
+        with pytest.raises(GraphError, match=rf"^vertex {shown} is not a vertex of g \(n=4\)$"):
+            is_connected(g, [3, bad])
+
+
+def test_is_connected_whole_graph():
+    assert is_connected(build_graph(0, [])) and is_connected(build_graph(1, []))
+    assert is_connected(path_graph(5))
+    assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_connected(build_graph(4, [(0, 1), (2, 3)]), iter([2, 3, 3]))
+
+
+@given(graphs_with_subsets(max_n=10))
+@settings(max_examples=120)
+def test_is_connected_matches_plain_set_logic(drawn):
+    g, dset, _ = drawn
+    assert is_connected(g, dset) == oracle_connected(dset, g.edges)
+    assert is_connected(g, sorted(dset, reverse=True)) == oracle_connected(dset, g.edges)
 
 
 def test_components_windmill():

@@ -16,6 +16,7 @@ from rainbow3 import (
     VerifyReport,
     all_class_triples,
     build_graph,
+    certificate_colors,
     chain_example,
     class_membership,
     complete_bipartite,
@@ -70,6 +71,17 @@ def test_exists_monochromatic_triangle_fails():
     g = complete_graph(3)
     col = _coloring([((0, 1), 1), ((0, 2), 1), ((1, 2), 1)])
     assert not exists_rainbow_s_tree(g, col, {0, 1, 2})
+
+
+def test_exists_rejects_a_terminal_that_is_not_a_vertex():
+    g = path_graph(4)
+    col = _coloring([((0, 1), 1), ((1, 2), 2), ((2, 3), 3)])
+    with pytest.raises(GraphError, match=r"^terminal 1\.5 is not a vertex of g \(n=4\)$"):
+        exists_rainbow_s_tree(g, col, [0, 1, 1.5])
+    with pytest.raises(GraphError, match="terminal -1 is not a vertex"):
+        exists_rainbow_s_tree(g, col, [0, 1, -1])
+    with pytest.raises(GraphError, match="need exactly 3 distinct vertices"):
+        exists_rainbow_s_tree(g, col, [0, 1, 1])
 
 
 def test_exists_limit_exceeded(monkeypatch):
@@ -480,6 +492,19 @@ def test_certificate_check_matches_separate_tests():
 
     agree()
     assert verdicts == {True, False}
+
+
+def test_certificate_colors_are_the_path_colors_in_order():
+    g, dom, coloring, certs, _ = _plus6(40, 3, 1)
+    for cert in certs:
+        along = [coloring.assignment[edge_key(a, b)] for p in cert.paths for a, b in zip(p, p[1:])]
+        assert certificate_colors(g, coloring, dom, cert.vertex, cert.paths) == along
+    cert = next(cert for cert in certs if len(cert.paths[1]) > 2)
+    v, (leg, second, third) = cert.vertex, cert.paths
+    assert certificate_colors(g, coloring, dom, v, (leg, third, second)) is not None
+    assert certificate_colors(g, coloring, dom, v, (second, leg, third)) is None
+    assert certificate_colors(g, coloring, dom, v, (leg, second)) is None
+    assert certificate_colors(g, coloring, dom, v, (leg, second, third[:-1])) is None
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,10 @@ from dataclasses import asdict, dataclass
 
 from .coloring import inner_coloring
 from .domination import (
-    ROUTE_EXACT_LIMIT,
     DominatingSet,
     DominationKind,
     connected_dominating_set,
     dominating_set,
-    grow_dominating_set,
     k_dominating,
     k_way,
 )
@@ -51,14 +49,13 @@ def _route(g: Graph, dom: DominatingSet, extra: int) -> dict:
     }
 
 
-def bounds_report(g: Graph, exact_limit: int = ROUTE_EXACT_LIMIT) -> BoundsReport:
+def bounds_report(g: Graph) -> BoundsReport:
     """Compute every applicable upper bound and take the smallest.
 
     One connected dominating core (``connected_dominating_set``) gives
-    gamma_c and is the set every route grows from; the 3-dominating and
-    (2-dominating, 3-way) routes are enumerated exactly instead when
-    n <= exact_limit.  The d+4 route is reported by value only; its coloring
-    construction is cited prior work and never built here."""
+    gamma_c, and ``dominating_set`` builds each route's set from it.  The d+4
+    route is reported by value only; its coloring construction is cited prior
+    work and never built here."""
     if not is_connected(g):
         raise GraphError("graph must be connected")
     delta = g.min_degree()
@@ -68,9 +65,9 @@ def bounds_report(g: Graph, exact_limit: int = ROUTE_EXACT_LIMIT) -> BoundsRepor
     core = connected_dominating_set(g)
     gamma_c = {"value": core.size, "provenance": core.provenance}
 
-    dom_a = dominating_set(g, k_dominating(3), exact_limit, core)
-    dom_b = dominating_set(g, DominationKind(k_dominating=2, k_way=3), exact_limit, core)
-    dom_c = grow_dominating_set(g, core, k_way(3))
+    dom_a = dominating_set(g, k_dominating(3), core)
+    dom_b = dominating_set(g, DominationKind(k_dominating=2, k_way=3), core)
+    dom_c = dominating_set(g, k_way(3), core)
     bound_a = _route(g, dom_a, 3)
     bound_b = _route(g, dom_b, 4)
     bound_b["constructed"] = False

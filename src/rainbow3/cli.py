@@ -21,12 +21,11 @@ from .coloring import (
     write_coloring,
 )
 from .domination import (
-    ROUTE_EXACT_LIMIT,
     DominationError,
     LimitError,
     dominating_set,
     k_dominating,
-    three_way_dominating_set,
+    k_way,
 )
 from .generators import (
     FamilyGraph,
@@ -104,9 +103,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _auto_dom(graph, method: str):
-    if method == "theorem3":
-        return three_way_dominating_set(graph)
-    return dominating_set(graph, k_dominating(3), ROUTE_EXACT_LIMIT)
+    return dominating_set(graph, k_way(3) if method == "theorem3" else k_dominating(3))
 
 
 def _read_dom(text: str) -> frozenset:
@@ -218,7 +215,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     graph = read_edge_list(_read_text(args.infile))
-    report = bounds_report(graph, exact_limit=args.exact_limit)
+    report = bounds_report(graph)
     _print_json(report.to_json_dict())
     return 0
 
@@ -271,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="print the bound report as JSON")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--exact-limit", type=int, default=ROUTE_EXACT_LIMIT)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("steiner", help="Steiner 3-diameter and an extremal triple")

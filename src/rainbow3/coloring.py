@@ -36,7 +36,6 @@ from .graphs import (
     induced_subgraph,
 )
 from .verify import (
-    EXACT_MAX_EDGES,
     EdgeColoring,
     SafetyCertificate,
     VerifyLimitError,
@@ -113,8 +112,8 @@ def _spanning_colors(g: Graph, verts: Sequence[int], offset: int) -> dict | None
 # ---------------------------------------------------------------------------
 # Coloring the inside of D.
 
-# G[D] is solved exactly up to this many vertices (and the solver's
-# EXACT_MAX_EDGES edges); its color count n-1 then stays within EXACT_KMAX.
+# G[D] is solved exactly up to this many vertices, within the solver's own
+# limits; a spanning tree gives it n-1 colors, so the minimum is found.
 INNER_EXACT_MAX_VERTICES = 8
 
 
@@ -135,7 +134,7 @@ def inner_coloring(g: Graph, dom: Iterable[int], offset: int) -> tuple[EdgeColor
     if 3 <= len(dverts) <= INNER_EXACT_MAX_VERTICES:
         sub, back = induced_subgraph(g, dverts)
         try:
-            solved = exact_rx3_coloring(sub, kmax=sub.n - 1) if sub.m <= EXACT_MAX_EDGES else None
+            solved = exact_rx3_coloring(sub)
         except VerifyLimitError:
             solved = None
         if solved is not None:
@@ -237,10 +236,12 @@ def stage1_periodic(
         )
     state = Stage1State(tree=tree, colors=colors if colors is not None else {})
     for v in tree.order:
-        ft = [w for w in g.adj[v] if w in dom]
-        if not ft:
+        for w in g.adj[v]:
+            if w in dom:
+                state.leg[v] = w
+                break
+        else:
             raise DominationError(f"vertex {v} has no leg into D")
-        state.leg[v] = ft[0]
     state.colors[state.leg_edge(tree.root)] = 2
     for v in tree.order[1:]:
         table = _TYPE_II_FE if tree.is_type_two(v) else _TYPE_I_FE

@@ -20,9 +20,9 @@ class LimitError(RuntimeError):
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
-# Largest n for exact enumeration of any kind of set; a hard cap on its memory
+# Read at call time.  Largest n for an exact set of any kind; a hard cap on its memory
 CDS_EXACT_LIMIT = 24
-# Largest n at which bounds_report and `color --dom auto` enumerate route sets exactly
+# Largest n at which dominating_set enumerates a k-dominating kind exactly
 ROUTE_EXACT_LIMIT = 14
 
 
@@ -191,10 +191,10 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     return result
 
 
-def connected_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
+def connected_dominating_set(g: Graph) -> DominatingSet:
     """The connected dominating core every construction grows from: the
-    exact minimum when n <= exact_limit, otherwise the many-leaf heuristic."""
-    if g.n <= exact_limit:
+    exact minimum when n <= CDS_EXACT_LIMIT, otherwise the many-leaf heuristic."""
+    if g.n <= CDS_EXACT_LIMIT:
         return min_connected_dominating_set(g)
     return cds_heuristic(g)
 
@@ -238,18 +238,20 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
 
 
 def dominating_set(
-    g: Graph, kind: DominationKind, exact_limit: int, core: DominatingSet | None = None
+    g: Graph, kind: DominationKind, core: DominatingSet | None = None
 ) -> DominatingSet:
-    """Smallest ``kind`` set when n <= exact_limit, otherwise ``core`` (by
-    default ``connected_dominating_set(g)``) grown into a ``kind`` set."""
-    if g.n <= exact_limit:
+    """The one ``kind`` set policy.  A kind that asks only for degree is
+    ``core`` (by default ``connected_dominating_set(g)``) grown, as the +6
+    scheme grows it; a k-dominating kind is the exact minimum when
+    n <= ROUTE_EXACT_LIMIT, otherwise ``core`` grown."""
+    if kind.k_dominating > 1 and g.n <= ROUTE_EXACT_LIMIT:
         return min_dominating_set(g, kind)
     if core is None:
         core = connected_dominating_set(g)
     return grow_dominating_set(g, core, kind)
 
 
-def three_way_dominating_set(g: Graph, exact_limit: int = CDS_EXACT_LIMIT) -> DominatingSet:
-    """``connected_dominating_set(g, exact_limit)`` grown into a connected
-    3-way dominating set: the core plus every vertex of degree < 3."""
-    return grow_dominating_set(g, connected_dominating_set(g, exact_limit), k_way(3))
+def three_way_dominating_set(g: Graph) -> DominatingSet:
+    """``dominating_set(g, k_way(3))``: the connected core plus every vertex
+    of degree < 3."""
+    return dominating_set(g, k_way(3))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, sdiam3, three_terminals
 
@@ -427,16 +427,17 @@ def verify_certificate(
 # color: a tree clashes with edge e colored c exactly when it meets the mask
 # of c, and a branch dies the moment some triple has no clash-free tree left.
 
-def _trees_by_triple(g: Graph, k: int) -> tuple[list[tuple[int, list[int]]], list[int]] | None:
-    """Each minimal tree of 2..k edges as (edge bitmask, ids of the triples
-    it serves), and each triple's tree count; None if a count is 0."""
+def _tree_levels(g: Graph) -> Iterator[tuple[list[tuple[int, list[int]]], list[int]]]:
+    """For k = 2, 3, ...: each minimal tree of 2..k edges as (edge bitmask,
+    ids of the triples it serves), and each triple's tree count.  The lists
+    grow in place, so the trees of k are a prefix of the trees of k + 1."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
     counts = [0] * len(triple_id)
     trees: list[tuple[int, list[int]]] = []
     level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
-    for _ in range(1, k):
+    while True:
         grown: dict = {}
         for tree, (verts, leaves) in level.items():
             for ei, e in enumerate(ends):
@@ -454,18 +455,15 @@ def _trees_by_triple(g: Graph, k: int) -> tuple[list[tuple[int, list[int]]], lis
             for ti in serves:
                 counts[ti] += 1
             trees.append((tree, serves))
+        yield trees, counts
+
+
+def _search_coloring(g: Graph, k: int, trees: list, counts: list[int]) -> dict | None:
+    """First k-coloring (canonical order) under which every triple keeps a
+    rainbow tree among ``trees``, the ``_tree_levels`` entry of k, or None."""
     if 0 in counts:
         return None
-    return trees, counts
-
-
-def _search_coloring(g: Graph, k: int) -> dict | None:
-    """First k-coloring (canonical order) under which every triple keeps a
-    rainbow tree, or None."""
-    found = _trees_by_triple(g, k)
-    if found is None:
-        return None
-    trees, alive_count = found
+    alive_count = counts.copy()
     m = g.m
     trees_with_edge: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m)]
     for tid, (tree, serves) in enumerate(trees):
@@ -545,8 +543,9 @@ def exact_rx3_coloring(
     if g.n < 3:
         raise GraphError(f"3-rainbow index needs n >= 3, got n={g.n}")
     lower = max(2, sdiam3(g))
-    for k in range(lower, kmax + 1):
-        found = _search_coloring(g, k)
+    levels = itertools.islice(_tree_levels(g), lower - 2, None)
+    for k, (trees, counts) in zip(range(lower, kmax + 1), levels):
+        found = _search_coloring(g, k, trees, counts)
         if found is not None:
             return k, found
     return None

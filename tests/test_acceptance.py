@@ -203,7 +203,9 @@ def corpus_results():
     for i in range(CORPUS_SIZE):
         n = 8 + (i % 23)
         g = random_min_degree(n, 3, seed=i)
-        dom = three_way_dominating_set(g, exact_limit=20)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("rainbow3.domination.CDS_EXACT_LIMIT", 20)
+            dom = three_way_dominating_set(g)
         coloring, certs, report = three_way_coloring(g, dom, check_steps=True)
         verdict = is_3_rainbow(g, coloring).verdict
         certs_ok = all(verify_certificate(g, coloring, dom.vertices, c) for c in certs)

@@ -380,14 +380,11 @@ def test_cli_spanning_disconnected_exits_two(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "rainbow3: graph must be connected\n")
 
 
-def test_cli_bounds_exact_limit_past_the_cap_exits_two(capsys, monkeypatch):
-    code, g, _ = _run(["gen", "complete", "--n", "26"], capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 0
-    code, out, err = _run(["bounds", "--exact-limit", "30"], stdin_text=g,
-                          capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 2 and out == ""
-    assert err.startswith("rainbow3: exact enumeration limited to n <= 24, got n=26")
-    assert err.count("\n") == 1
+def test_cli_bounds_has_no_exact_limit_flag(capsys, monkeypatch):
+    g = write_edge_list(complete_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        _run(["bounds", "--exact-limit", "8"], stdin_text=g, capsys=capsys, monkeypatch=monkeypatch)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 def test_cli_theorem4_method(capsys, monkeypatch):
     g = write_edge_list(threshold_example(5).graph)

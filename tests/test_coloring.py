@@ -557,7 +557,7 @@ def test_colorings_are_deterministic():
 def test_three_dom_end_to_end_random():
     for seed in range(8):
         g = random_min_degree(9 + 2 * seed, 3, seed=seed)
-        dom = dominating_set(g, k_dominating(3), exact_limit=14)
+        dom = dominating_set(g, k_dominating(3))
         col, report = three_dom_coloring(g, dom)
         assert col.num_colors <= report.d + 3
         assert is_3_rainbow(g, col).verdict

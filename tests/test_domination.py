@@ -14,6 +14,7 @@ from rainbow3 import (
     complete_graph,
     connected_dominating_set,
     cycle_graph,
+    dominating_set,
     french_windmill,
     gstar,
     k_dominating,
@@ -27,6 +28,8 @@ from rainbow3 import (
     three_way_dominating_set,
     threshold_example,
 )
+from rainbow3 import bounds
+from rainbow3.coloring import inner_coloring
 from conftest import (
     graphs_with_subsets,
     connected_graphs,
@@ -175,6 +178,24 @@ def test_three_way_exact_label_means_minimum():
         dom = three_way_dominating_set(g)
         if dom.provenance == "exact":
             assert dom.size == min_dominating_set(g, k_way(3)).size, (n, delta, seed)
+
+
+@pytest.mark.parametrize("n", [9, 14, 15, 24, 25, 40])
+def test_three_way_routes_agree(n, monkeypatch):
+    """`dominating_set(g, k_way(3))`, `three_way_dominating_set` and the
+    route-c set of `bounds_report` are one set, on both sides of each limit."""
+    g = random_min_degree(n, 2, seed=n)
+    route_sets = []
+
+    def recorded(g, dom, offset):
+        route_sets.append(dom)
+        return inner_coloring(g, dom, offset)
+
+    monkeypatch.setattr(bounds, "inner_coloring", recorded)
+    report = bounds.bounds_report(g)
+    dom = dominating_set(g, k_way(3))
+    assert dom == three_way_dominating_set(g)
+    assert (route_sets[2], report.bound_c["provenance"]) == (dom.vertices, dom.provenance)
 
 
 @given(connected_graphs(min_n=3, max_n=9))

@@ -7,10 +7,12 @@ the digests below were taken from the plain scans and must not move: the
 same edge list byte for byte, the same dominating set, the same Steiner
 value and the same lexicographically first extremal triple.
 
-The dominating-set builders behind `bounds_report`, `three_way_dominating_set`
-and `rainbow3 color --method theorem4` are pinned the same way, on graphs
-that reach every route: exact enumeration (n <= exact_limit), growth from an
-exact connected core (n <= 24) and growth from the heuristic core (n > 24).
+`dominating_set` builds every D behind `bounds_report`,
+`three_way_dominating_set` and `rainbow3 color --dom auto`.  Its sets are
+pinned the same way, on graphs that reach every route: exact enumeration of
+a k-dominating kind (n <= ROUTE_EXACT_LIMIT, pinned at 8 and 14), growth
+from an exact connected core (n <= CDS_EXACT_LIMIT, pinned at 14 and 24) and
+growth from the heuristic core (n > 24).
 The +6 scheme, `rainbow3 color --method theorem3 --certs`, is pinned on the
 same graphs plus one n=2000 graph: the coloring file and the certificates.
 
@@ -166,18 +168,27 @@ def test_sdiam3_triple_is_first_oracle_argmax(g):
     assert sdiam3_with_triple(g) == (best, first)
 
 
+def _at_limit(name, limit, build):
+    """``build()`` with the domination limit ``name`` set to ``limit``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f"rainbow3.domination.{name}", limit)
+        return build()
+
+
 def bounds_digest(spec):
-    """`bounds_report` JSON at exact_limit 8 and at the default 14."""
+    """`bounds_report` JSON at ROUTE_EXACT_LIMIT 8 and at the default 14."""
     g = _graph(spec)
-    reports = [bounds_report(g, exact_limit=8).to_json_dict(), bounds_report(g).to_json_dict()]
+    reports = [_at_limit("ROUTE_EXACT_LIMIT", limit, lambda: bounds_report(g).to_json_dict())
+               for limit in (8, 14)]
     return _sha(json.dumps(reports, sort_keys=True))
 
 
 def three_way_digest(spec):
-    """Sorted set and provenance of `three_way_dominating_set` at exact_limit
-    14 and at the default 24."""
+    """Sorted set and provenance of `three_way_dominating_set` at
+    CDS_EXACT_LIMIT 14 and at the default 24."""
     g = _graph(spec)
-    sets = [three_way_dominating_set(g, limit) for limit in (14, 24)]
+    sets = [_at_limit("CDS_EXACT_LIMIT", limit, lambda: three_way_dominating_set(g))
+            for limit in (14, 24)]
     return _sha(repr([(d.sorted(), d.provenance) for d in sets]))
 
 

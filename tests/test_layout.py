@@ -173,3 +173,36 @@ def test_source_lines_fit_the_width():
         if len(line) > MAX_LINE
     ]
     assert sources and long_lines == []
+
+
+# The modules that may read each limit: a limit read anywhere else is a
+# second policy for what it bounds.
+LIMIT_READERS = {
+    "CDS_EXACT_LIMIT": {"domination.py"},
+    "ROUTE_EXACT_LIMIT": {"domination.py"},
+    "EXACT_KMAX": {"verify.py", "cli.py"},
+    "EXACT_MAX_EDGES": {"verify.py", "cli.py"},
+}
+
+
+def _limit_reads(path: pathlib.Path) -> set[str]:
+    """The limit names that a module names, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names & LIMIT_READERS.keys()
+
+
+def test_limits_are_read_only_where_they_apply():
+    stray = [
+        f"{path.name} reads {name}"
+        for path in MODULES
+        for name in sorted(_limit_reads(path))
+        if path.name not in LIMIT_READERS[name]
+    ]
+    assert stray == []

@@ -155,10 +155,11 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     ``(-count, v)``, pushed back with the new count if popped stale (DECISIONS.md entry 6).
 
     Always a valid connected dominating set (post-checked); no size
-    guarantee is asserted.
+    guarantee is asserted.  The growth itself proves g connected: the heap
+    empties before the tree spans g exactly when g is not.
     """
-    if not is_connected(g):
-        raise GraphError("graph must be connected")
+    if g.n == 0:
+        raise DominationError("no connected dominating set exists")
     if g.n == 1:
         return DominatingSet(frozenset({0}), HEURISTIC)
     root = max(range(g.n), key=lambda v: (g.degree(v), -v))
@@ -176,6 +177,8 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     size = 1
     internal: set[int] = set()
     while size < g.n:
+        if not heap:
+            raise GraphError("graph must be connected")
         neg_new, best_v = heapq.heappop(heap)
         if -neg_new != outside[best_v]:
             heapq.heappush(heap, (-outside[best_v], best_v))

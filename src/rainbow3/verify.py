@@ -10,7 +10,9 @@ as ground truth on small instances.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import asdict, dataclass
+from math import comb
 from typing import Container, Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, sdiam3, three_terminals
@@ -287,17 +289,16 @@ def _joins(aa: list[int], bb: list[int], cc: list[int], work: list[int]) -> bool
     return False
 
 
-def _median(n: int, adj_bits: list[list[tuple[int, int]]], m: int, work: list[int]) -> tuple:
-    """The walk antichains from median m, each vertex's twin class id and
-    class bitset (vertices with the same antichain, as a set, are twins at
-    m), and an empty ``good`` map from class pairs to settled third vertices."""
-    ends = _single_source_masks(n, adj_bits, m, work)
+def _twins(ends: list[list[int]]) -> tuple:
+    """Each vertex's twin class id at one median (vertices whose walk antichains
+    are equal as sets are twins), each class's bitset, and an empty ``good`` map
+    from class a to class b to the third vertices settled for that class pair."""
     ids: dict[tuple, int] = {}
     cls = [ids.setdefault(tuple(sorted(masks)), len(ids)) for masks in ends]
-    bits = [0] * len(ids)
+    classes = [0] * len(ids)
     for v, k in enumerate(cls):
-        bits[k] |= 1 << v
-    return ends, cls, [bits[k] for k in cls], {}
+        classes[k] |= 1 << v
+    return cls, classes, defaultdict(dict)
 
 
 def is_3_rainbow(
@@ -313,54 +314,72 @@ def is_3_rainbow(
 
     Whether a triple joins at m depends only on the three antichains, so a
     join that succeeds holds for every triple of the same twin classes at m;
-    ``good[(class a, class b)]`` collects the third vertices so settled.  For
-    each pair (a, b), the run of settled third vertices below the next
-    unsettled one at the front median needs no join: that median would serve
-    each of them first, leaving the median order as it was.
+    ``good[class a][class b]`` collects the third vertices so settled, and
+    classes are built only at the medians that reach the front.  For each
+    pair (a, b), the run of settled third vertices below the next unsettled
+    one at the front median needs no join: that median would serve each of
+    them first, leaving the median order as it was.  So each row a first drops,
+    in one pass over ``good[class a]`` at the front, every b whose class entry
+    settles all c > b; if the front moves, the rest of the row goes pair by pair.
     """
     adj_bits = _color_bits(g, c)
-    if g.n < 3:
+    n = g.n
+    if n < 3:
         return VerifyReport(True, None, 0, c.num_colors)
     work = [VERIFY_WORK_BUDGET]
-    seen: list[tuple | None] = [None] * g.n
-    seen[0] = _median(g.n, adj_bits, 0, work)  # the first median the first triple tries
-    medians = list(range(g.n))
-    every = (1 << g.n) - 1
-    checked = 0
-    for a, b in itertools.combinations(range(g.n - 1), 2):
-        # known: the third vertices settled for (a, b) at the front median
-        cc, front = b, -1
-        while True:
-            if medians[0] != front:
-                front = medians[0]
-                _, cls, bits, good = seen[front]
-                key = (cls[a], cls[b])
-                known = good.get(key, 0)
-            # jump to the next unsettled third vertex; the settled ones passed
-            # over are counted with the pair, the first failure gives its rank
-            rest = (every ^ known) >> (cc + 1)
-            if not rest:
-                break
-            cc += (rest & -rest).bit_length()
-            for m in medians:
-                if seen[m] is None:
-                    seen[m] = _median(g.n, adj_bits, m, work)
-                at = seen[m][0]
-                if _joins(at[a], at[b], at[cc], work):
+    ends: list[list[list[int]] | None] = [None] * n
+    twins: list[tuple | None] = [None] * n
+    ends[0] = _single_source_masks(n, adj_bits, 0, work)  # the first triple's first median
+    twins[0] = _twins(ends[0])
+    medians = list(range(n))
+    every = (1 << n) - 1
+    for a in range(n - 2):
+        todo = every >> 1 >> (a + 1) << (a + 1)  # b = a + 1 .. n - 2
+        start = medians[0]
+        cls, classes, good = twins[start]
+        for kb, known in good[cls[a]].items():
+            low = max((every ^ known).bit_length() - 1, 0)  # b >= low has every c settled
+            todo &= ~(classes[kb] >> low << low)
+        while todo:
+            b = (todo & -todo).bit_length() - 1
+            todo ^= 1 << b
+            # known: the third vertices settled for (a, b) at the front median
+            cc, front = b, -1
+            while True:
+                if medians[0] != front:
+                    front = medians[0]
+                    cls, classes, good = twins[front]
+                    pairs, kb = good[cls[a]], cls[b]
+                    known = pairs.get(kb, 0)
+                # jump to the next unsettled third vertex; the first failure
+                # gives its rank among all triples
+                rest = (every ^ known) >> (cc + 1)
+                if not rest:
                     break
-            else:
-                return VerifyReport(False, (a, b, cc), checked + cc - b, c.num_colors)
-            if m == front:
-                known |= bits[cc]
-                good[key] = known
-            else:
-                _, cls_m, bits_m, good_m = seen[m]
-                key_m = (cls_m[a], cls_m[b])
-                good_m[key_m] = good_m.get(key_m, 0) | bits_m[cc]
-                medians.remove(m)
-                medians.insert(0, m)
-        checked += g.n - 1 - b
-    return VerifyReport(True, None, checked, c.num_colors)
+                cc += (rest & -rest).bit_length()
+                for m in medians:
+                    if ends[m] is None:
+                        ends[m] = _single_source_masks(n, adj_bits, m, work)
+                    at = ends[m]
+                    if _joins(at[a], at[b], at[cc], work):
+                        break
+                else:
+                    checked = comb(n, 3) - comb(n - a, 3) + comb(n - 1 - a, 2) - comb(n - b, 2)
+                    return VerifyReport(False, (a, b, cc), checked + cc - b, c.num_colors)
+                if m == front:
+                    known |= classes[cls[cc]]
+                    pairs[kb] = known
+                else:
+                    if twins[m] is None:
+                        twins[m] = _twins(ends[m])
+                    cls_m, classes_m, good_m = twins[m]
+                    pairs_m, kb_m = good_m[cls_m[a]], cls_m[b]
+                    pairs_m[kb_m] = pairs_m.get(kb_m, 0) | classes_m[cls_m[cc]]
+                    medians.remove(m)
+                    medians.insert(0, m)
+            if medians[0] != start:  # the front moved: step the rest of the row
+                todo = every >> 1 >> (b + 1) << (b + 1)
+    return VerifyReport(True, None, comb(n, 3), c.num_colors)
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +446,17 @@ def verify_certificate(
 # color: a tree clashes with edge e colored c exactly when it meets the mask
 # of c, and a branch dies the moment some triple has no clash-free tree left.
 
-def _tree_levels(g: Graph) -> Iterator[tuple[list[tuple[int, list[int]]], list[int]]]:
+def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
     """For k = 2, 3, ...: each minimal tree of 2..k edges as (edge bitmask,
-    ids of the triples it serves), and each triple's tree count.  The lists
-    grow in place, so the trees of k are a prefix of the trees of k + 1."""
+    ids of the triples it serves), each edge's (tree id, bitmask, triple ids)
+    entries, and each triple's tree count.  The lists grow in place, so the
+    trees of k are a prefix of the trees of k + 1."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
     counts = [0] * len(triple_id)
     trees: list[tuple[int, list[int]]] = []
+    with_edge: list[list[tuple[int, int, list[int]]]] = [[] for _ in ends]
     level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
     while True:
         grown: dict = {}
@@ -454,24 +475,23 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list[tuple[int, list[int]]], list[i
                 serves = [triple_id[leaves | 1 << v] for v in range(g.n) if inner >> v & 1]
             for ti in serves:
                 counts[ti] += 1
+            rest = tree
+            while rest:
+                low = rest & -rest
+                with_edge[low.bit_length() - 1].append((len(trees), tree, serves))
+                rest ^= low
             trees.append((tree, serves))
-        yield trees, counts
+        yield trees, with_edge, counts
 
 
-def _search_coloring(g: Graph, k: int, trees: list, counts: list[int]) -> dict | None:
+def _search_coloring(g: Graph, k: int, trees: list, trees_with_edge: list,
+                     counts: list[int]) -> dict | None:
     """First k-coloring (canonical order) under which every triple keeps a
     rainbow tree among ``trees``, the ``_tree_levels`` entry of k, or None."""
     if 0 in counts:
         return None
     alive_count = counts.copy()
     m = g.m
-    trees_with_edge: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(m)]
-    for tid, (tree, serves) in enumerate(trees):
-        rest = tree
-        while rest:
-            low = rest & -rest
-            trees_with_edge[low.bit_length() - 1].append((tid, tree, serves))
-            rest ^= low
     alive = [True] * len(trees)
     by_color = [0] * (k + 1)  # edge mask of each color
     nodes = 0
@@ -544,8 +564,8 @@ def exact_rx3_coloring(
         raise GraphError(f"3-rainbow index needs n >= 3, got n={g.n}")
     lower = max(2, sdiam3(g))
     levels = itertools.islice(_tree_levels(g), lower - 2, None)
-    for k, (trees, counts) in zip(range(lower, kmax + 1), levels):
-        found = _search_coloring(g, k, trees, counts)
+    for k, level in zip(range(lower, kmax + 1), levels):
+        found = _search_coloring(g, k, *level)
         if found is not None:
             return k, found
     return None

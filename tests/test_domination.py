@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from rainbow3 import (
     CONNECTED,
+    DominationError,
     DominationKind,
+    GraphError,
     LimitError,
+    build_graph,
     cds_heuristic,
     check_domination,
     complete_bipartite,
@@ -132,6 +135,26 @@ def test_heuristic_valid_on_random_graph():
     dom = cds_heuristic(g)
     assert dom.provenance == "heuristic"
     assert check_domination(g, dom.vertices, CONNECTED)
+
+
+def test_heuristic_rejects_disconnected_graphs():
+    # the growth stops with an empty heap before it spans the graph
+    two_paths = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    with pytest.raises(GraphError, match="graph must be connected"):
+        cds_heuristic(two_paths)
+    isolated = build_graph(5, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GraphError, match="graph must be connected"):
+        cds_heuristic(isolated)
+    with pytest.raises(GraphError, match="graph must be connected"):
+        cds_heuristic(build_graph(2, []))
+
+
+def test_heuristic_on_the_empty_graph_says_what_exact_says():
+    empty = build_graph(0, [])
+    with pytest.raises(DominationError, match="no connected dominating set exists"):
+        min_connected_dominating_set(empty)
+    with pytest.raises(DominationError, match="no connected dominating set exists"):
+        cds_heuristic(empty)
 
 
 @given(connected_graphs(min_n=2, max_n=8))

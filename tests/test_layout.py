@@ -160,6 +160,40 @@ def test_bench_and_script_keywords_are_parameters(path):
     assert _keyword_calls(tree) and _unknown_keywords(tree) == []
 
 
+def _work_writes(tree: ast.Module) -> list[str]:
+    """Writes to ``work[...]`` outside ``_spend``.  Tests count the units a
+    verifier is charged by wrapping ``_spend``, so a charge made anywhere
+    else would go uncounted."""
+    spend = [node for node in tree.body if getattr(node, "name", None) == "_spend"]
+    inside = {id(node) for func in spend for node in ast.walk(func)}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        problems += [
+            f"line {node.lineno}: work changed outside _spend"
+            for t in targets
+            if isinstance(t, ast.Subscript) and getattr(t.value, "id", None) == "work"
+            and id(node) not in inside
+        ]
+    return problems
+
+
+def test_verifier_work_changes_only_in_spend():
+    path = pathlib.Path(rainbow3.__file__).parent / "verify.py"
+    assert _work_writes(ast.parse(path.read_text())) == []
+
+
+def test_work_check_catches_an_inlined_charge():
+    source = "def _spend(work, units):\n    work[0] -= units\n\n"
+    source += "def _joins(aa, work):\n    work[0] -= len(aa)\n    return aa\n"
+    assert _work_writes(ast.parse(source)) == ["line 5: work changed outside _spend"]
+
+
 MAX_LINE = 99
 
 

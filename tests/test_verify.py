@@ -228,8 +228,23 @@ _DRIFT_EXAMPLE = (
 )
 
 
+# A row that drops a pair whose class entry leaves one c > b unsettled would
+# miss the failing triple (5, 6, 7) here.
+_EARLY_DROP_EXAMPLE = (
+    build_graph(10, [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 3), (1, 4),
+                     (1, 5), (1, 8), (1, 9), (2, 3), (2, 5), (2, 6), (2, 7), (2, 8), (3, 5),
+                     (3, 7), (3, 8), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (5, 8), (6, 7),
+                     (6, 9), (7, 9)]),
+    {(0, 1): 2, (0, 3): 2, (0, 4): 1, (0, 5): 2, (0, 6): 2, (0, 7): 3, (0, 9): 1, (1, 3): 3,
+     (1, 4): 2, (1, 5): 1, (1, 8): 2, (1, 9): 1, (2, 3): 3, (2, 5): 3, (2, 6): 1, (2, 7): 1,
+     (2, 8): 3, (3, 5): 2, (3, 7): 3, (3, 8): 1, (4, 5): 1, (4, 6): 3, (4, 7): 1, (4, 8): 2,
+     (4, 9): 2, (5, 8): 3, (6, 7): 3, (6, 9): 2, (7, 9): 1},
+)
+
+
 @given(st.one_of(colored_graphs(max_n=10, max_colors=3), recolored_families()))
 @example(_DRIFT_EXAMPLE)
+@example(_EARLY_DROP_EXAMPLE)
 @example(_recolored("threshold", 4, (4, 5), (0, 5)))  # fails at triple 16 of 35
 @example(_recolored("chain", 6, (1, 4), (0, 4)))  # fails at the last triple
 @settings(max_examples=150, deadline=None)
@@ -259,6 +274,63 @@ def test_is_3_rainbow_skips_joins_for_twins():
     want, _, _, want_joins = _traced(oracle_is_3_rainbow, g, col)
     assert rep == want and rep.verdict
     assert joins == want_joins
+
+
+# Fails at (2, 5, 6) after its row drops the settled pair (2, 4) by twin
+# class; no one-edge recolor of the windmill's +6, +3 or spanning-tree
+# coloring (t <= 7) fails after a dropped pair, so this one was drawn at random.
+_FAILS_AFTER_DROPPED_PAIR = (
+    build_graph(7, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+                    (1, 6), (2, 4), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6)]),
+    {(0, 1): 2, (0, 2): 1, (0, 3): 2, (0, 5): 3, (0, 6): 3, (1, 2): 2, (1, 3): 1, (1, 4): 3,
+     (1, 5): 1, (1, 6): 1, (2, 4): 1, (2, 5): 1, (3, 5): 2, (3, 6): 2, (4, 5): 1, (4, 6): 3},
+)
+
+
+def _plus6_case(g):
+    return g, three_way_coloring(g, three_way_dominating_set(g))[0]
+
+
+# (report, sources searched in order, work units, joins) as stepping every pair
+# gives them: dropping a row's settled pairs must keep every one of these.
+@pytest.mark.parametrize("case, want", [
+    (lambda: _plus6_case(french_windmill(20).graph),
+     (VerifyReport(True, None, 35990, 6), [0], 2100, 36)),
+    (lambda: _plus6_case(threshold_example(20).graph),
+     (VerifyReport(True, None, 1771, 6), list(range(21)), 21300, 35)),
+    (lambda: _plus6_case(chain_example(10, 10).graph),
+     (VerifyReport(True, None, 1140, 7), list(range(8)), 11512, 109)),
+    (lambda: _plus6_case(random_min_degree(16, 3, 1)),
+     (VerifyReport(True, None, 560, 10), list(range(9)), 17902, 613)),
+    (lambda: (_FAILS_AFTER_DROPPED_PAIR[0], EdgeColoring.from_dict(_FAILS_AFTER_DROPPED_PAIR[1])),
+     (VerifyReport(False, (2, 5, 6), 31, 3), list(range(7)), 362, 33)),
+], ids=["windmill-20", "threshold-20", "chain-10-10", "random-16", "dropped-pair"])
+def test_is_3_rainbow_keeps_its_pinned_trace(case, want):
+    g, col = case()
+    assert _traced(is_3_rainbow, g, col) == want
+
+
+def _twin_builds(g, col):
+    """The number of walk searches and of twin-class builds in one call."""
+    builds, twins = [0], rainbow3.verify._twins
+
+    def counted_twins(ends):
+        builds[0] += 1
+        return twins(ends)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rainbow3.verify, "_twins", counted_twins)
+        sources = _traced(is_3_rainbow, g, col)[1]
+    return [len(sources), builds[0]]
+
+
+def test_is_3_rainbow_builds_twin_classes_only_at_front_medians():
+    # the first triple of a monochrome coloring tries all 61 medians, and
+    # only the first is ever the front
+    g = french_windmill(20).graph
+    assert _twin_builds(g, EdgeColoring.from_dict({e: 1 for e in g.edges})) == [61, 1]
+    # the threshold graph's searched medians mostly never serve a join
+    assert _twin_builds(*_plus6_case(threshold_example(40).graph)) == [41, 2]
 
 
 def test_is_3_rainbow_checks_totality_below_three_vertices():

@@ -308,9 +308,13 @@ def is_3_rainbow(
     """Check every vertex triple for a rainbow tree; first failure wins.
 
     A rainbow walk reversed is one with the same colors, so the walks from
-    a median m to every vertex serve all triples: they are searched once,
-    when m is first tried, and a move-to-front median list keeps the
-    per-triple join cheap on valid colorings.
+    a median m to every vertex serve all triples, and the walks from a, b
+    and c to m join there exactly when m's own walks do.  A triple tries the
+    medians in move-to-front order and searches the first untried one it
+    meets; once that fails, it searches its own terminals and searches a
+    further untried median only if their walks join at it.  No source is
+    searched twice, so a call runs at most n searches, and the move-to-front
+    list keeps the per-triple join cheap on valid colorings.
 
     Whether a triple joins at m depends only on the three antichains, so a
     join that succeeds holds for every triple of the same twin classes at m;
@@ -328,9 +332,14 @@ def is_3_rainbow(
         return VerifyReport(True, None, 0, c.num_colors)
     work = [VERIFY_WORK_BUDGET]
     ends: list[list[list[int]] | None] = [None] * n
+
+    def walks(t: int) -> list[list[int]]:
+        if ends[t] is None:
+            ends[t] = _single_source_masks(n, adj_bits, t, work)
+        return ends[t]
+
     twins: list[tuple | None] = [None] * n
-    ends[0] = _single_source_masks(n, adj_bits, 0, work)  # the first triple's first median
-    twins[0] = _twins(ends[0])
+    twins[0] = _twins(walks(0))  # the first triple's first median
     medians = list(range(n))
     every = (1 << n) - 1
     for a in range(n - 2):
@@ -357,10 +366,16 @@ def is_3_rainbow(
                 if not rest:
                     break
                 cc += (rest & -rest).bit_length()
+                probed = False  # an untried median was searched for this triple
                 for m in medians:
-                    if ends[m] is None:
-                        ends[m] = _single_source_masks(n, adj_bits, m, work)
                     at = ends[m]
+                    if at is None:
+                        # after one failed search, an untried median is searched
+                        # only if the walks from a, b and cc join at it
+                        if probed and not _joins(walks(a)[m], walks(b)[m], walks(cc)[m], work):
+                            continue
+                        probed = True
+                        at = walks(m)
                     if _joins(at[a], at[b], at[cc], work):
                         break
                 else:

@@ -89,17 +89,20 @@ def oracle_rainbow_s_tree(g, coloring, s) -> bool:
     return False
 
 
-def oracle_is_3_rainbow(g, c):
+def oracle_is_3_rainbow(g, c, fronts=None):
     """`is_3_rainbow` with one join per triple: every triple tries the
     medians in move-to-front order, each median searched when first tried.
     The search, the join and the budget are looked up in `rainbow3.verify`
-    at call time, so a test can patch and count them."""
+    at call time, so a test can patch and count them.  A ``fronts`` list
+    collects each median as it first reaches the front, median 0 first."""
     if g.n < 3:
         return verify.VerifyReport(True, None, 0, c.num_colors)
     adj_bits = verify._color_bits(g, c)
     work = [verify.VERIFY_WORK_BUDGET]
     ends = [None] * g.n
     medians = list(range(g.n))
+    if fronts is not None:
+        fronts.append(0)
     checked = 0
     for a, b, cc in itertools.combinations(range(g.n), 3):
         checked += 1
@@ -112,6 +115,8 @@ def oracle_is_3_rainbow(g, c):
         else:
             return verify.VerifyReport(False, (a, b, cc), checked, c.num_colors)
         if medians[0] != m:
+            if fronts is not None and m not in fronts:
+                fronts.append(m)
             medians.remove(m)
             medians.insert(0, m)
     return verify.VerifyReport(True, None, checked, c.num_colors)

@@ -140,7 +140,7 @@ def test_full_verifier_agrees_with_per_triple_dp(drawn):
         assert all(exists_rainbow_s_tree(g, col, s) for s in triples[: rank - 1])
 
 
-def test_is_3_rainbow_searches_only_tried_medians(monkeypatch):
+def test_is_3_rainbow_searches_one_untried_median_then_the_terminals(monkeypatch):
     sources = []
     search = rainbow3.verify._single_source_masks
 
@@ -155,9 +155,10 @@ def test_is_3_rainbow_searches_only_tried_medians(monkeypatch):
     assert sources == [0]  # the hub serves every triple
     sources.clear()
     rep = is_3_rainbow(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
-    # the first triple fails at every median, so every vertex is searched once
+    # the first triple fails at medians 0 and 1, then searches its third
+    # terminal, whose walks rule out every other median without a search
     assert (rep.witness, rep.triples_checked) == ((0, 1, 2), 1)
-    assert sources == list(range(g.n))
+    assert sources == [0, 1, 2]
 
 
 def _traced(verifier, g, col):
@@ -249,15 +250,15 @@ _EARLY_DROP_EXAMPLE = (
 @example(_recolored("chain", 6, (1, 4), (0, 4)))  # fails at the last triple
 @settings(max_examples=150, deadline=None)
 def test_is_3_rainbow_matches_one_join_per_triple(drawn):
-    # skipping joins keeps the report and the walk searches, in order, and
-    # never charges more work than one join per triple
+    # skipping joins and searches keeps the report, searches no source twice
+    # and moves the medians to the front in the order one join per triple does
     g, cols = drawn
     col = EdgeColoring.from_dict(cols)
-    rep, sources, spent, _ = _traced(is_3_rainbow, g, col)
-    want, want_sources, want_spent, _ = _traced(oracle_is_3_rainbow, g, col)
-    assert rep == want
-    assert sources == want_sources
-    assert spent <= want_spent
+    rep, sources, fronts = _front_trace(g, col)
+    want_fronts = []
+    assert rep == oracle_is_3_rainbow(g, col, want_fronts)
+    assert len(set(sources)) == len(sources) <= g.n
+    assert fronts == want_fronts
 
 
 def test_is_3_rainbow_skips_joins_for_twins():
@@ -292,45 +293,69 @@ def _plus6_case(g):
 
 
 # (report, sources searched in order, work units, joins) as stepping every pair
-# gives them: dropping a row's settled pairs must keep every one of these.
+# and testing untried medians through the terminals' walks gives them.  Searching
+# every tried median charged 21300, 11512, 17902 and 362 units on the last four,
+# from sources 0..20, 0..7, 0..8 and 0..6.
 @pytest.mark.parametrize("case, want", [
     (lambda: _plus6_case(french_windmill(20).graph),
      (VerifyReport(True, None, 35990, 6), [0], 2100, 36)),
     (lambda: _plus6_case(threshold_example(20).graph),
-     (VerifyReport(True, None, 1771, 6), list(range(21)), 21300, 35)),
+     (VerifyReport(True, None, 1771, 6), [0, 1, 2, 3, 20], 6100, 36)),
     (lambda: _plus6_case(chain_example(10, 10).graph),
-     (VerifyReport(True, None, 1140, 7), list(range(8)), 11512, 109)),
+     (VerifyReport(True, None, 1140, 7), [0, 1, 2, 3, 7], 7552, 110)),
     (lambda: _plus6_case(random_min_degree(16, 3, 1)),
-     (VerifyReport(True, None, 560, 10), list(range(9)), 17902, 613)),
+     (VerifyReport(True, None, 560, 10), [0, 1, 2, 3, 4, 5, 6, 8, 9, 15], 18942, 613)),
     (lambda: (_FAILS_AFTER_DROPPED_PAIR[0], EdgeColoring.from_dict(_FAILS_AFTER_DROPPED_PAIR[1])),
-     (VerifyReport(False, (2, 5, 6), 31, 3), list(range(7)), 362, 33)),
+     (VerifyReport(False, (2, 5, 6), 31, 3), [0, 1, 2, 5, 6], 272, 33)),
 ], ids=["windmill-20", "threshold-20", "chain-10-10", "random-16", "dropped-pair"])
 def test_is_3_rainbow_keeps_its_pinned_trace(case, want):
     g, col = case()
     assert _traced(is_3_rainbow, g, col) == want
 
 
-def _twin_builds(g, col):
-    """The number of walk searches and of twin-class builds in one call."""
-    builds, twins = [0], rainbow3.verify._twins
+def _front_trace(g, col):
+    """is_3_rainbow's report, the sources it searched, in order, and the
+    medians whose twin classes it built, in order."""
+    searches, built = [], []  # searches: (source, its walk antichains)
+    search, twins = rainbow3.verify._single_source_masks, rainbow3.verify._twins
+
+    def counted_search(n, adj_bits, source, work):
+        searches.append((source, search(n, adj_bits, source, work)))
+        return searches[-1][1]
 
     def counted_twins(ends):
-        builds[0] += 1
+        built.append(next(m for m, at in searches if at is ends))
         return twins(ends)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rainbow3.verify, "_single_source_masks", counted_search)
         mp.setattr(rainbow3.verify, "_twins", counted_twins)
-        sources = _traced(is_3_rainbow, g, col)[1]
-    return [len(sources), builds[0]]
+        rep = is_3_rainbow(g, col)
+    return rep, [m for m, _ in searches], built
 
 
 def test_is_3_rainbow_builds_twin_classes_only_at_front_medians():
-    # the first triple of a monochrome coloring tries all 61 medians, and
+    # the first triple of a monochrome coloring fails at every median, and
     # only the first is ever the front
     g = french_windmill(20).graph
-    assert _twin_builds(g, EdgeColoring.from_dict({e: 1 for e in g.edges})) == [61, 1]
+    _, sources, built = _front_trace(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
+    assert [len(sources), len(built)] == [3, 1]
     # the threshold graph's searched medians mostly never serve a join
-    assert _twin_builds(*_plus6_case(threshold_example(40).graph)) == [41, 2]
+    _, sources, built = _front_trace(*_plus6_case(threshold_example(40).graph))
+    assert [len(sources), len(built)] == [5, 2]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [threshold_example(200).graph, chain_example(40, 40).graph],
+    ids=["threshold-200", "chain-40-40"],
+)
+def test_is_3_rainbow_searches_few_medians_on_plus6_threshold_and_chain(g):
+    # the terminals' walks rule out the medians that never serve; searching
+    # every tried median ran 201 and 38 searches here
+    rep, sources, _ = _front_trace(*_plus6_case(g))
+    assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
+    assert len(sources) == 5
 
 
 def test_is_3_rainbow_checks_totality_below_three_vertices():

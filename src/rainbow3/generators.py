@@ -128,6 +128,8 @@ def random_min_degree(n: int, delta: int, seed: int) -> Graph:
     A random spanning tree is augmented by random edges at every deficient
     vertex, each drawn uniformly from the vertices outside its closed
     neighborhood; byte-identical for a fixed seed."""
+    if delta < 0:
+        raise GraphError(f"random graph needs delta >= 0, got {delta}")
     if n < delta + 1:
         raise GraphError(f"need n >= delta+1, got n={n} delta={delta}")
     rng = random.Random(seed)

@@ -460,12 +460,17 @@ def verify_certificate(
 # with 4 leaves are dropped at once.  The search keeps one edge mask per
 # color: a tree clashes with edge e colored c exactly when it meets the mask
 # of c, and a branch dies the moment some triple has no clash-free tree left.
+# Each edge lists its trees fail-first, those of the triples with the fewest
+# trees ahead, so a dead assignment finds its dead triple early.  A successful
+# one kills the same trees in any order and a dead one revives all it killed,
+# so the order changes no search node and no witness.
 
 def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
     """For k = 2, 3, ...: each minimal tree of 2..k edges as (edge bitmask,
     ids of the triples it serves), each edge's (tree id, bitmask, triple ids)
     entries, and each triple's tree count.  The lists grow in place, so the
-    trees of k are a prefix of the trees of k + 1."""
+    trees of k are a prefix of the trees of k + 1; each edge's entries are
+    sorted by the least tree count among the triples they serve."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
@@ -486,8 +491,12 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
             if leaves.bit_count() == 3:
                 serves = [triple_id[leaves]]
             else:  # a path serves its ends with each inner vertex
+                serves = []
                 inner = verts ^ leaves
-                serves = [triple_id[leaves | 1 << v] for v in range(g.n) if inner >> v & 1]
+                while inner:
+                    low = inner & -inner
+                    serves.append(triple_id[leaves | low])
+                    inner ^= low
             for ti in serves:
                 counts[ti] += 1
             rest = tree
@@ -496,6 +505,9 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
                 with_edge[low.bit_length() - 1].append((len(trees), tree, serves))
                 rest ^= low
             trees.append((tree, serves))
+        least = [min(counts[ti] for ti in serves) for _, serves in trees]
+        for entries in with_edge:
+            entries.sort(key=lambda entry: least[entry[0]])
         yield trees, with_edge, counts
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import random
 from operator import add
 
 import pytest
@@ -415,6 +416,17 @@ def prism_graph(k):
     rungs = [(i, k + i) for i in range(k)]
     spokes = [(v, 2 * k) for v in range(2 * k)]
     return build_graph(2 * k + 1, outer + inner + rungs + spokes), frozenset({2 * k})
+
+
+def random_connected(seed):
+    """Seeded connected graph on 3..8 vertices with at most 14 edges: a
+    random attachment tree plus random extra edges."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+    edges.update(rng.sample(pairs, rng.randint(0, min(len(pairs), 14 - len(edges)))))
+    return build_graph(n, sorted(edges))
 
 
 # The worked small example: component 0-1, 0-2, 2-3 over D={4,5}, where 3 is

@@ -14,6 +14,7 @@ from rainbow3 import (
     star_graph,
     threshold_example,
 )
+from rainbow3.cli import main
 from conftest import threshold_from_weights
 
 
@@ -156,3 +157,12 @@ def test_random_min_degree_delta5():
 def test_random_min_degree_infeasible():
     with pytest.raises(GraphError):
         random_min_degree(3, 3, seed=0)
+
+
+def test_random_min_degree_rejects_negative_delta(capsys):
+    with pytest.raises(GraphError, match="random graph needs delta >= 0, got -1"):
+        random_min_degree(10, -1, seed=0)
+    assert main(["gen", "random", "--n", "10", "--delta", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("rainbow3: ") and out.err.count("\n") == 1

@@ -34,7 +34,6 @@ import hashlib
 import io
 import itertools
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +43,6 @@ from rainbow3 import (
     DominationKind,
     EdgeColoring,
     bounds_report,
-    build_graph,
     cds_heuristic,
     chain_example,
     complete_bipartite,
@@ -69,7 +67,7 @@ from rainbow3 import (
     write_edge_list,
 )
 from rainbow3.cli import main
-from conftest import connected_graphs, oracle_steiner3
+from conftest import connected_graphs, oracle_steiner3, random_connected
 
 
 def _sha(text: str) -> str:
@@ -347,17 +345,6 @@ def test_min_dominating_set_pinned(spec):
     g = _graph(spec)
     sets = [min_dominating_set(g, kind).sorted() for kind in MIN_SET_KINDS]
     assert _sha(repr(sets)) == MIN_SET_DIGESTS[spec]
-
-
-def random_connected(seed):
-    """Seeded connected graph on 3..8 vertices with at most 14 edges: a
-    random attachment tree plus random extra edges."""
-    rng = random.Random(seed)
-    n = rng.randint(3, 8)
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    pairs = [p for p in itertools.combinations(range(n), 2) if p not in edges]
-    edges.update(rng.sample(pairs, rng.randint(0, min(len(pairs), 14 - len(edges)))))
-    return build_graph(n, sorted(edges))
 
 
 def exact_digest(graphs, **limits):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -48,6 +49,7 @@ from conftest import (
     oracle_is_3_rainbow,
     oracle_rainbow_s_tree,
     pickable_bruteforce,
+    random_connected,
 )
 
 
@@ -785,6 +787,85 @@ def test_exact_node_count_pinned(case, monkeypatch):
                   lambda: oracle_exact_rx3_coloring(g, kmax=kmax)):
         with pytest.raises(VerifyLimitError, match=f"node budget {nodes - 1} exceeded"):
             solve()
+
+
+def _least_budget(solve, monkeypatch):
+    """Least EXACT_NODE_BUDGET under which ``solve()`` returns, by bisection."""
+    lo, hi = 0, 1  # solve raises at lo and returns at hi
+    while True:
+        monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", hi)
+        try:
+            solve()
+            break
+        except VerifyLimitError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", mid)
+        try:
+            solve()
+            hi = mid
+        except VerifyLimitError:
+            lo = mid
+    return hi
+
+
+SHUFFLE_CASES = {
+    "windmill 2": (french_windmill(2).graph, {}),
+    "windmill 3 kmax 4": (french_windmill(3).graph, {"kmax": 4, "max_edges": 18}),
+    "K5": (complete_graph(5), {}),
+    "C7": (cycle_graph(7), {}),
+    **{f"random {seed}": (random_connected(seed), {}) for seed in (10, 17, 26, 30)},
+}
+
+
+@pytest.mark.parametrize("case", list(SHUFFLE_CASES))
+def test_exact_kill_list_order_changes_nothing(case, monkeypatch):
+    # Each edge's kill list is sorted fail-first for speed only: a kill must
+    # not depend on where its tree sits in the list.
+    g, limits = SHUFFLE_CASES[case]
+    solve = lambda: exact_rx3_coloring(g, **limits)
+    nodes = _least_budget(solve, monkeypatch)
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes)
+    expected = solve()
+    tree_levels = rainbow3.verify._tree_levels
+
+    def shuffled(seed):
+        rng = random.Random(seed)
+
+        def levels(graph):
+            for trees, with_edge, counts in tree_levels(graph):
+                for entries in with_edge:
+                    rng.shuffle(entries)
+                yield trees, with_edge, counts
+        return levels
+
+    for seed in range(3):
+        monkeypatch.setattr("rainbow3.verify._tree_levels", shuffled(seed))
+        monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes)
+        assert solve() == expected
+        monkeypatch.setattr("rainbow3.verify._tree_levels", shuffled(seed))
+        monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes - 1)
+        with pytest.raises(VerifyLimitError, match=f"node budget {nodes - 1} exceeded"):
+            solve()
+
+
+# gstar(3, 0), the smallest block chain (n = 10, m = 19): rx3 = 5 = sdiam3,
+# settled after this many search nodes, with this witness in edge order.
+GSTAR_3_0_NODES = 11962
+GSTAR_3_0_WITNESS = [1, 1, 1, 2, 3, 4, 5, 1, 1, 1, 2, 2, 3, 3, 4, 4, 3, 4, 4]
+
+
+def test_exact_gstar_3_0_pinned(monkeypatch):
+    g = gstar(3, 0).graph
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", GSTAR_3_0_NODES)
+    k, witness = exact_rx3_coloring(g, max_edges=g.m)
+    assert k == 5 == sdiam3(g)
+    assert [col for _, col in sorted(witness.items())] == GSTAR_3_0_WITNESS
+    assert is_3_rainbow(g, EdgeColoring.from_dict(witness)).verdict
+    monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", GSTAR_3_0_NODES - 1)
+    with pytest.raises(VerifyLimitError, match=f"node budget {GSTAR_3_0_NODES - 1} exceeded"):
+        exact_rx3_coloring(g, max_edges=g.m)
 
 
 def test_work_budget_exceeded(monkeypatch):

@@ -27,7 +27,6 @@ from .domination import (
     check_domination,
     connected_dominating_set,
     dominating_set,
-    grow_dominating_set,
     k_dominating,
     k_way,
     min_connected_dominating_set,
@@ -77,7 +76,6 @@ from .verify import (
     class_membership,
     exact_rx3,
     exact_rx3_coloring,
-    exists_rainbow_s_tree,
     is_3_rainbow,
     pickable,
     verify_certificate,

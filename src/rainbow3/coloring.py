@@ -49,7 +49,7 @@ class ColoringInternalError(RuntimeError):
 
 
 class CertificateError(RuntimeError):
-    """A stored safety certificate stopped verifying mid-construction."""
+    """A stored safety certificate does not verify."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class Stage1State:
 
     tree: BfsTree
     leg: dict = field(default_factory=dict)         # vertex -> chosen foot
-    colors: dict = field(default_factory=dict)      # shared edge -> color map
+    colors: dict = field(default_factory=dict)      # the component's edge -> color map
     certs: dict = field(default_factory=dict)       # certified vertex -> (p1, p2, p3)
     dangerous: list = field(default_factory=list)   # the stage-1 leaves
     recolored: set = field(default_factory=set)
@@ -219,9 +219,7 @@ class Stage1State:
         return edge_key(v, self.tree.parent[v])
 
 
-def stage1_periodic(
-    g: Graph, dom: Container[int], tree: BfsTree, colors: dict | None = None
-) -> Stage1State:
+def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State:
     """Periodic coloring of the >=3-vertex component spanned by ``tree``.
 
     Colors every vertex's tree edge and one leg by the (subtree type,
@@ -234,7 +232,7 @@ def stage1_periodic(
         raise ColoringInternalError(
             "BFS root of a >=3-vertex component must have two component neighbors"
         )
-    state = Stage1State(tree=tree, colors=colors if colors is not None else {})
+    state = Stage1State(tree=tree)
     for v in tree.order:
         for w in g.adj[v]:
             if w in dom:
@@ -480,16 +478,10 @@ def _color_isolated_edge(
 # The full 6-extra-color scheme.
 
 def three_way_coloring(
-    g: Graph,
-    dom,
-    check_steps: bool = False,
+    g: Graph, dom
 ) -> tuple[EdgeColoring, list[SafetyCertificate], ColoringReport]:
     """3-rainbow coloring using at most 6 colors outside D plus a fresh
-    palette inside, with machine-checkable safety certificates.
-
-    With ``check_steps`` every previously certified vertex is re-verified
-    after each individual repair step; a violation raises CertificateError.
-    """
+    palette inside, with machine-checkable safety certificates."""
     dset = _as_vertex_set(dom)
     if not check_domination(g, dset, k_way(3)):
         raise DominationError("D must be a connected three-way dominating set")
@@ -510,7 +502,7 @@ def three_way_coloring(
         compset = set(comp)
         root = next(v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2)
         tree = bfs_tree(g, comp, root)
-        state = stage1_periodic(g, dset, tree, colors)
+        state = stage1_periodic(g, dset, tree)
         for leaf in state.dangerous:
             _repair_leaf_with_leg(g, dset, state, leaf)
         pending = order_dangerous([v for v in state.dangerous if v not in state.certs], tree)
@@ -518,8 +510,7 @@ def three_way_coloring(
             if w in state.certs:
                 continue
             stage2_repair_step(g, state, w)
-            if check_steps:
-                _check_certified(g, dset, state)
+        colors.update(state.colors)  # only the component's tree edges and legs
         stage2_steps += len(state.steps)
         rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
@@ -531,7 +522,7 @@ def three_way_coloring(
     colors.update(inner.assignment)
     coloring = EdgeColoring.from_dict(colors)
     certificates = [
-        _checked_certificate(g, dset, coloring, v, cert_paths.get(v), "final pass")
+        _checked_certificate(g, dset, coloring, v, cert_paths.get(v))
         for v in range(g.n) if v not in dset
     ]
     report = ColoringReport(
@@ -568,25 +559,17 @@ def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) ->
 
 
 def _checked_certificate(
-    g: Graph, dset, coloring: EdgeColoring, v: int, paths: tuple | None, when: str
+    g: Graph, dset, coloring: EdgeColoring, v: int, paths: tuple | None
 ) -> SafetyCertificate:
     """The certificate of v's stored paths, its color sets read off the one
-    ``certificate_colors`` walk; CertificateError, naming the pass ``when``,
-    if they do not verify under ``coloring``."""
+    ``certificate_colors`` walk; CertificateError if they do not verify under
+    ``coloring``."""
     if paths is None:
         raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-    colors = certificate_colors(g, coloring, dset, v, paths)
-    if colors is None:
-        raise CertificateError(f"certificate of vertex {v} does not verify ({when})")
-    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
-    sets = (frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:]))
+    sets = certificate_colors(g, coloring, dset, v, paths)
+    if sets is None:
+        raise CertificateError(f"certificate of vertex {v} does not verify (final pass)")
     return SafetyCertificate(vertex=v, paths=paths, color_sets=sets)
-
-
-def _check_certified(g: Graph, dset: set, state: Stage1State) -> None:
-    snapshot = EdgeColoring.from_dict(state.colors)
-    for x in sorted(state.certs):
-        _checked_certificate(g, dset, snapshot, x, state.certs[x], "after a repair step")
 
 
 # ---------------------------------------------------------------------------

@@ -202,12 +202,17 @@ def connected_dominating_set(g: Graph) -> DominatingSet:
     return cds_heuristic(g)
 
 
-def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> DominatingSet:
-    """Checked growth of a connected dominating core into a ``kind`` set.
+def dominating_set(
+    g: Graph, kind: DominationKind, core: DominatingSet | None = None
+) -> DominatingSet:
+    """The one ``kind`` set policy.  A k-dominating kind is the exact minimum
+    when n <= ROUTE_EXACT_LIMIT.  Every other set, and every set of a kind
+    that asks only for degree as the +6 scheme does, is ``core`` (by default
+    ``connected_dominating_set(g)``) grown into a ``kind`` set and checked.
 
-    Adds every vertex of degree below ``kind.k_way``, then for each outside
-    vertex short of ``kind.k_dominating`` neighbors inside, the vertex itself
-    when its degree is too small and otherwise its outside neighbors in
+    Growth adds every vertex of degree below ``kind.k_way``, then for each
+    outside vertex short of ``kind.k_dominating`` neighbors inside, the vertex
+    itself when its degree is too small and otherwise its outside neighbors in
     ascending order until it has enough.  One pass suffices: adding vertices
     never lowers a count, so every vertex already passed stays satisfied.
     Every added vertex is adjacent to the core, so the set stays connected.
@@ -215,6 +220,10 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
     connected ``kind`` set dominates, so a minimum connected dominating set
     that already satisfies ``kind`` is a minimum ``kind`` set.  Otherwise it
     is heuristic."""
+    if kind.k_dominating > 1 and g.n <= ROUTE_EXACT_LIMIT:
+        return min_dominating_set(g, kind)
+    if core is None:
+        core = connected_dominating_set(g)
     dset = set(core.vertices)
     if kind.k_way:
         dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
@@ -238,20 +247,6 @@ def grow_dominating_set(g: Graph, core: DominatingSet, kind: DominationKind) -> 
     if not check_domination(g, result.vertices, kind):
         raise AssertionError(f"growth failed to reach a {kind.label()} set")
     return result
-
-
-def dominating_set(
-    g: Graph, kind: DominationKind, core: DominatingSet | None = None
-) -> DominatingSet:
-    """The one ``kind`` set policy.  A kind that asks only for degree is
-    ``core`` (by default ``connected_dominating_set(g)``) grown, as the +6
-    scheme grows it; a k-dominating kind is the exact minimum when
-    n <= ROUTE_EXACT_LIMIT, otherwise ``core`` grown."""
-    if kind.k_dominating > 1 and g.n <= ROUTE_EXACT_LIMIT:
-        return min_dominating_set(g, kind)
-    if core is None:
-        core = connected_dominating_set(g)
-    return grow_dominating_set(g, core, kind)
 
 
 def three_way_dominating_set(g: Graph) -> DominatingSet:

@@ -1,11 +1,11 @@
 """Edge colorings, safety certificates and independent verification machinery.
 
 The two value types every construction returns are defined here.  The rest
-checks colorings without trusting how they were built:
-rainbow-tree existence by mask dynamic programming, exhaustive 3-rainbow
-verification, safety-certificate checking, the pickability predicate, the
-transcribed color-set class tables, and an exact minimum-color solver used
-as ground truth on small instances.
+checks colorings without trusting how they were built: exhaustive
+3-rainbow verification by a search over rainbow-walk color masks,
+safety-certificate checking, the pickability predicate, the transcribed
+color-set class tables, and an exact minimum-color solver used as ground
+truth on small instances.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ import itertools
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from math import comb
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
-from .graphs import Graph, GraphError, sdiam3, three_terminals
+from .graphs import Graph, GraphError, sdiam3
 
 
 class VerifyLimitError(RuntimeError):
@@ -26,7 +26,7 @@ class VerifyLimitError(RuntimeError):
 # searches.
 EXACT_KMAX = 8
 EXACT_MAX_EDGES = 14
-# Work budgets, read at call time.  One call of the rainbow-tree verifiers
+# Work budgets, read at call time.  One call of the rainbow-tree verifier
 # may spend VERIFY_WORK_BUDGET units: a candidate walk mask costs 1 plus the
 # antichain it is compared against, a median-join pair costs 1, and a scan of
 # the third antichain that finds no match costs its length.  The exact solver
@@ -250,26 +250,6 @@ def _single_source_masks(
     return ant
 
 
-def exists_rainbow_s_tree(
-    g: Graph,
-    c: EdgeColoring,
-    s: Iterable[int],
-) -> bool:
-    """True iff some tree of g contains the 3-set ``s`` with pairwise
-    distinct edge colors.
-
-    Dynamic programming over (vertex, terminal, used-color set) states:
-    each terminal's rainbow walks extend edge-by-edge on fresh colors, and
-    the three walk families merge at a median vertex on pairwise disjoint
-    color sets.
-    """
-    terms = three_terminals(g, s)
-    adj_bits = _color_bits(g, c)
-    work = [VERIFY_WORK_BUDGET]
-    ants = [_single_source_masks(g.n, adj_bits, t, work) for t in terms]
-    return any(_joins(ants[0][m], ants[1][m], ants[2][m], work) for m in range(g.n))
-
-
 def _joins(aa: list[int], bb: list[int], cc: list[int], work: list[int]) -> bool:
     """True iff the three walk antichains at one median hold pairwise
     disjoint masks."""
@@ -402,8 +382,8 @@ def is_3_rainbow(
 
 def certificate_colors(
     g: Graph, c: EdgeColoring, dom: Container[int], v: int, paths: Sequence
-) -> list[int] | None:
-    """The colors along v's three paths in path order, or None unless the first is
+) -> tuple[frozenset, frozenset, frozenset] | None:
+    """The color sets of v's three paths in path order, or None unless the first is
     one edge, each runs along edges of g from v to D, v and the inner vertices are
     pairwise distinct and outside D (so each path is simple and the three internally
     disjoint), and the colors are distinct.  ``dom`` is only tested for membership."""
@@ -428,7 +408,8 @@ def certificate_colors(
     for x in inner:
         if x in dom:
             return None
-    return colors
+    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
+    return frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:])
 
 
 def verify_certificate(
@@ -436,14 +417,13 @@ def verify_certificate(
 ) -> bool:
     """``certificate_colors`` of the stored paths, and each recorded color set
     has its path's size and holds its path's colors, which are distinct."""
-    colors = certificate_colors(g, c, dom, cert.vertex, cert.paths)
-    if colors is None or len(cert.color_sets) != 3:
+    sets = certificate_colors(g, c, dom, cert.vertex, cert.paths)
+    if sets is None or len(cert.color_sets) != 3:
         return False
-    k = len(cert.paths[1])  # the leg's color, then the k - 1 of the second path
-    for along, recorded in zip((colors[:1], colors[1:k], colors[k:]), cert.color_sets):
-        if len(recorded) != len(along) or not set(along).issubset(recorded):
-            return False
-    return True
+    return all(
+        len(recorded) == len(along) and along.issubset(recorded)
+        for along, recorded in zip(sets, cert.color_sets)
+    )
 
 
 # ---------------------------------------------------------------------------

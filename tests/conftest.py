@@ -7,21 +7,34 @@ library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
 triple under the exact solver's node budget, `oracle_sdiam3_scan` runs the
-median minimum of every triple its per-triple bounds leave, and
-`oracle_cds_heuristic` pushes a heap entry on every count decrement.
+median minimum of every triple its per-triple bounds leave, over rows of
+plain BFS distances, and `oracle_cds_heuristic` pushes a heap entry on every
+count decrement.  `checked_three_way_coloring` re-verifies the certificates
+after every repair step of the +6 construction.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from operator import add
 
 import pytest
 from hypothesis import strategies as st
 
+import rainbow3.coloring as coloring
 import rainbow3.verify as verify
-from rainbow3 import GraphError, all_pairs_distances, build_graph, edge_key
+from rainbow3 import (
+    CertificateError,
+    EdgeColoring,
+    GraphError,
+    build_graph,
+    certificate_colors,
+    edge_key,
+    three_way_coloring,
+)
+from rainbow3.graphs import bfs_distances
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +101,16 @@ def oracle_rainbow_s_tree(g, coloring, s) -> bool:
             if s <= verts:
                 return True
     return False
+
+
+def oracle_rainbow_report(g, coloring):
+    """`is_3_rainbow`'s (verdict, witness, triples_checked) by subtree
+    enumeration: the first triple in lexicographic order with no rainbow
+    tree, and its 1-based rank."""
+    for rank, s in enumerate(itertools.combinations(range(g.n), 3), start=1):
+        if not oracle_rainbow_s_tree(g, coloring, s):
+            return False, s, rank
+    return True, None, math.comb(g.n, 3)
 
 
 def oracle_is_3_rainbow(g, c, fronts=None):
@@ -228,7 +251,7 @@ def oracle_sdiam3_scan(g):
     its pair bound, its two shorter sides or the last ruling-out median."""
     if g.n < 3:
         raise GraphError(f"sdiam3 needs at least 3 vertices, got n={g.n}")
-    dist = all_pairs_distances(g)
+    dist = [bfs_distances(g, v) for v in range(g.n)]
     n = g.n
     ecc = [max(row) for row in dist]
     best = -1
@@ -388,6 +411,36 @@ def oracle_min_dominating(g, k=1, way=0):
                 for v in range(g.n)
             ):
                 return dset
+
+
+# ---------------------------------------------------------------------------
+# Checked construction.
+
+def checked_three_way_coloring(g, dom):
+    """`three_way_coloring` with `stage2_repair_step` wrapped: after each
+    repair step every vertex certified so far is re-verified under the
+    component's colors, and a certificate that stopped verifying raises
+    CertificateError.  Checks that every reported repair step was wrapped."""
+    dset = frozenset(getattr(dom, "vertices", dom))
+    step = coloring.stage2_repair_step
+    checked = []
+
+    def checked_step(g, state, w):
+        key = step(g, state, w)
+        snapshot = EdgeColoring.from_dict(state.colors)
+        for x in sorted(state.certs):
+            if certificate_colors(g, snapshot, dset, x, state.certs[x]) is None:
+                raise CertificateError(
+                    f"certificate of vertex {x} does not verify (after a repair step)"
+                )
+        checked.append(w)
+        return key
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "stage2_repair_step", checked_step)
+        result = three_way_coloring(g, dom)
+    assert len(checked) == result[2].stage2_steps
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,14 @@ from rainbow3 import (
 from rainbow3.coloring import STAGE2_RULES, ColoringInternalError
 from rainbow3.graphs import bfs_distances
 from rainbow3 import chain_example
-from conftest import connected_graphs, hub_graph, prism_graph, stage2_rule_keys, wheel_graph
+from conftest import (
+    checked_three_way_coloring,
+    connected_graphs,
+    hub_graph,
+    prism_graph,
+    stage2_rule_keys,
+    wheel_graph,
+)
 
 # Color-set triples attainable by inner tree vertices after the periodic
 # stage, in (first, second, third) order.
@@ -297,7 +304,7 @@ WHEEL_EXPECTED_RULE = {
 @pytest.mark.parametrize("n,rule", sorted(WHEEL_EXPECTED_RULE.items()))
 def test_wheels_cover_case_one(n, rule):
     g, dom = wheel_graph(n)
-    col, certs, report = three_way_coloring(g, dom, check_steps=True)
+    col, certs, report = checked_three_way_coloring(g, dom)
     assert rule in report.rule_keys
     assert is_3_rainbow(g, col).verdict
     assert col.num_colors <= 6
@@ -306,7 +313,7 @@ def test_wheels_cover_case_one(n, rule):
 @pytest.mark.parametrize("k", range(3, 10))
 def test_prisms_run_clean(k):
     g, dom = prism_graph(k)
-    col, certs, report = three_way_coloring(g, dom, check_steps=True)
+    col, certs, report = checked_three_way_coloring(g, dom)
     assert is_3_rainbow(g, col).verdict
     for cert in certs:
         assert class_membership(cert.color_sets) is not None
@@ -324,7 +331,7 @@ CRAFTED = {
 def test_crafted_components_hit_recolored_target_rows(rule):
     comp_edges, n_comp, spare = CRAFTED[rule]
     g, dom = hub_graph(comp_edges, n_comp, spare)
-    col, certs, report = three_way_coloring(g, dom, check_steps=True)
+    col, certs, report = checked_three_way_coloring(g, dom)
     assert rule in report.rule_keys
     assert is_3_rainbow(g, col).verdict
 
@@ -368,7 +375,7 @@ def test_first_level_recolor_reroutes_root_path():
     # the processed leaf is the first first-level vertex, whose leg carries
     # the root's stored second path
     g, dom = hub_graph([(0, 1), (0, 2), (0, 3), (1, 2)], 4, spare=[2, 3])
-    col, certs, report = three_way_coloring(g, dom, check_steps=True)
+    col, certs, report = checked_three_way_coloring(g, dom)
     assert (3, 1, 0, False) in report.rule_keys
     root_cert = [c for c in certs if c.vertex == 0][0]
     assert root_cert.paths[1][1] == 2  # rerouted through the target vertex
@@ -473,7 +480,7 @@ def test_three_way_fuzz_arbitrary_dominating_sets():
         if dom is None or len(dom) == g.n:
             continue
         tested += 1
-        col, certs, rep = three_way_coloring(g, dom, check_steps=True)
+        col, certs, rep = checked_three_way_coloring(g, dom)
         assert col.num_colors <= rep.d + 6
         assert is_3_rainbow(g, col).verdict, seed
         for c in certs:
@@ -485,7 +492,7 @@ def test_three_way_fuzz_arbitrary_dominating_sets():
 @settings(max_examples=30, deadline=None)
 def test_three_way_property_small(g):
     dom = three_way_dominating_set(g)
-    col, certs, report = three_way_coloring(g, dom, check_steps=True)
+    col, certs, report = checked_three_way_coloring(g, dom)
     assert is_3_rainbow(g, col).verdict
     for cert in certs:
         assert verify_certificate(g, col, dom.vertices, cert)
@@ -500,8 +507,8 @@ def test_final_pass_rejects_a_broken_stored_path(monkeypatch, reroute):
     g, dom = wheel_graph(9)
     real = coloring.stage1_periodic
 
-    def broken(g, dom, tree, colors=None):
-        state = real(g, dom, tree, colors)
+    def broken(g, dom, tree):
+        state = real(g, dom, tree)
         root, z = tree.root, next(v for v in tree.order if tree.height[v] == 2)
         leg, second, third = state.certs[root]
         third = (root, z, state.leg[z]) if reroute == "through a non-edge" else third[:-1]
@@ -511,6 +518,23 @@ def test_final_pass_rejects_a_broken_stored_path(monkeypatch, reroute):
     monkeypatch.setattr(coloring, "stage1_periodic", broken)
     with pytest.raises(CertificateError, match=r"vertex 0 does not verify \(final pass\)"):
         three_way_coloring(g, dom)
+
+
+def test_step_check_catches_a_certificate_broken_mid_run(monkeypatch):
+    # a step that gives the root's second path its leg color breaks a stored
+    # certificate; the wrapper of checked_three_way_coloring sees it at once
+    g, dom = wheel_graph(9)
+    real = coloring.stage2_repair_step
+
+    def clashing(g, state, w):
+        key = real(g, state, w)
+        leg, second, _ = state.certs[state.tree.root]
+        state.colors[edge_key(*second[:2])] = state.colors[edge_key(*leg)]
+        return key
+
+    monkeypatch.setattr(coloring, "stage2_repair_step", clashing)
+    with pytest.raises(CertificateError, match=r"does not verify \(after a repair step\)"):
+        checked_three_way_coloring(g, dom)
 
 
 def test_final_pass_walks_each_certificate_once(monkeypatch):

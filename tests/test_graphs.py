@@ -216,13 +216,17 @@ def test_steiner_c5():
 def test_steiner_needs_three_distinct():
     with pytest.raises(GraphError):
         steiner_distance3(path_graph(4), {0, 1})
+    with pytest.raises(GraphError, match="need exactly 3 distinct vertices"):
+        steiner_distance3(path_graph(4), [0, 1, 1])
 
 
 def test_steiner_rejects_a_terminal_that_is_not_a_vertex():
-    with pytest.raises(GraphError, match=r"terminal 1\.5 is not a vertex"):
+    with pytest.raises(GraphError, match=r"^terminal 1\.5 is not a vertex of g \(n=4\)$"):
         steiner_distance3(path_graph(4), [0, 1, 1.5])
     with pytest.raises(GraphError, match="terminal 4 is not a vertex"):
         steiner_distance3(path_graph(4), [0, 1, 4])
+    with pytest.raises(GraphError, match="terminal -1 is not a vertex"):
+        steiner_distance3(path_graph(4), [0, 1, -1])
 
 
 @given(connected_graphs(min_n=3, max_n=7))

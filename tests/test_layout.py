@@ -3,7 +3,8 @@ module imports another module's private (underscore) names, and every
 module-level private name is used in its own module.  The benchmark
 harness in bench/ names package functions by string and by attribute, and it
 and scripts/ pass keywords to them, so the names and keywords they use are
-checked here too, by reading their files."""
+checked here too, by reading their files.  So are the README tour and the
+exported names no program reads."""
 import ast
 import importlib
 import inspect
@@ -240,3 +241,80 @@ def test_limits_are_read_only_where_they_apply():
         if path.name not in LIMIT_READERS[name]
     ]
     assert stray == []
+
+
+# Exported names that no program reads yet, each with the ROADMAP item that
+# gives it a caller.
+UNREAD_EXPORTS = {
+    "pickable": "item 2",
+    "class_membership": "item 2",
+    "all_class_triples": "item 2",
+    "steiner_distance3": "item 5",
+    "all_pairs_distances": "item 11",
+}
+EXPORTS = [n for n in rainbow3.__all__ if not inspect.ismodule(getattr(rainbow3, n))]
+PROGRAMS = (
+    [path for path in MODULES if path.name != "__init__.py"]
+    + sorted((ROOT / "scripts").glob("*.py"))
+    + sorted(BENCH.glob("*.py"))
+)
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names and attributes a module reads, leaving out what a top-level
+    function or class reads of its own name."""
+    read = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                read.add(name)
+    return read
+
+
+def _unread_exports(exported, trees) -> list[str]:
+    read = set().union(*map(_names_read, trees))
+    return sorted(name for name in exported if name not in read)
+
+
+def test_every_export_is_read_by_a_program():
+    trees = [ast.parse(path.read_text()) for path in PROGRAMS]
+    assert _unread_exports(EXPORTS, trees) == sorted(UNREAD_EXPORTS)
+
+
+def test_export_check_catches_an_uncalled_name():
+    source = "def helper():\n    return helper()\n\ndef caller():\n    return rb.attr + plain\n"
+    exported = ["helper", "caller", "attr", "plain"]
+    assert _unread_exports(exported, [ast.parse(source)]) == ["caller", "helper"]
+
+
+def _tour_problems(readme: str) -> list[str]:
+    """Backticked names of the README tour that their row's module lacks,
+    and exports the tour does not list."""
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    problems, listed = [], set()
+    for line in tour.splitlines():
+        if not line.startswith("| `rainbow3."):
+            continue
+        dotted, *names = line.split("`")[1::2]
+        module = importlib.import_module(dotted)
+        problems += [f"{dotted} has no {name}" for name in names if not hasattr(module, name)]
+        listed.update(names)
+    return problems + [f"{name} is not listed" for name in EXPORTS if name not in listed]
+
+
+def test_readme_tour_lists_every_export_and_nothing_else():
+    assert _tour_problems((ROOT / "README.md").read_text()) == []
+
+
+def test_tour_check_catches_a_stale_name():
+    readme = "## Library tour\n\n| `rainbow3.bounds` | `bounds_report`, `bound_b` |\n\n## Next\n"
+    problems = _tour_problems(readme)
+    assert problems[0] == "rainbow3.bounds has no bound_b"
+    assert "BoundsReport is not listed" in problems

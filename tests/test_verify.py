@@ -26,7 +26,6 @@ from rainbow3 import (
     edge_key,
     exact_rx3,
     exact_rx3_coloring,
-    exists_rainbow_s_tree,
     french_windmill,
     gstar,
     is_3_rainbow,
@@ -47,6 +46,7 @@ from conftest import (
     oracle_certificate,
     oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
+    oracle_rainbow_report,
     oracle_rainbow_s_tree,
     pickable_bruteforce,
     random_connected,
@@ -57,46 +57,32 @@ def _coloring(pairs):
     return EdgeColoring.from_dict({(min(u, v), max(u, v)): c for (u, v), c in pairs})
 
 
+# On three vertices the one triple is the whole graph, so the verdict is
+# whether that triple has a rainbow tree.
+
 def test_exists_rainbow_path():
     g = path_graph(3)
     col = _coloring([((0, 1), 1), ((1, 2), 2)])
-    assert exists_rainbow_s_tree(g, col, {0, 1, 2})
+    assert is_3_rainbow(g, col).verdict
 
 
 def test_exists_monochromatic_path_fails():
     g = path_graph(3)
     col = _coloring([((0, 1), 1), ((1, 2), 1)])
-    assert not exists_rainbow_s_tree(g, col, {0, 1, 2})
+    assert not is_3_rainbow(g, col).verdict
 
 
 def test_exists_monochromatic_triangle_fails():
     g = complete_graph(3)
     col = _coloring([((0, 1), 1), ((0, 2), 1), ((1, 2), 1)])
-    assert not exists_rainbow_s_tree(g, col, {0, 1, 2})
-
-
-def test_exists_rejects_a_terminal_that_is_not_a_vertex():
-    g = path_graph(4)
-    col = _coloring([((0, 1), 1), ((1, 2), 2), ((2, 3), 3)])
-    with pytest.raises(GraphError, match=r"^terminal 1\.5 is not a vertex of g \(n=4\)$"):
-        exists_rainbow_s_tree(g, col, [0, 1, 1.5])
-    with pytest.raises(GraphError, match="terminal -1 is not a vertex"):
-        exists_rainbow_s_tree(g, col, [0, 1, -1])
-    with pytest.raises(GraphError, match="need exactly 3 distinct vertices"):
-        exists_rainbow_s_tree(g, col, [0, 1, 1])
+    assert not is_3_rainbow(g, col).verdict
 
 
 def test_exists_limit_exceeded(monkeypatch):
-    # {0, 1, 3} on the rainbow path costs 9 units of walks from its three
-    # terminals and 2 of a failed join at median 0; the join at median 1
-    # succeeds before its cost is taken
+    # the rainbow 4-path needs more than 10 units of walk searches and joins
     g = path_graph(4)
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((2, 3), 3)])
-    monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 11)
-    assert exists_rainbow_s_tree(g, col, {0, 1, 3})
     monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 10)
-    with pytest.raises(VerifyLimitError, match="work budget 10 exceeded"):
-        exists_rainbow_s_tree(g, col, {0, 1, 3})
     with pytest.raises(VerifyLimitError, match="work budget 10 exceeded"):
         is_3_rainbow(g, col)
 
@@ -114,32 +100,15 @@ def test_default_work_budget_stops_many_colors():
         is_3_rainbow(g, col)
 
 
-@given(st.one_of(colored_graphs(max_n=6, max_colors=4), many_colored_graphs()))
-@settings(max_examples=40, deadline=None)
-def test_exists_matches_subtree_enumeration(drawn):
-    g, cols = drawn
-    col = EdgeColoring.from_dict(cols)
-    for s in itertools.combinations(range(g.n), 3):
-        assert exists_rainbow_s_tree(g, col, s) == oracle_rainbow_s_tree(g, col, s)
-
-
 @given(st.one_of(colored_graphs(max_n=9, max_colors=6), many_colored_graphs()))
 @settings(max_examples=40, deadline=None)
 def test_full_verifier_agrees_with_per_triple_dp(drawn):
+    # the witness is the first triple without a rainbow subtree, and its
+    # 1-based rank is the number of triples checked
     g, cols = drawn
     col = EdgeColoring.from_dict(cols)
     rep = is_3_rainbow(g, col)
-    triples = list(itertools.combinations(range(g.n), 3))
-    if rep.verdict:
-        assert rep.witness is None and rep.triples_checked == math.comb(g.n, 3)
-        assert all(exists_rainbow_s_tree(g, col, s) for s in triples)
-    else:
-        # the witness is the first failing triple, and its 1-based rank is
-        # the number of triples checked
-        rank = triples.index(rep.witness) + 1
-        assert rep.triples_checked == rank
-        assert not exists_rainbow_s_tree(g, col, rep.witness)
-        assert all(exists_rainbow_s_tree(g, col, s) for s in triples[: rank - 1])
+    assert (rep.verdict, rep.witness, rep.triples_checked) == oracle_rainbow_report(g, col)
 
 
 def test_is_3_rainbow_searches_one_untried_median_then_the_terminals(monkeypatch):
@@ -596,8 +565,12 @@ def test_certificate_check_matches_separate_tests():
 def test_certificate_colors_are_the_path_colors_in_order():
     g, dom, coloring, certs, _ = _plus6(40, 3, 1)
     for cert in certs:
-        along = [coloring.assignment[edge_key(a, b)] for p in cert.paths for a, b in zip(p, p[1:])]
+        along = tuple(
+            frozenset(coloring.assignment[edge_key(a, b)] for a, b in zip(p, p[1:]))
+            for p in cert.paths
+        )
         assert certificate_colors(g, coloring, dom, cert.vertex, cert.paths) == along
+        assert along == cert.color_sets
     cert = next(cert for cert in certs if len(cert.paths[1]) > 2)
     v, (leg, second, third) = cert.vertex, cert.paths
     assert certificate_colors(g, coloring, dom, v, (leg, third, second)) is not None
@@ -874,8 +847,6 @@ def test_work_budget_exceeded(monkeypatch):
     monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 2)
     with pytest.raises(VerifyLimitError, match="verifier work budget 2 exceeded"):
         is_3_rainbow(g, col)
-    with pytest.raises(VerifyLimitError, match="verifier work budget 2 exceeded"):
-        exists_rainbow_s_tree(g, col, {0, 1, 3})
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """3-rainbow edge colorings of graphs via strengthened connected dominating
 sets, with independent exhaustive verification machinery."""
 
+from types import ModuleType as _Module
+
 from .bounds import BoundsReport, bounds_report
 from .coloring import (
-    CertificateError,
     ColoringInternalError,
     ColoringReport,
     Stage1State,
@@ -22,7 +23,6 @@ from .domination import (
     DominatingSet,
     DominationError,
     DominationKind,
-    LimitError,
     cds_heuristic,
     check_domination,
     connected_dominating_set,
@@ -51,7 +51,7 @@ from .graphs import (
     BfsTree,
     Graph,
     GraphError,
-    all_pairs_distances,
+    LimitError,
     bfs_tree,
     build_graph,
     components_minus,
@@ -63,13 +63,13 @@ from .graphs import (
     sdiam3,
     sdiam3_with_triple,
     steiner_distance3,
+    vertex_set,
     write_edge_list,
 )
 from .verify import (
     CLASS_TABLE,
     EdgeColoring,
     SafetyCertificate,
-    VerifyLimitError,
     VerifyReport,
     all_class_triples,
     certificate_colors,
@@ -81,4 +81,4 @@ from .verify import (
     verify_certificate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _Module)]

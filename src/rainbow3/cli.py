@@ -22,7 +22,6 @@ from .coloring import (
 )
 from .domination import (
     DominationError,
-    LimitError,
     dominating_set,
     k_dominating,
     k_way,
@@ -40,21 +39,18 @@ from .generators import (
     star_graph,
     threshold_example,
 )
-from .graphs import GraphError, read_edge_list, sdiam3_with_triple, write_edge_list
+from .graphs import GraphError, LimitError, read_edge_list, sdiam3_with_triple, write_edge_list
 from .verify import (
     EXACT_KMAX,
     EXACT_MAX_EDGES,
     SafetyCertificate,
-    VerifyLimitError,
     exact_rx3,
     is_3_rainbow,
     verify_certificate,
 )
 
 # an unreadable, missing or non-UTF-8 file is a usage error too
-_USAGE_ERRORS = (
-    GraphError, DominationError, LimitError, VerifyLimitError, OSError, UnicodeDecodeError
-)
+_USAGE_ERRORS = (GraphError, DominationError, LimitError, OSError, UnicodeDecodeError)
 
 # `gen` family name -> its generator, called with the parsed options
 FAMILIES = {

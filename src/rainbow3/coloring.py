@@ -29,27 +29,25 @@ from .graphs import (
     BfsTree,
     Graph,
     GraphError,
+    LimitError,
     bfs_tree,
     build_graph,
     components_minus,
     edge_key,
     induced_subgraph,
+    vertex_set,
 )
 from .verify import (
     EdgeColoring,
     SafetyCertificate,
-    VerifyLimitError,
     certificate_colors,
     exact_rx3_coloring,
 )
 
 
 class ColoringInternalError(RuntimeError):
-    """The repair-pass dispatcher hit a situation its tables rule out."""
-
-
-class CertificateError(RuntimeError):
-    """A stored safety certificate does not verify."""
+    """A library bug: the repair-pass dispatcher hit a situation its tables
+    rule out, or the final pass found a certificate missing or not verifying."""
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,7 @@ def inner_coloring(g: Graph, dom: Iterable[int], offset: int) -> tuple[EdgeColor
     Solved to the exact minimum when G[D] is small enough, otherwise by the
     spanning-tree coloring with |D|-1 colors (which the additive set-size
     bounds rely on).  Returns (coloring, method)."""
-    dverts = sorted(set(dom))
-    if any(not isinstance(v, int) or not 0 <= v < g.n for v in dverts):
-        raise GraphError(f"D must hold vertices of g (n={g.n})")
+    dverts = sorted(vertex_set(g, dom))
     if len(dverts) < 2:
         return EdgeColoring.from_dict({}), "empty"
     spanning = _spanning_colors(g, dverts, offset)
@@ -135,7 +131,7 @@ def inner_coloring(g: Graph, dom: Iterable[int], offset: int) -> tuple[EdgeColor
         sub, back = induced_subgraph(g, dverts)
         try:
             solved = exact_rx3_coloring(sub)
-        except VerifyLimitError:
+        except LimitError:
             solved = None
         if solved is not None:
             shifted = {edge_key(back[u], back[v]): c + offset for (u, v), c in solved[1].items()}
@@ -562,13 +558,13 @@ def _checked_certificate(
     g: Graph, dset, coloring: EdgeColoring, v: int, paths: tuple | None
 ) -> SafetyCertificate:
     """The certificate of v's stored paths, its color sets read off the one
-    ``certificate_colors`` walk; CertificateError if they do not verify under
-    ``coloring``."""
+    ``certificate_colors`` walk; ColoringInternalError if they are missing or
+    do not verify under ``coloring``."""
     if paths is None:
         raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
     sets = certificate_colors(g, coloring, dset, v, paths)
     if sets is None:
-        raise CertificateError(f"certificate of vertex {v} does not verify (final pass)")
+        raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
     return SafetyCertificate(vertex=v, paths=paths, color_sets=sets)
 
 

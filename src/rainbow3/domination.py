@@ -6,15 +6,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, LimitError, is_connected, vertex_set
 
 
 class DominationError(ValueError):
     """The supplied set does not satisfy the required domination property."""
-
-
-class LimitError(RuntimeError):
-    """An exact search was asked to exceed its configured size limit."""
 
 
 EXACT = "exact"
@@ -71,9 +67,11 @@ class DominatingSet:
 
 
 def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool:
-    """True iff ``dom`` satisfies the named domination property in g."""
-    dset = frozenset(dom)
-    if any(v < 0 or v >= g.n for v in dset):
+    """True iff ``dom`` is a set of vertices of g with the named domination
+    property."""
+    try:
+        dset = vertex_set(g, dom)
+    except GraphError:
         return False
     need = kind.k_dominating
     for v in range(g.n):

@@ -19,6 +19,10 @@ class GraphError(ValueError):
     """Malformed graph input or an unmet structural precondition."""
 
 
+class LimitError(RuntimeError):
+    """A search, verifier or solver was asked to exceed its configured limit."""
+
+
 def edge_key(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
@@ -72,9 +76,19 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, edges=edges, adj=adj, edge_set=frozenset(edges))
 
 
+def vertex_set(g: Graph, verts: Iterable[int]) -> frozenset:
+    """``verts`` as a frozenset, after checking that each member is an int in
+    range(g.n); a one-line GraphError names a member that is not."""
+    vset = frozenset(verts)
+    for v in vset:
+        if not isinstance(v, int) or not 0 <= v < g.n:
+            raise GraphError(f"vertex {v!r} is not a vertex of g (n={g.n})")
+    return vset
+
+
 def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``verts`` relabeled 0..k-1; returns (graph, new->old map)."""
-    order = sorted(set(verts))
+    order = sorted(vertex_set(g, verts))
     index = {v: i for i, v in enumerate(order)}
     edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
     return build_graph(len(order), edges), order
@@ -82,11 +96,12 @@ def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:
 
 def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
     """Connectivity of g, or of its subgraph induced on ``within`` (vertices of g)."""
-    mark = bytearray(b"\x01") * g.n if within is None else bytearray(g.n)
-    for v in within or ():
-        if not isinstance(v, int) or not 0 <= v < g.n:
-            raise GraphError(f"vertex {v!r} is not a vertex of g (n={g.n})")
-        mark[v] = 1
+    if within is None:
+        mark = bytearray(b"\x01") * g.n
+    else:
+        mark = bytearray(g.n)
+        for v in vertex_set(g, within):
+            mark[v] = 1
     if 1 not in mark:
         return True
     stack = [mark.index(1)]
@@ -102,9 +117,7 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
 def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
     """Connected components of G - D, each a sorted vertex tuple, in
     smallest-vertex order."""
-    dset = set(dom)
-    if any(v < 0 or v >= g.n for v in dset):
-        raise GraphError("dominating set contains out-of-range vertices")
+    dset = vertex_set(g, dom)
     seen: set[int] = set()
     comps: list[tuple[int, ...]] = []
     for s in range(g.n):
@@ -149,7 +162,7 @@ class BfsTree:
 
 def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
     """BFS tree of a connected component, visiting neighbors in ascending id."""
-    comp = set(component)
+    comp = vertex_set(g, component)
     if root not in comp:
         raise GraphError(f"root {root} not in component")
     parent: dict = {root: None}
@@ -248,11 +261,6 @@ def _distance_rows(balls: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Symmetric shortest-path matrix; raises naming two unreachable vertices."""
-    return _distance_rows(_ball_table(g))
-
-
 def diameter(g: Graph) -> int:
     """Largest eccentricity; raises on an empty or disconnected graph."""
     balls = _ball_table(g)
@@ -263,11 +271,7 @@ def diameter(g: Graph) -> int:
 
 def three_terminals(g: Graph, s: Iterable[int]) -> list[int]:
     """The 3-set ``s`` of vertices of g, ascending; a one-line GraphError if not."""
-    terms = list(s)
-    for t in terms:
-        if not isinstance(t, int) or not 0 <= t < g.n:
-            raise GraphError(f"terminal {t!r} is not a vertex of g (n={g.n})")
-    terms = sorted(set(terms))
+    terms = sorted(vertex_set(g, s))
     if len(terms) != 3:
         raise GraphError(f"need exactly 3 distinct vertices of g, got {terms}")
     return terms

@@ -15,11 +15,7 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import Container, Iterator, Sequence
 
-from .graphs import Graph, GraphError, sdiam3
-
-
-class VerifyLimitError(RuntimeError):
-    """A verifier or solver was asked to exceed its configured limit."""
+from .graphs import Graph, GraphError, LimitError, sdiam3
 
 
 # Default limits: the largest color count and edge count the exact solver
@@ -196,7 +192,7 @@ def _spend(work: list[int], units: int) -> None:
     """Take units from work[0], the units one verifier call has left."""
     work[0] -= units
     if work[0] < 0:
-        raise VerifyLimitError(f"verifier work budget {VERIFY_WORK_BUDGET} exceeded")
+        raise LimitError(f"verifier work budget {VERIFY_WORK_BUDGET} exceeded")
 
 
 def _color_bits(g: Graph, c: EdgeColoring) -> list[list[tuple[int, int]]]:
@@ -532,7 +528,7 @@ def _search_coloring(g: Graph, k: int, trees: list, trees_with_edge: list,
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise VerifyLimitError(f"exact search node budget {budget} exceeded")
+            raise LimitError(f"exact search node budget {budget} exceeded")
         if ei == m:
             return True
         for col in range(1, min(k, used + 1) + 1):
@@ -560,13 +556,11 @@ def exact_rx3_coloring(
 ) -> tuple[int, dict] | None:
     """(minimum color count, witness coloring), or None above kmax."""
     if not 1 <= kmax <= EXACT_KMAX:
-        raise VerifyLimitError(f"kmax must be in 1..{EXACT_KMAX}, got {kmax}")
+        raise LimitError(f"kmax must be in 1..{EXACT_KMAX}, got {kmax}")
     if max_edges < 0:
-        raise VerifyLimitError(f"max_edges must be >= 0, got {max_edges}")
+        raise LimitError(f"max_edges must be >= 0, got {max_edges}")
     if g.m > max_edges:
-        raise VerifyLimitError(
-            f"exact solver limited to {max_edges} edges, got {g.m}"
-        )
+        raise LimitError(f"exact solver limited to {max_edges} edges, got {g.m}")
     if g.n < 3:
         raise GraphError(f"3-rainbow index needs n >= 3, got n={g.n}")
     lower = max(2, sdiam3(g))

@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 import rainbow3.coloring as coloring
 import rainbow3.verify as verify
 from rainbow3 import (
-    CertificateError,
+    ColoringInternalError,
     EdgeColoring,
     GraphError,
+    LimitError,
     build_graph,
     certificate_colors,
     edge_key,
@@ -210,7 +211,7 @@ def _oracle_search_coloring(g, k):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise verify.VerifyLimitError(f"exact search node budget {budget} exceeded")
+            raise LimitError(f"exact search node budget {budget} exceeded")
         if ei == m:
             return True
         for col in range(1, min(k, used + 1) + 1):
@@ -420,7 +421,7 @@ def checked_three_way_coloring(g, dom):
     """`three_way_coloring` with `stage2_repair_step` wrapped: after each
     repair step every vertex certified so far is re-verified under the
     component's colors, and a certificate that stopped verifying raises
-    CertificateError.  Checks that every reported repair step was wrapped."""
+    ColoringInternalError.  Checks that every reported repair step was wrapped."""
     dset = frozenset(getattr(dom, "vertices", dom))
     step = coloring.stage2_repair_step
     checked = []
@@ -430,7 +431,7 @@ def checked_three_way_coloring(g, dom):
         snapshot = EdgeColoring.from_dict(state.colors)
         for x in sorted(state.certs):
             if certificate_colors(g, snapshot, dset, x, state.certs[x]) is None:
-                raise CertificateError(
+                raise ColoringInternalError(
                     f"certificate of vertex {x} does not verify (after a repair step)"
                 )
         checked.append(w)

@@ -259,7 +259,7 @@ def test_criterion_5_random_pipeline(corpus_results):
 def test_criterion_8_stepwise_safety(corpus_results):
     # the corpus fixture ran through checked_three_way_coloring: any
     # certificate that stopped verifying mid-run would have raised
-    # CertificateError there
+    # ColoringInternalError there
     steps = sum(r["steps"] for r in corpus_results)
     ok = len(corpus_results) == CORPUS_SIZE
     assert _report(

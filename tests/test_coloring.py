@@ -8,7 +8,6 @@ import rainbow3.coloring as coloring
 import rainbow3.verify as verify
 
 from rainbow3 import (
-    CertificateError,
     DominationError,
     EdgeColoring,
     GraphError,
@@ -112,7 +111,7 @@ def test_inner_disconnected_rejected():
 
 def test_inner_rejects_a_member_that_is_not_a_vertex():
     for bad in (-1, 6, 1.5):
-        with pytest.raises(GraphError, match=r"^D must hold vertices of g \(n=6\)$"):
+        with pytest.raises(GraphError, match=r"^vertex .+ is not a vertex of g \(n=6\)$"):
             inner_coloring(cycle_graph(6), {0, 1, bad}, offset=6)
 
 
@@ -439,6 +438,16 @@ def test_three_way_rejects_weak_set():
         three_way_coloring(g, {0})
 
 
+@pytest.mark.parametrize("bad", ["a", None, 1.5, -1])
+def test_constructions_reject_a_member_that_is_not_a_vertex(bad):
+    # a valid D plus one member that is not a vertex of g is not a D of g
+    with pytest.raises(DominationError, match="3-dominating"):
+        three_dom_coloring(complete_graph(5), [*range(5), bad])
+    g, dom = wheel_graph(9)
+    with pytest.raises(DominationError, match="three-way"):
+        three_way_coloring(g, {*dom, bad})
+
+
 def test_color_budget_and_reserved_palettes():
     g = random_min_degree(18, 3, seed=11)
     dom = three_way_dominating_set(g)
@@ -516,7 +525,7 @@ def test_final_pass_rejects_a_broken_stored_path(monkeypatch, reroute):
         return state
 
     monkeypatch.setattr(coloring, "stage1_periodic", broken)
-    with pytest.raises(CertificateError, match=r"vertex 0 does not verify \(final pass\)"):
+    with pytest.raises(ColoringInternalError, match=r"vertex 0 does not verify \(final pass\)"):
         three_way_coloring(g, dom)
 
 
@@ -533,7 +542,7 @@ def test_step_check_catches_a_certificate_broken_mid_run(monkeypatch):
         return key
 
     monkeypatch.setattr(coloring, "stage2_repair_step", clashing)
-    with pytest.raises(CertificateError, match=r"does not verify \(after a repair step\)"):
+    with pytest.raises(ColoringInternalError, match=r"does not verify \(after a repair step\)"):
         checked_three_way_coloring(g, dom)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from rainbow3 import (
     GraphError,
-    all_pairs_distances,
     bfs_tree,
     build_graph,
     complete_graph,
@@ -15,6 +15,7 @@ from rainbow3 import (
     diameter,
     french_windmill,
     gstar,
+    induced_subgraph,
     is_connected,
     path_graph,
     random_min_degree,
@@ -25,6 +26,7 @@ from rainbow3 import (
     steiner_distance3,
     write_edge_list,
 )
+import rainbow3.graphs as graphs
 from rainbow3.graphs import bfs_distances
 from conftest import (
     connected_graphs,
@@ -90,6 +92,19 @@ def test_is_connected_matches_plain_set_logic(drawn):
     g, dset, _ = drawn
     assert is_connected(g, dset) == oracle_connected(dset, g.edges)
     assert is_connected(g, sorted(dset, reverse=True)) == oracle_connected(dset, g.edges)
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 6, "x"])
+def test_vertex_set_checks_reject_a_member_that_is_not_a_vertex(bad):
+    # one message from every function that takes a vertex set
+    g = cycle_graph(6)
+    message = rf"^vertex {re.escape(repr(bad))} is not a vertex of g \(n=6\)$"
+    with pytest.raises(GraphError, match=message):
+        components_minus(g, {0, bad})
+    with pytest.raises(GraphError, match=message):
+        bfs_tree(g, [0, 1, bad], 0)
+    with pytest.raises(GraphError, match=message):
+        induced_subgraph(g, [0, 1, bad])
 
 
 def test_components_windmill():
@@ -159,7 +174,7 @@ def test_bfs_edges_never_skip_a_level(g):
 
 
 def test_apsp_k4():
-    dist = all_pairs_distances(complete_graph(4))
+    dist = graphs._distance_rows(graphs._ball_table(complete_graph(4)))
     assert all(dist[u][v] == 1 for u in range(4) for v in range(4) if u != v)
     assert diameter(complete_graph(4)) == 1
 
@@ -177,7 +192,7 @@ def test_apsp_gstar_diam_8():
 def test_apsp_disconnected_names_vertices():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphError, match="0 and 2"):
-        all_pairs_distances(g)
+        diameter(g)
 
 
 def test_diameter_of_one_vertex_and_of_none():
@@ -192,7 +207,7 @@ def test_diameter_of_one_vertex_and_of_none():
 @example(random_min_degree(300, 2, 302))
 @settings(max_examples=60)
 def test_apsp_rows_are_bfs_rows(g):
-    dist = all_pairs_distances(g)
+    dist = graphs._distance_rows(graphs._ball_table(g))
     assert dist == tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
     assert diameter(g) == max(max(row) for row in dist)
 
@@ -221,12 +236,9 @@ def test_steiner_needs_three_distinct():
 
 
 def test_steiner_rejects_a_terminal_that_is_not_a_vertex():
-    with pytest.raises(GraphError, match=r"^terminal 1\.5 is not a vertex of g \(n=4\)$"):
-        steiner_distance3(path_graph(4), [0, 1, 1.5])
-    with pytest.raises(GraphError, match="terminal 4 is not a vertex"):
-        steiner_distance3(path_graph(4), [0, 1, 4])
-    with pytest.raises(GraphError, match="terminal -1 is not a vertex"):
-        steiner_distance3(path_graph(4), [0, 1, -1])
+    for bad, shown in ((1.5, r"1\.5"), (4, "4"), (-1, "-1")):
+        with pytest.raises(GraphError, match=rf"^vertex {shown} is not a vertex of g \(n=4\)$"):
+            steiner_distance3(path_graph(4), [0, 1, bad])
 
 
 @given(connected_graphs(min_n=3, max_n=7))

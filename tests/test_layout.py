@@ -3,8 +3,9 @@ module imports another module's private (underscore) names, and every
 module-level private name is used in its own module.  The benchmark
 harness in bench/ names package functions by string and by attribute, and it
 and scripts/ pass keywords to them, so the names and keywords they use are
-checked here too, by reading their files.  So are the README tour and the
-exported names no program reads."""
+checked here too, by reading their files.  So are the README tour, the
+exported names no program reads, and the exported exception classes the
+command line would let through as a traceback."""
 import ast
 import importlib
 import inspect
@@ -13,6 +14,7 @@ import pathlib
 import pytest
 
 import rainbow3
+import rainbow3.cli
 
 MODULES = sorted(pathlib.Path(rainbow3.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -250,9 +252,8 @@ UNREAD_EXPORTS = {
     "class_membership": "item 2",
     "all_class_triples": "item 2",
     "steiner_distance3": "item 5",
-    "all_pairs_distances": "item 11",
 }
-EXPORTS = [n for n in rainbow3.__all__ if not inspect.ismodule(getattr(rainbow3, n))]
+EXPORTS = rainbow3.__all__
 PROGRAMS = (
     [path for path in MODULES if path.name != "__init__.py"]
     + sorted((ROOT / "scripts").glob("*.py"))
@@ -286,6 +287,37 @@ def _unread_exports(exported, trees) -> list[str]:
 def test_every_export_is_read_by_a_program():
     trees = [ast.parse(path.read_text()) for path in PROGRAMS]
     assert _unread_exports(EXPORTS, trees) == sorted(UNREAD_EXPORTS)
+
+
+def test_no_module_is_exported():
+    assert [n for n in EXPORTS if inspect.ismodule(getattr(rainbow3, n))] == []
+
+
+def _uncovered_errors(exported, covered) -> list[str]:
+    """Exported exception classes that are no subclass of a ``covered``
+    class, other than ColoringInternalError, which reports a library bug."""
+    return sorted(
+        cls.__name__
+        for cls in exported
+        if isinstance(cls, type) and issubclass(cls, BaseException)
+        and cls is not rainbow3.ColoringInternalError and not issubclass(cls, covered)
+    )
+
+
+def test_every_exported_error_is_a_cli_usage_error():
+    exported = [getattr(rainbow3, n) for n in EXPORTS]
+    assert _uncovered_errors(exported, rainbow3.cli._USAGE_ERRORS) == []
+
+
+def test_error_check_catches_an_uncovered_class():
+    class StrayError(RuntimeError):
+        pass
+
+    class NarrowGraphError(rainbow3.GraphError):
+        pass
+
+    exported = [StrayError, NarrowGraphError, rainbow3.ColoringInternalError, rainbow3.Graph]
+    assert _uncovered_errors(exported, rainbow3.cli._USAGE_ERRORS) == ["StrayError"]
 
 
 def test_export_check_catches_an_uncalled_name():

@@ -12,8 +12,8 @@ from rainbow3 import (
     CLASS_TABLE,
     EdgeColoring,
     GraphError,
+    LimitError,
     SafetyCertificate,
-    VerifyLimitError,
     VerifyReport,
     all_class_triples,
     build_graph,
@@ -47,7 +47,6 @@ from conftest import (
     oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
     oracle_rainbow_report,
-    oracle_rainbow_s_tree,
     pickable_bruteforce,
     random_connected,
 )
@@ -83,7 +82,7 @@ def test_exists_limit_exceeded(monkeypatch):
     g = path_graph(4)
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((2, 3), 3)])
     monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 10)
-    with pytest.raises(VerifyLimitError, match="work budget 10 exceeded"):
+    with pytest.raises(LimitError, match="work budget 10 exceeded"):
         is_3_rainbow(g, col)
 
 
@@ -96,7 +95,7 @@ def test_default_work_budget_stops_many_colors():
     assert (rep.verdict, rep.witness, rep.triples_checked) == (True, None, 56)
     g = complete_graph(10)
     col = EdgeColoring.from_dict({e: i % 28 + 1 for i, e in enumerate(g.edges)})
-    with pytest.raises(VerifyLimitError, match="verifier work budget"):
+    with pytest.raises(LimitError, match="verifier work budget"):
         is_3_rainbow(g, col)
 
 
@@ -711,9 +710,9 @@ def test_exact_witness_verifies():
 
 
 def test_exact_respects_limits():
-    with pytest.raises(VerifyLimitError, match="edges"):
+    with pytest.raises(LimitError, match="edges"):
         exact_rx3(french_windmill(3).graph)
-    with pytest.raises(VerifyLimitError, match="kmax"):
+    with pytest.raises(LimitError, match="kmax"):
         exact_rx3(complete_graph(4), kmax=9)
 
 
@@ -723,16 +722,16 @@ def test_exact_exceeds_kmax_returns_none():
 
 def test_exact_node_budget_exceeded(monkeypatch):
     monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", 3)
-    with pytest.raises(VerifyLimitError, match="node budget 3 exceeded"):
+    with pytest.raises(LimitError, match="node budget 3 exceeded"):
         exact_rx3(cycle_graph(5))
 
 
 def test_exact_rejects_malformed_limits():
-    with pytest.raises(VerifyLimitError, match="kmax must be in 1..8, got 0"):
+    with pytest.raises(LimitError, match="kmax must be in 1..8, got 0"):
         exact_rx3_coloring(path_graph(3), kmax=0)
-    with pytest.raises(VerifyLimitError, match="kmax must be in 1..8, got -3"):
+    with pytest.raises(LimitError, match="kmax must be in 1..8, got -3"):
         exact_rx3_coloring(path_graph(3), kmax=-3)
-    with pytest.raises(VerifyLimitError, match="max_edges must be >= 0, got -1"):
+    with pytest.raises(LimitError, match="max_edges must be >= 0, got -1"):
         exact_rx3_coloring(path_graph(3), max_edges=-1)
     assert exact_rx3_coloring(path_graph(3), kmax=1) is None
 
@@ -758,7 +757,7 @@ def test_exact_node_count_pinned(case, monkeypatch):
     monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes - 1)
     for solve in (lambda: exact_rx3_coloring(g, **limits),
                   lambda: oracle_exact_rx3_coloring(g, kmax=kmax)):
-        with pytest.raises(VerifyLimitError, match=f"node budget {nodes - 1} exceeded"):
+        with pytest.raises(LimitError, match=f"node budget {nodes - 1} exceeded"):
             solve()
 
 
@@ -770,7 +769,7 @@ def _least_budget(solve, monkeypatch):
         try:
             solve()
             break
-        except VerifyLimitError:
+        except LimitError:
             lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -778,7 +777,7 @@ def _least_budget(solve, monkeypatch):
         try:
             solve()
             hi = mid
-        except VerifyLimitError:
+        except LimitError:
             lo = mid
     return hi
 
@@ -819,7 +818,7 @@ def test_exact_kill_list_order_changes_nothing(case, monkeypatch):
         assert solve() == expected
         monkeypatch.setattr("rainbow3.verify._tree_levels", shuffled(seed))
         monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes - 1)
-        with pytest.raises(VerifyLimitError, match=f"node budget {nodes - 1} exceeded"):
+        with pytest.raises(LimitError, match=f"node budget {nodes - 1} exceeded"):
             solve()
 
 
@@ -837,7 +836,7 @@ def test_exact_gstar_3_0_pinned(monkeypatch):
     assert [col for _, col in sorted(witness.items())] == GSTAR_3_0_WITNESS
     assert is_3_rainbow(g, EdgeColoring.from_dict(witness)).verdict
     monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", GSTAR_3_0_NODES - 1)
-    with pytest.raises(VerifyLimitError, match=f"node budget {GSTAR_3_0_NODES - 1} exceeded"):
+    with pytest.raises(LimitError, match=f"node budget {GSTAR_3_0_NODES - 1} exceeded"):
         exact_rx3_coloring(g, max_edges=g.m)
 
 
@@ -845,7 +844,7 @@ def test_work_budget_exceeded(monkeypatch):
     g = cycle_graph(5)
     col = spanning_tree_coloring(g)
     monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 2)
-    with pytest.raises(VerifyLimitError, match="verifier work budget 2 exceeded"):
+    with pytest.raises(LimitError, match="verifier work budget 2 exceeded"):
         is_3_rainbow(g, col)
 
 
@@ -862,28 +861,23 @@ def test_is_3_rainbow_verifies_plus6_past_desk_size(g):
     assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
 
 
-def _oracle_3_rainbow(g, coloring):
-    return all(
-        oracle_rainbow_s_tree(g, coloring, t) for t in itertools.combinations(range(g.n), 3)
-    )
-
-
 @given(many_colored_graphs())
 @settings(max_examples=30, deadline=None)
 def test_is_3_rainbow_matches_oracle_with_many_colors(drawn):
     # up to one distinct color per edge, so more than 14 colors can occur
     g, cols = drawn
     col = EdgeColoring.from_dict(cols)
-    assert is_3_rainbow(g, col).verdict == _oracle_3_rainbow(g, col)
+    assert is_3_rainbow(g, col).verdict == oracle_rainbow_report(g, col)[0]
 
 
 @given(connected_graphs(min_n=3, max_n=5).filter(lambda g: g.m <= 6))
 @settings(max_examples=100, deadline=None)
 def test_exact_is_minimal_by_oracle(g):
     k, witness = exact_rx3_coloring(g)
-    assert _oracle_3_rainbow(g, EdgeColoring.from_dict(witness))
+    assert oracle_rainbow_report(g, EdgeColoring.from_dict(witness))[0]
     for cols in itertools.product(range(1, k), repeat=g.m):
-        assert not _oracle_3_rainbow(g, EdgeColoring.from_dict(dict(zip(g.edges, cols))))
+        coloring = EdgeColoring.from_dict(dict(zip(g.edges, cols)))
+        assert not oracle_rainbow_report(g, coloring)[0]
 
 
 @given(connected_graphs(min_n=3, max_n=8).filter(lambda g: g.m <= 14))

@@ -65,7 +65,7 @@ class ColoringReport:
 
 
 def _path_colors(colors: dict, path: tuple) -> frozenset:
-    return frozenset(colors[edge_key(a, b)] for a, b in zip(path, path[1:]))
+    return frozenset([colors[(a, b) if a < b else (b, a)] for a, b in zip(path, path[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +86,14 @@ def _spanning_colors(g: Graph, verts: Sequence[int], offset: int) -> dict | None
     """``spanning_tree_coloring`` of G[verts] shifted by offset, in g's labels, or None
     if G[verts] is disconnected: a BFS from min(verts), the first of the ascending
     ``verts``, has the order and parents of ``bfs_tree`` on the relabeled G[verts]."""
-    mark = bytearray(g.n)
+    adj, mark = g.adj, bytearray(g.n)
     for v in verts:
         mark[v] = 1
     colors: dict = {}
     queue = list(verts[:1])
     for u in queue:
         mark[u] = 2
-        for w in g.adj[u]:
+        for w in adj[u]:
             if mark[w] == 1:
                 mark[w] = 2
                 colors[(u, w) if u < w else (w, u)] = offset + len(queue)
@@ -101,7 +101,7 @@ def _spanning_colors(g: Graph, verts: Sequence[int], offset: int) -> dict | None
     if len(queue) != len(verts):
         return None
     for u in verts:
-        for w in g.adj[u]:
+        for w in adj[u]:
             if w > u and mark[w]:
                 colors.setdefault((u, w), offset + 1)
     return colors
@@ -229,34 +229,29 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
             "BFS root of a >=3-vertex component must have two component neighbors"
         )
     state = Stage1State(tree=tree)
-    for v in tree.order:
-        for w in g.adj[v]:
+    adj, leg, colors, certs = g.adj, state.leg, state.colors, state.certs
+    parent, height, pi, children = tree.parent, tree.height, tree.pi, tree.children
+    root, order = tree.root, tree.order
+    first, last = tree.first_level[0], tree.first_level[-1]
+    for v in order:
+        for w in adj[v]:
             if w in dom:
-                state.leg[v] = w
+                leg[v] = w
                 break
         else:
             raise DominationError(f"vertex {v} has no leg into D")
-    state.colors[state.leg_edge(tree.root)] = 2
-    for v in tree.order[1:]:
-        table = _TYPE_II_FE if tree.is_type_two(v) else _TYPE_I_FE
-        f_col, e_col = table[tree.height[v] % 3]
-        state.colors[state.tree_edge(v)] = f_col
-        state.colors[state.leg_edge(v)] = e_col
-    root = tree.root
-    first, last = tree.first_level[0], tree.first_level[-1]
-    state.certs[root] = (
-        (root, state.leg[root]),
-        _path(state, root, first, 2),
-        _path(state, root, last, 2),
-    )
-    for v in tree.order[1:]:
-        kids = tree.children[v]
+    x = leg[root]
+    colors[(root, x) if root < x else (x, root)] = 2
+    certs[root] = ((root, x), (root, first, leg[first]), (root, last, leg[last]))
+    for v in order[1:]:
+        f_col, e_col = (_TYPE_II_FE if pi[v] == last else _TYPE_I_FE)[height[v] % 3]
+        p, x = parent[v], leg[v]
+        colors[(v, p) if v < p else (p, v)] = f_col
+        colors[(v, x) if v < x else (x, v)] = e_col
+        kids = children[v]
         if kids:
-            state.certs[v] = (
-                (v, state.leg[v]),
-                _path(state, v, tree.parent[v], 2),
-                _path(state, v, kids[0], 2),
-            )
+            kid = kids[0]
+            certs[v] = ((v, x), (v, p, leg[p]), (v, kid, leg[kid]))
         else:
             state.dangerous.append(v)
     return state
@@ -402,22 +397,23 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
     would falsify the transcription, not the method.
     """
     tree = state.tree
-    targets = [
-        u for u in g.adj[w] if u in tree.parent and edge_key(w, u) not in state.colors
+    colors, height, pi, last = state.colors, tree.height, tree.pi, tree.first_level[-1]
+    targets = [  # height holds exactly the component's vertices
+        u for u in g.adj[w] if u in height and ((w, u) if w < u else (u, w)) not in colors
     ]
     if not targets:
         raise ColoringInternalError(
             f"dangerous leaf {w} reached the dispatcher with no uncolored edge"
         )
-    type_one = [u for u in targets if not tree.is_type_two(u)]
+    type_one = [u for u in targets if pi.get(u) != last]  # the root has no pi: type I
     if tree.is_type_two(w):
         case = 1 if type_one else 2
     else:
         case = 3 if type_one else 4
     pool = type_one if type_one else targets
-    v = min(pool, key=lambda u: (tree.height[u], u))
-    h = tree.height[w]
-    key = (case, h % 3, tree.height[v] - h, v in state.recolored)
+    v = min(pool, key=lambda u: (height[u], u))
+    h = height[w]
+    key = (case, h % 3, height[v] - h, v in state.recolored)
     rule = STAGE2_RULES.get(key)
     if rule is None:
         raise ColoringInternalError(
@@ -425,9 +421,9 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
         )
     if rule.expect_v is None and v not in state.certs:
         raise ColoringInternalError(f"rule {key} leaves target {v} uncertified")
-    state.colors[edge_key(w, v)] = rule.edge_color
+    colors[(w, v) if w < v else (v, w)] = rule.edge_color
     if rule.recolor is not None:
-        state.colors[state.leg_edge(w)] = rule.recolor
+        colors[state.leg_edge(w)] = rule.recolor
         state.recolored.add(w)
         root = tree.root
         root_cert = state.certs.get(root)
@@ -499,8 +495,7 @@ def three_way_coloring(
         root = next(v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2)
         tree = bfs_tree(g, comp, root)
         state = stage1_periodic(g, dset, tree)
-        for leaf in state.dangerous:
-            _repair_leaf_with_leg(g, dset, state, leaf)
+        _repair_leaves_with_legs(g, dset, state)
         pending = order_dangerous([v for v in state.dangerous if v not in state.certs], tree)
         for w in pending:
             if w in state.certs:
@@ -511,16 +506,25 @@ def three_way_coloring(
         rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
         cert_paths.update(state.certs)
-    for u, v in g.edges:
-        if (u not in dset or v not in dset) and edge_key(u, v) not in colors:
-            colors[edge_key(u, v)] = 1
+    for e in g.edges:  # canonical keys
+        if e not in colors and (e[0] not in dset or e[1] not in dset):
+            colors[e] = 1
     inner, inner_method = inner_coloring(g, dset, offset=6)
     colors.update(inner.assignment)
     coloring = EdgeColoring.from_dict(colors)
-    certificates = [
-        _checked_certificate(g, dset, coloring, v, cert_paths.get(v))
-        for v in range(g.n) if v not in dset
-    ]
+    # the final pass: each stored certificate, its color sets read off one
+    # certificate_colors walk under the finished coloring
+    certificates = []
+    for v in range(g.n):
+        if v in dset:
+            continue
+        paths = cert_paths.get(v)
+        if paths is None:
+            raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
+        sets = certificate_colors(g, coloring, dset, v, paths)
+        if sets is None:
+            raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
+        certificates.append(SafetyCertificate(v, paths, sets))
     report = ColoringReport(
         method="theorem3",
         n=g.n,
@@ -536,36 +540,29 @@ def three_way_coloring(
     return coloring, certificates, report
 
 
-def _repair_leaf_with_leg(g: Graph, dset: set, state: Stage1State, leaf: int) -> None:
-    """Stage 2 for leaves that still own an uncolored leg: color the
+def _repair_leaves_with_legs(g: Graph, dset: Container[int], state: Stage1State) -> None:
+    """Stage 2 for the leaves that still own an uncolored leg: color the
     smallest-foot one with the smallest color missing from the leaf's two
-    existing paths."""
-    spare = [
-        w for w in g.adj[leaf] if w in dset and edge_key(leaf, w) not in state.colors
-    ]
-    if not spare:
-        return
-    foot = min(spare)
-    p1 = (leaf, state.leg[leaf])
-    p3 = _path(state, leaf, state.tree.parent[leaf], 2)
-    used = _path_colors(state.colors, p1) | _path_colors(state.colors, p3)
-    col = min(c for c in range(1, 7) if c not in used)
-    state.colors[edge_key(leaf, foot)] = col
-    state.certs[leaf] = (p1, (leaf, foot), p3)
-
-
-def _checked_certificate(
-    g: Graph, dset, coloring: EdgeColoring, v: int, paths: tuple | None
-) -> SafetyCertificate:
-    """The certificate of v's stored paths, its color sets read off the one
-    ``certificate_colors`` walk; ColoringInternalError if they are missing or
-    do not verify under ``coloring``."""
-    if paths is None:
-        raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-    sets = certificate_colors(g, coloring, dset, v, paths)
-    if sets is None:
-        raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
-    return SafetyCertificate(vertex=v, paths=paths, color_sets=sets)
+    existing paths, its leg and the path through its parent."""
+    adj, colors, leg, parent = g.adj, state.colors, state.leg, state.tree.parent
+    for leaf in state.dangerous:
+        for foot in adj[leaf]:
+            if foot in dset and ((leaf, foot) if leaf < foot else (foot, leaf)) not in colors:
+                break
+        else:
+            continue
+        x, p = leg[leaf], parent[leaf]
+        px = leg[p]
+        used = {
+            colors[(leaf, x) if leaf < x else (x, leaf)],
+            colors[(leaf, p) if leaf < p else (p, leaf)],
+            colors[(p, px) if p < px else (px, p)],
+        }
+        col = 1
+        while col in used:
+            col += 1
+        colors[(leaf, foot) if leaf < foot else (foot, leaf)] = col
+        state.certs[leaf] = ((leaf, x), (leaf, foot), (leaf, p, px))
 
 
 # ---------------------------------------------------------------------------

@@ -73,19 +73,14 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
         dset = vertex_set(g, dom)
     except GraphError:
         return False
-    need = kind.k_dominating
+    need, low, adj = kind.k_dominating, kind.k_way, g.adj
     for v in range(g.n):
         if v in dset:
             continue
-        if kind.k_way and len(g.adj[v]) < kind.k_way:
-            return False
-        count = 0
-        for w in g.adj[v]:
-            if w in dset:
-                count += 1
-                if count >= need:
-                    break
-        if count < need:
+        nbrs = adj[v]
+        if len(nbrs) < low or (
+            dset.isdisjoint(nbrs) if need == 1 else len(dset.intersection(nbrs)) < need
+        ):
             return False
     return is_connected(g, dset)
 
@@ -160,31 +155,31 @@ def cds_heuristic(g: Graph) -> DominatingSet:
         raise DominationError("no connected dominating set exists")
     if g.n == 1:
         return DominatingSet(frozenset({0}), HEURISTIC)
-    root = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    outside = [len(nbrs) for nbrs in g.adj]
-    in_tree = [False] * g.n
-    heap: list[tuple[int, int]] = []
-
-    def join(w: int) -> None:
-        in_tree[w] = True
-        for x in g.adj[w]:
-            outside[x] -= 1
-        heapq.heappush(heap, (-outside[w], w))
-
-    join(root)
-    size = 1
+    adj, n = g.adj, g.n
+    outside = [len(nbrs) for nbrs in adj]
+    root = outside.index(max(outside))
+    in_tree = bytearray(n)
+    in_tree[root] = 1
+    for x in adj[root]:
+        outside[x] -= 1
+    heap = [(-outside[root], root)]
+    heappush, heappop = heapq.heappush, heapq.heappop
     internal: set[int] = set()
-    while size < g.n:
+    size = 1
+    while size < n:
         if not heap:
             raise GraphError("graph must be connected")
-        neg_new, best_v = heapq.heappop(heap)
-        if -neg_new != outside[best_v]:
-            heapq.heappush(heap, (-outside[best_v], best_v))
+        neg_new, v = heappop(heap)
+        if neg_new + outside[v]:  # stale: push back with the current count
+            heappush(heap, (-outside[v], v))
             continue
-        internal.add(best_v)
-        for w in g.adj[best_v]:
-            if not in_tree[w]:
-                join(w)
+        internal.add(v)
+        for w in adj[v]:
+            if not in_tree[w]:  # w joins the tree
+                in_tree[w] = 1
+                for x in adj[w]:
+                    outside[x] -= 1
+                heappush(heap, (-outside[w], w))
                 size += 1
     result = DominatingSet(frozenset(internal), HEURISTIC)
     if not check_domination(g, result.vertices, CONNECTED):
@@ -223,23 +218,25 @@ def dominating_set(
     if core is None:
         core = connected_dominating_set(g)
     dset = set(core.vertices)
+    adj, need = g.adj, kind.k_dominating
     if kind.k_way:
-        dset |= {v for v in range(g.n) if g.degree(v) < kind.k_way}
+        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < kind.k_way)
     for v in range(g.n):
         if v in dset:
             continue
-        inside = [w for w in g.adj[v] if w in dset]
-        if len(inside) >= kind.k_dominating:
+        nbrs = adj[v]
+        inside = len(dset.intersection(nbrs))
+        if inside >= need:
             continue
-        if g.degree(v) < kind.k_dominating:
+        if len(nbrs) < need:
             dset.add(v)
             continue
-        for w in g.adj[v]:
+        for w in nbrs:
             if w not in dset:
                 dset.add(w)
-                if len(inside) + 1 >= kind.k_dominating:
+                inside += 1
+                if inside >= need:
                     break
-                inside.append(w)
     provenance = core.provenance if dset == core.vertices else HEURISTIC
     result = DominatingSet(frozenset(dset), provenance)
     if not check_domination(g, result.vertices, kind):

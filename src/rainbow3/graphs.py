@@ -77,13 +77,15 @@ def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
 
 
 def vertex_set(g: Graph, verts: Iterable[int]) -> frozenset:
-    """``verts`` as a frozenset, after checking that each member is an int in
-    range(g.n); a one-line GraphError names a member that is not."""
-    vset = frozenset(verts)
-    for v in vset:
-        if not isinstance(v, int) or not 0 <= v < g.n:
-            raise GraphError(f"vertex {v!r} is not a vertex of g (n={g.n})")
-    return vset
+    """``verts`` as a frozenset, after checking in one pass that each member is
+    an int (not a bool) in range(g.n); a one-line GraphError names a member
+    that is not, unhashable ones included."""
+    n = g.n
+    members = verts if isinstance(verts, (set, frozenset)) else tuple(verts)
+    for v in members:
+        if type(v) is not int or not 0 <= v < n:
+            raise GraphError(f"vertex {v!r} is not a vertex of g (n={n})")
+    return frozenset(members)
 
 
 def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:
@@ -102,37 +104,39 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
         mark = bytearray(g.n)
         for v in vertex_set(g, within):
             mark[v] = 1
-    if 1 not in mark:
+    s = mark.find(1)
+    if s < 0:
         return True
-    stack = [mark.index(1)]
-    mark[stack[0]] = 0
-    while stack:
-        for w in g.adj[stack.pop()]:
+    adj = g.adj
+    mark[s] = 0
+    reached = [s]
+    for u in reached:
+        for w in adj[u]:
             if mark[w]:
                 mark[w] = 0
-                stack.append(w)
+                reached.append(w)
     return 1 not in mark
 
 
 def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
     """Connected components of G - D, each a sorted vertex tuple, in
     smallest-vertex order."""
-    dset = vertex_set(g, dom)
-    seen: set[int] = set()
+    adj = g.adj
+    mark = bytearray(g.n)  # 1 on D and on every vertex already in a component
+    for v in vertex_set(g, dom):
+        mark[v] = 1
     comps: list[tuple[int, ...]] = []
-    for s in range(g.n):
-        if s in dset or s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in dset and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
+    s = mark.find(0)
+    while s >= 0:
+        mark[s] = 1
+        comp = [s]
+        for u in comp:
+            for w in adj[u]:
+                if not mark[w]:
+                    mark[w] = 1
+                    comp.append(w)
         comps.append(tuple(sorted(comp)))
+        s = mark.find(0, s + 1)
     return comps
 
 
@@ -165,29 +169,26 @@ def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
     comp = vertex_set(g, component)
     if root not in comp:
         raise GraphError(f"root {root} not in component")
+    adj = g.adj
     parent: dict = {root: None}
     height = {root: 0}
     children: dict = {root: []}
     order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
+    for u in order:  # the list is the BFS queue
+        hw, kids = height[u] + 1, children[u]
+        for w in adj[u]:
             if w in comp and w not in parent:
                 parent[w] = u
-                height[w] = height[u] + 1
+                height[w] = hw
                 children[w] = []
-                children[u].append(w)
+                kids.append(w)
                 order.append(w)
-                queue.append(w)
     if len(order) != len(comp):
         raise GraphError("graph must be connected")
     first_level = tuple(children[root])
-    pi: dict = {}
-    for v in order[1:]:
-        p = parent[v]
-        pi[v] = v if p == root else pi[p]
-    pos = {v: i for i, v in enumerate(order)}
+    pi = dict(zip(first_level, first_level))
+    for v in order[len(first_level) + 1:]:
+        pi[v] = pi[parent[v]]
     return BfsTree(
         root=root,
         order=tuple(order),
@@ -196,7 +197,7 @@ def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
         children={v: tuple(c) for v, c in children.items()},
         first_level=first_level,
         pi=pi,
-        pos=pos,
+        pos=dict(zip(order, range(len(order)))),
     )
 
 

@@ -416,10 +416,10 @@ def verify_certificate(
     sets = certificate_colors(g, c, dom, cert.vertex, cert.paths)
     if sets is None or len(cert.color_sets) != 3:
         return False
-    return all(
-        len(recorded) == len(along) and along.issubset(recorded)
-        for along, recorded in zip(sets, cert.color_sets)
-    )
+    for along, recorded in zip(sets, cert.color_sets):
+        if len(recorded) != len(along) or not along.issubset(recorded):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,9 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
     """For k = 2, 3, ...: each minimal tree of 2..k edges as (edge bitmask,
     ids of the triples it serves), each edge's (tree id, bitmask, triple ids)
     entries, and each triple's tree count.  The lists grow in place, so the
-    trees of k are a prefix of the trees of k + 1; each edge's entries are
-    sorted by the least tree count among the triples they serve."""
+    trees of k are a prefix of the trees of k + 1; on each level searched (every
+    triple has a tree), each edge's entries are sorted by the least tree count
+    among the triples they serve."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
@@ -481,9 +482,10 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
                 with_edge[low.bit_length() - 1].append((len(trees), tree, serves))
                 rest ^= low
             trees.append((tree, serves))
-        least = [min(counts[ti] for ti in serves) for _, serves in trees]
-        for entries in with_edge:
-            entries.sort(key=lambda entry: least[entry[0]])
+        if 0 not in counts:  # else k < sdiam3 and _search_coloring returns at once
+            least = [min(counts[ti] for ti in serves) for _, serves in trees]
+            for entries in with_edge:
+                entries.sort(key=lambda entry: least[entry[0]])
         yield trees, with_edge, counts
 
 

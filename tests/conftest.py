@@ -2,14 +2,15 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Four exceptions keep an earlier form of a
+itself against its own machinery.  Five exceptions keep an earlier form of a
 library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
 triple under the exact solver's node budget, `oracle_sdiam3_scan` runs the
 median minimum of every triple its per-triple bounds leave, over rows of
-plain BFS distances, and `oracle_cds_heuristic` pushes a heap entry on every
-count decrement.  `checked_three_way_coloring` re-verifies the certificates
+plain BFS distances, `oracle_cds_heuristic` pushes a heap entry on every
+count decrement, and `oracle_cds_greedy` is the many-leaf greedy before its
+loops were inlined.  `checked_three_way_coloring` re-verifies the certificates
 after every repair step of the +6 construction.
 """
 from __future__ import annotations
@@ -59,6 +60,24 @@ def oracle_connected(vertices, edges) -> bool:
                 seen.add(w)
                 stack.append(w)
     return seen == verts
+
+
+def oracle_components_minus(g, dom) -> list:
+    """Each outside vertex's own BFS over G - D; the distinct vertex sets as
+    sorted tuples, in smallest-vertex order."""
+    dset = set(dom)
+    comps = set()
+    for s in range(g.n):
+        if s in dset:
+            continue
+        seen, queue = {s}, [s]
+        for u in queue:
+            for w in g.adj[u]:
+                if w not in dset and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.add(tuple(sorted(seen)))
+    return sorted(comps)
 
 
 def oracle_steiner3(g, terms) -> int:
@@ -412,6 +431,39 @@ def oracle_min_dominating(g, k=1, way=0):
                 for v in range(g.n)
             ):
                 return dset
+
+
+def oracle_cds_greedy(g) -> frozenset:
+    """`cds_heuristic` before its loops were inlined: a ``join`` closure, the
+    root picked by ``max`` over ``(g.degree(v), -v)``, one heap entry per tree
+    vertex pushed back when popped stale.  Returns the internal vertices."""
+    if g.n == 1:
+        return frozenset({0})
+    root = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    outside = [len(nbrs) for nbrs in g.adj]
+    in_tree = [False] * g.n
+    heap = []
+
+    def join(w):
+        in_tree[w] = True
+        for x in g.adj[w]:
+            outside[x] -= 1
+        heapq.heappush(heap, (-outside[w], w))
+
+    join(root)
+    size = 1
+    internal = set()
+    while size < g.n:
+        neg_new, best_v = heapq.heappop(heap)
+        if -neg_new != outside[best_v]:
+            heapq.heappush(heap, (-outside[best_v], best_v))
+            continue
+        internal.add(best_v)
+        for w in g.adj[best_v]:
+            if not in_tree[w]:
+                join(w)
+                size += 1
+    return frozenset(internal)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainbow3.coloring as coloring
+import rainbow3.domination as domination
+import rainbow3.graphs as graphs
 import rainbow3.verify as verify
 
 from rainbow3 import (
@@ -565,6 +567,26 @@ def test_final_pass_walks_each_certificate_once(monkeypatch):
     _, certs, _ = three_way_coloring(g, dom)
     outside = [v for v in range(g.n) if v not in dom.vertices]
     assert walked == outside == [cert.vertex for cert in certs]
+
+
+def test_construct_runs_three_domination_passes(monkeypatch):
+    # one pass each: the heuristic's post-check, the growth's post-check and
+    # three_way_coloring's check of caller input; each also tests G[D] connected
+    g = random_min_degree(300, 3, seed=1)
+    calls = {"check_domination": 0, "is_connected": 0}
+    for name in calls:
+        for module in (graphs, domination, coloring):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    three_way_coloring(g, three_way_dominating_set(g))
+    assert calls == {"check_domination": 3, "is_connected": 3}
 
 
 def test_inner_fallback_to_spanning():

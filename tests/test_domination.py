@@ -36,6 +36,7 @@ from rainbow3.coloring import inner_coloring
 from conftest import (
     graphs_with_subsets,
     connected_graphs,
+    oracle_cds_greedy,
     oracle_cds_heuristic,
     oracle_connected,
     oracle_min_dominating,
@@ -176,6 +177,18 @@ def test_heuristic_matches_eager_push_oracle(n, delta, seed):
 @settings(max_examples=60)
 def test_heuristic_matches_eager_push_oracle_on_small_graphs(g):
     assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
+
+
+@given(connected_graphs(min_n=2, max_n=30))
+@settings(max_examples=80, deadline=None)
+def test_heuristic_matches_the_greedy_before_inlining(g):
+    assert cds_heuristic(g).vertices == oracle_cds_greedy(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_heuristic_matches_the_greedy_before_inlining_at_n300(seed):
+    g = random_min_degree(300, 3, seed)
+    assert cds_heuristic(g).vertices == oracle_cds_greedy(g)
 
 
 def test_three_way_windmill_is_hub():

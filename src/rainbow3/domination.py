@@ -187,21 +187,14 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     return result
 
 
-def connected_dominating_set(g: Graph) -> DominatingSet:
-    """The connected dominating core every construction grows from: the
-    exact minimum when n <= CDS_EXACT_LIMIT, otherwise the many-leaf heuristic."""
-    if g.n <= CDS_EXACT_LIMIT:
-        return min_connected_dominating_set(g)
-    return cds_heuristic(g)
-
-
 def dominating_set(
     g: Graph, kind: DominationKind, core: DominatingSet | None = None
 ) -> DominatingSet:
     """The one ``kind`` set policy.  A k-dominating kind is the exact minimum
     when n <= ROUTE_EXACT_LIMIT.  Every other set, and every set of a kind
-    that asks only for degree as the +6 scheme does, is ``core`` (by default
-    ``connected_dominating_set(g)``) grown into a ``kind`` set and checked.
+    that asks only for degree as the +6 scheme does, is ``core`` grown into a
+    ``kind`` set and checked.  The default core, and the ``CONNECTED`` set, is
+    the exact minimum when n <= CDS_EXACT_LIMIT, otherwise ``cds_heuristic``.
 
     Growth adds every vertex of degree below ``kind.k_way``, then for each
     outside vertex short of ``kind.k_dominating`` neighbors inside, the vertex
@@ -216,7 +209,9 @@ def dominating_set(
     if kind.k_dominating > 1 and g.n <= ROUTE_EXACT_LIMIT:
         return min_dominating_set(g, kind)
     if core is None:
-        core = connected_dominating_set(g)
+        core = min_connected_dominating_set(g) if g.n <= CDS_EXACT_LIMIT else cds_heuristic(g)
+        if kind == CONNECTED:
+            return core
     dset = set(core.vertices)
     adj, need = g.adj, kind.k_dominating
     if kind.k_way:

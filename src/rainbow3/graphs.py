@@ -160,9 +160,6 @@ class BfsTree:
     pi: dict
     pos: dict
 
-    def is_type_two(self, v: int) -> bool:
-        return v != self.root and self.pi[v] == self.first_level[-1]
-
 
 def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
     """BFS tree of a connected component, visiting neighbors in ascending id."""

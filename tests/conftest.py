@@ -2,16 +2,16 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Five exceptions keep an earlier form of a
+itself against its own machinery.  Four exceptions keep an earlier form of a
 library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
 triple under the exact solver's node budget, `oracle_sdiam3_scan` runs the
 median minimum of every triple its per-triple bounds leave, over rows of
-plain BFS distances, `oracle_cds_heuristic` pushes a heap entry on every
-count decrement, and `oracle_cds_greedy` is the many-leaf greedy before its
-loops were inlined.  `checked_three_way_coloring` re-verifies the certificates
-after every repair step of the +6 construction.
+plain BFS distances, and `oracle_cds_heuristic` is the many-leaf greedy as it
+stood before DECISIONS.md entry 6, with a heap entry pushed on every count
+decrement.  `checked_three_way_coloring` re-verifies the certificates after
+every repair step of the +6 construction.
 """
 from __future__ import annotations
 
@@ -416,54 +416,22 @@ def threshold_from_weights(weights, threshold: float):
     return build_graph(n, edges)
 
 
+def oracle_dominates(g, dset, k=1, way=0) -> bool:
+    """Plain set logic: no vertex outside ``dset`` has fewer than k neighbors
+    inside or degree below way, and ``dset`` induces a connected subgraph."""
+    return all(
+        v in dset or (len(g.adj[v]) >= way and sum(1 for w in g.adj[v] if w in dset) >= k)
+        for v in range(g.n)
+    ) and oracle_connected(dset, g.edges)
+
+
 def oracle_min_dominating(g, k=1, way=0):
     """First subset in `itertools.combinations` order (by size, then
-    lexicographic) that is connected and leaves no outside vertex with fewer
-    than k neighbors inside or degree below way, by plain set logic."""
+    lexicographic) that `oracle_dominates`."""
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            dset = set(combo)
-            if not oracle_connected(dset, g.edges):
-                continue
-            if all(
-                v in dset
-                or (len(g.adj[v]) >= way and sum(1 for w in g.adj[v] if w in dset) >= k)
-                for v in range(g.n)
-            ):
-                return dset
-
-
-def oracle_cds_greedy(g) -> frozenset:
-    """`cds_heuristic` before its loops were inlined: a ``join`` closure, the
-    root picked by ``max`` over ``(g.degree(v), -v)``, one heap entry per tree
-    vertex pushed back when popped stale.  Returns the internal vertices."""
-    if g.n == 1:
-        return frozenset({0})
-    root = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    outside = [len(nbrs) for nbrs in g.adj]
-    in_tree = [False] * g.n
-    heap = []
-
-    def join(w):
-        in_tree[w] = True
-        for x in g.adj[w]:
-            outside[x] -= 1
-        heapq.heappush(heap, (-outside[w], w))
-
-    join(root)
-    size = 1
-    internal = set()
-    while size < g.n:
-        neg_new, best_v = heapq.heappop(heap)
-        if -neg_new != outside[best_v]:
-            heapq.heappush(heap, (-outside[best_v], best_v))
-            continue
-        internal.add(best_v)
-        for w in g.adj[best_v]:
-            if not in_tree[w]:
-                join(w)
-                size += 1
-    return frozenset(internal)
+            if oracle_dominates(g, set(combo), k, way):
+                return set(combo)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_bounds_family_value():
     assert rep.corollary_bounds["gamma_c_n1_n2"] == rep.gamma_c["value"] + 5
 
 
+@pytest.mark.parametrize("n, family", [(5, 6.4), (6, 6.0)], ids=["delta-4", "delta-5"])
+def test_bounds_family_value_above_degree_three(n, family):
+    # K_5 and K_6 have delta 4 and 5, so the 0.6n + 3.4 and 0.5n + 3 forms apply
+    rep = bounds_report(complete_graph(n))
+    assert rep.delta == n - 1
+    assert rep.corollary_bounds["min_degree_family"] == family
+    assert rep.best == 5
+
+
 @pytest.mark.parametrize("n,calls", [(12, 1), (20, 1), (30, 0)])
 def test_bounds_report_enumerates_min_cds_at_most_once(n, calls, monkeypatch):
     seen = []
@@ -108,39 +117,34 @@ def test_coloring_file_roundtrip():
 # ---------------------------------------------------------------------------
 # CLI plumbing.
 
-def _run(argv, stdin_text="", capsys=None, monkeypatch=None):
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
-    code = main(argv)
-    out = capsys.readouterr()
-    return code, out.out, out.err
+def _cli(argv, stdin_text=""):
+    """(exit code, stdout, stderr) of one ``main`` call reading ``stdin_text``;
+    redirected rather than captured, so hypothesis examples can share it."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_cli_gen_color_verify_pipeline(capsys, monkeypatch, tmp_path):
-    code, graph_text, _ = _run(
-        ["gen", "french-windmill", "--t", "3"], capsys=capsys, monkeypatch=monkeypatch
-    )
+def test_cli_gen_color_verify_pipeline():
+    code, graph_text, _ = _cli(["gen", "french-windmill", "--t", "3"])
     assert code == 0
-    code, colored, _ = _run(
-        ["color", "--method", "theorem3"], stdin_text=graph_text,
-        capsys=capsys, monkeypatch=monkeypatch,
-    )
+    code, colored, _ = _cli(["color", "--method", "theorem3"], stdin_text=graph_text)
     assert code == 0
     assert "# method=theorem3" in colored
-    code, verdict_json, _ = _run(
-        ["verify"], stdin_text=colored, capsys=capsys, monkeypatch=monkeypatch
-    )
+    code, verdict_json, _ = _cli(["verify"], stdin_text=colored)
     assert code == 0
     report = json.loads(verdict_json)
     assert report["verdict"] is True
     assert report["colors"] == 6
 
 
-def test_cli_gen_labels(tmp_path, capsys, monkeypatch):
+def test_cli_gen_labels(tmp_path):
     labels_file = tmp_path / "labels.json"
     out_file = tmp_path / "graph.txt"
-    code, _, _ = _run(
-        ["gen", "threshold", "--t", "5", "--out", str(out_file), "--labels", str(labels_file)],
-        capsys=capsys, monkeypatch=monkeypatch,
+    code, _, _ = _cli(
+        ["gen", "threshold", "--t", "5", "--out", str(out_file), "--labels", str(labels_file)]
     )
     assert code == 0
     labels = json.loads(labels_file.read_text())
@@ -150,26 +154,23 @@ def test_cli_gen_labels(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("sides", [["--s", "-1", "--t", "3"], ["--s", "2", "--t", "-2"]],
                          ids=["negative-s", "negative-t"])
-def test_cli_gen_complete_bipartite_negative_side_exits_two(sides, capsys, monkeypatch):
-    code, out, err = _run(["gen", "complete-bipartite"] + sides, capsys=capsys,
-                          monkeypatch=monkeypatch)
+def test_cli_gen_complete_bipartite_negative_side_exits_two(sides):
+    code, out, err = _cli(["gen", "complete-bipartite"] + sides)
     assert code == 2
     assert out == ""
     assert err.startswith("rainbow3: ") and err.count("\n") == 1
 
 
-def test_cli_exact_k33(capsys, monkeypatch):
+def test_cli_exact_k33():
     g = write_edge_list(build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)]))
-    code, out, _ = _run(["exact", "--kmax", "3"], stdin_text=g,
-                        capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["exact", "--kmax", "3"], stdin_text=g)
     assert code == 0
     assert json.loads(out) == {"rx3": 3, "status": "exact"}
 
 
-def test_cli_exact_exceeds(capsys, monkeypatch):
+def test_cli_exact_exceeds():
     g = write_edge_list(build_graph(5, [(i, i + 1) for i in range(4)]))
-    code, out, _ = _run(["exact", "--kmax", "2"], stdin_text=g,
-                        capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["exact", "--kmax", "2"], stdin_text=g)
     assert code == 0
     assert json.loads(out)["rx3"] is None
 
@@ -179,18 +180,17 @@ def test_cli_exact_exceeds(capsys, monkeypatch):
     (["--kmax", "0"], "kmax"),
     (["--max-edges", "-1"], "max_edges"),
 ], ids=["kmax-negative", "kmax-zero", "max-edges-negative"])
-def test_cli_exact_malformed_limits_exit_two(limits, named, capsys, monkeypatch):
+def test_cli_exact_malformed_limits_exit_two(limits, named):
     g = write_edge_list(build_graph(3, [(0, 1), (1, 2)]))
-    code, out, err = _run(["exact"] + limits, stdin_text=g,
-                          capsys=capsys, monkeypatch=monkeypatch)
+    code, out, err = _cli(["exact"] + limits, stdin_text=g)
     assert code == 2
     assert out == ""
     assert err.startswith(f"rainbow3: {named} must be ") and err.count("\n") == 1
 
 
-def test_cli_bounds_fields(capsys, monkeypatch):
+def test_cli_bounds_fields():
     g = write_edge_list(threshold_example(5).graph)
-    code, out, _ = _run(["bounds"], stdin_text=g, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["bounds"], stdin_text=g)
     assert code == 0
     data = json.loads(out)
     assert set(data) == {
@@ -200,33 +200,32 @@ def test_cli_bounds_fields(capsys, monkeypatch):
     assert data["best"] == 5
 
 
-def test_cli_steiner(capsys, monkeypatch):
+def test_cli_steiner():
     g = write_edge_list(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
-    code, out, _ = _run(["steiner"], stdin_text=g, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["steiner"], stdin_text=g)
     assert code == 0
     data = json.loads(out)
     assert data["sdiam3"] == 3
     assert data["triple"] == [0, 1, 3]
 
 
-def test_cli_verify_false_coloring_exits_one(capsys, monkeypatch):
+def test_cli_verify_false_coloring_exits_one():
     bad = "# method=spanning n=3 colors=1\n0 1 1\n0 2 1\n1 2 1\n"
-    code, out, _ = _run(["verify"], stdin_text=bad, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["verify"], stdin_text=bad)
     assert code == 1
     assert json.loads(out)["verdict"] is False
 
 
-def test_cli_verify_over_work_budget_exits_two(capsys, monkeypatch):
+def test_cli_verify_over_work_budget_exits_two(monkeypatch):
     monkeypatch.setattr("rainbow3.verify.VERIFY_WORK_BUDGET", 2)
-    code, out, err = _run(["verify"], stdin_text=COLORED_PATH, capsys=capsys,
-                          monkeypatch=monkeypatch)
+    code, out, err = _cli(["verify"], stdin_text=COLORED_PATH)
     assert code == 2
     assert out == ""
     assert err == "rainbow3: verifier work budget 2 exceeded\n"
 
 
-def test_cli_usage_error_exits_two(capsys, monkeypatch):
-    code, _, err = _run(["color"], stdin_text="garbage\n", capsys=capsys, monkeypatch=monkeypatch)
+def test_cli_usage_error_exits_two():
+    code, _, err = _cli(["color"], stdin_text="garbage\n")
     assert code == 2
     assert "rainbow3" in err
 
@@ -237,9 +236,9 @@ def test_cli_usage_error_exits_two(capsys, monkeypatch):
      "0 1 1\n1 2 2\n1 0 2\n"],
     ids=["non-integer", "fraction", "zero-color", "negative-color", "edge-twice"],
 )
-def test_cli_verify_malformed_coloring_exits_two(rows, capsys, monkeypatch):
+def test_cli_verify_malformed_coloring_exits_two(rows):
     text = "# method=spanning n=3 colors=2\n" + rows
-    code, out, err = _run(["verify"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, err = _cli(["verify"], stdin_text=text)
     assert code == 2
     assert out == ""
     assert err.startswith("rainbow3: bad coloring line") and err.count("\n") == 1
@@ -272,20 +271,19 @@ CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
             ([0, 1], dict(CERT, vertex=True)),
             ([0, 1], dict(CERT, paths=[[2, True]])),
             ([0, 1], dict(CERT, color_sets=[[True]])),
+            ([0, 1], dict(CERT, paths=5)),
         ]
     ],
     ids=["dom-non-integer", "certs-not-json", "certs-not-object", "certs-missing-list",
          "cert-missing-vertex", "cert-missing-paths", "cert-missing-color-sets",
          "cert-non-integer-vertex", "certs-dom-string", "certs-dom-non-integer",
          "certs-dom-float", "cert-boolean-vertex", "cert-boolean-path-vertex",
-         "cert-boolean-color"],
+         "cert-boolean-color", "cert-paths-not-a-list"],
 )
-def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_path,
-                                            capsys, monkeypatch):
+def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_path):
     path = tmp_path / "input"
     path.write_text(file_text)
-    code, out, err = _run(argv + [str(path)], stdin_text=stdin_text, capsys=capsys,
-                          monkeypatch=monkeypatch)
+    code, out, err = _cli(argv + [str(path)], stdin_text=stdin_text)
     assert code == 2
     assert out == ""
     assert err.startswith("rainbow3: ") and err.count("\n") == 1
@@ -303,10 +301,10 @@ def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_pat
     ids=["bounds-missing-input", "color-missing-dom", "verify-missing-certs",
          "non-utf8-input", "gen-out-missing-dir"],
 )
-def test_cli_file_errors_exit_two(argv, stdin_text, tmp_path, capsys, monkeypatch):
+def test_cli_file_errors_exit_two(argv, stdin_text, tmp_path):
     (tmp_path / "latin1.txt").write_bytes(b"2 1\n0 1 # caf\xe9\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    code, out, err = _run(argv, stdin_text=stdin_text, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, err = _cli(argv, stdin_text=stdin_text)
     assert code == 2
     assert out == ""
     assert err.startswith("rainbow3: ") and err.count("\n") == 1
@@ -317,90 +315,80 @@ def test_read_coloring_rejects_bad_header_value():
         read_coloring("# method=spanning n=three\n0 1 1\n")
 
 
-def test_cli_dom_file_and_certs(tmp_path, capsys, monkeypatch):
+def test_cli_dom_file_and_certs(tmp_path):
     g = french_windmill(3).graph
     dom_file = tmp_path / "dom.txt"
     dom_file.write_text("0\n")
     certs_file = tmp_path / "certs.json"
     colored_file = tmp_path / "col.txt"
-    code, _, _ = _run(
+    code, _, _ = _cli(
         ["color", "--dom", str(dom_file), "--certs", str(certs_file), "--out", str(colored_file)],
-        stdin_text=write_edge_list(g), capsys=capsys, monkeypatch=monkeypatch,
+        stdin_text=write_edge_list(g),
     )
     assert code == 0
     certs = json.loads(certs_file.read_text())
     assert certs["dom"] == [0]
     assert len(certs["certificates"]) == 9
-    code, out, _ = _run(
-        ["verify", "--certs", str(certs_file)], stdin_text=colored_file.read_text(),
-        capsys=capsys, monkeypatch=monkeypatch,
-    )
+    code, out, _ = _cli(["verify", "--certs", str(certs_file)],
+                        stdin_text=colored_file.read_text())
     assert code == 0
     data = json.loads(out)
     assert data["certificates"]["ok"] is True
     assert data["certificates"]["checked"] == 9
 
 
-def test_cli_verify_rejects_wrong_certificate_color_set(tmp_path, capsys, monkeypatch):
+def test_cli_verify_rejects_wrong_certificate_color_set(tmp_path):
     g = french_windmill(3).graph
     certs_file = tmp_path / "certs.json"
     colored_file = tmp_path / "col.txt"
-    code, _, _ = _run(
-        ["color", "--certs", str(certs_file), "--out", str(colored_file)],
-        stdin_text=write_edge_list(g), capsys=capsys, monkeypatch=monkeypatch,
-    )
+    code, _, _ = _cli(["color", "--certs", str(certs_file), "--out", str(colored_file)],
+                      stdin_text=write_edge_list(g))
     assert code == 0
     data = json.loads(certs_file.read_text())
     bad = data["certificates"][4]
     bad["color_sets"][2] = [99]
     certs_file.write_text(json.dumps(data))
-    code, out, _ = _run(
-        ["verify", "--certs", str(certs_file)], stdin_text=colored_file.read_text(),
-        capsys=capsys, monkeypatch=monkeypatch,
-    )
+    code, out, _ = _cli(["verify", "--certs", str(certs_file)],
+                        stdin_text=colored_file.read_text())
     assert code == 1
     result = json.loads(out)
     assert result["verdict"] is True
     assert result["certificates"] == {"checked": 9, "ok": False, "failing": [bad["vertex"]]}
 
 
-def test_cli_spanning_method(capsys, monkeypatch):
+def test_cli_spanning_method():
     g = write_edge_list(complete_graph(4))
-    code, colored, _ = _run(["color", "--method", "spanning"], stdin_text=g,
-                            capsys=capsys, monkeypatch=monkeypatch)
+    code, colored, _ = _cli(["color", "--method", "spanning"], stdin_text=g)
     assert code == 0
-    code, out, _ = _run(["verify"], stdin_text=colored, capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["verify"], stdin_text=colored)
     assert code == 0 and json.loads(out)["verdict"] is True
 
 
-def test_cli_spanning_disconnected_exits_two(capsys, monkeypatch):
+def test_cli_spanning_disconnected_exits_two():
     g = write_edge_list(build_graph(4, [(0, 1), (2, 3)]))
-    code, out, err = _run(["color", "--method", "spanning"], stdin_text=g,
-                          capsys=capsys, monkeypatch=monkeypatch)
+    code, out, err = _cli(["color", "--method", "spanning"], stdin_text=g)
     assert (code, out, err) == (2, "", "rainbow3: graph must be connected\n")
 
 
-def test_cli_bounds_has_no_exact_limit_flag(capsys, monkeypatch):
-    g = write_edge_list(complete_graph(4))
+def test_cli_bounds_has_no_exact_limit_flag(capsys):
+    # argparse exits before any input is read
     with pytest.raises(SystemExit) as exc:
-        _run(["bounds", "--exact-limit", "8"], stdin_text=g, capsys=capsys, monkeypatch=monkeypatch)
+        main(["bounds", "--exact-limit", "8"])
     assert exc.value.code == 2 and capsys.readouterr().out == ""
 
-def test_cli_theorem4_method(capsys, monkeypatch):
+
+def test_cli_theorem4_method():
     g = write_edge_list(threshold_example(5).graph)
-    code, colored, _ = _run(["color", "--method", "theorem4"], stdin_text=g,
-                            capsys=capsys, monkeypatch=monkeypatch)
+    code, colored, _ = _cli(["color", "--method", "theorem4"], stdin_text=g)
     assert code == 0
     graph, coloring, meta = read_coloring(colored)
     assert meta["method"] == "theorem4"
     assert coloring.num_colors <= 5
 
 
-def test_cli_random_gen_roundtrip(capsys, monkeypatch):
-    code, out1, _ = _run(["gen", "random", "--n", "12", "--delta", "3", "--seed", "5"],
-                         capsys=capsys, monkeypatch=monkeypatch)
-    code, out2, _ = _run(["gen", "random", "--n", "12", "--delta", "3", "--seed", "5"],
-                         capsys=capsys, monkeypatch=monkeypatch)
+def test_cli_random_gen_roundtrip():
+    code, out1, _ = _cli(["gen", "random", "--n", "12", "--delta", "3", "--seed", "5"])
+    code, out2, _ = _cli(["gen", "random", "--n", "12", "--delta", "3", "--seed", "5"])
     assert out1 == out2
 
 
@@ -418,14 +406,12 @@ GEN_CORPUS = [
 
 
 @pytest.mark.parametrize("gen_argv,method", GEN_CORPUS)
-def test_cli_every_emitted_coloring_verifies(gen_argv, method, capsys, monkeypatch):
-    code, graph_text, _ = _run(gen_argv, capsys=capsys, monkeypatch=monkeypatch)
+def test_cli_every_emitted_coloring_verifies(gen_argv, method):
+    code, graph_text, _ = _cli(gen_argv)
     assert code == 0
-    code, colored, _ = _run(["color", "--method", method], stdin_text=graph_text,
-                            capsys=capsys, monkeypatch=monkeypatch)
+    code, colored, _ = _cli(["color", "--method", method], stdin_text=graph_text)
     assert code == 0
-    code, out, _ = _run(["verify"], stdin_text=colored,
-                        capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = _cli(["verify"], stdin_text=colored)
     assert code == 0
     assert json.loads(out)["verdict"] is True
 
@@ -474,16 +460,6 @@ _ON_GRAPH = st.sampled_from([
     ["exact", "--kmax", "3"],
     ["exact", "--kmax", "9"],
 ])
-
-
-def _cli(argv, stdin_text):
-    # `_run` needs the function-scoped capsys/monkeypatch, which hypothesis
-    # examples cannot share
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin_text)), redirect_stdout(out), \
-            redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
 
 
 @given(st.one_of(

@@ -203,7 +203,8 @@ def test_stage1_type_two_nonleaf_certificate(example_graph):
     g, dom = example_graph
     _, state = _component_state(g, dom)
     # vertex 2 is the last first-level vertex and has a child
-    assert state.colors[state.tree_edge(2)] == 5 and state.colors[state.leg_edge(2)] == 3
+    assert state.colors[edge_key(2, state.tree.parent[2])] == 5
+    assert state.colors[edge_key(2, state.leg[2])] == 3
     sets = [frozenset(state.colors[(min(a, b), max(a, b))] for a, b in zip(p, p[1:]))
             for p in state.certs[2]]
     assert sets == [{3}, {2, 5}, {1, 6}]
@@ -213,7 +214,8 @@ def test_stage1_level2_leaf_is_dangerous(example_graph):
     g, dom = example_graph
     _, state = _component_state(g, dom)
     assert 3 in state.dangerous
-    assert state.colors[state.leg_edge(3)] == 1 and state.colors[state.tree_edge(3)] == 6
+    assert state.colors[edge_key(3, state.leg[3])] == 1
+    assert state.colors[edge_key(3, state.tree.parent[3])] == 6
 
 
 def test_stage1_rejects_small_component():
@@ -222,6 +224,14 @@ def test_stage1_rejects_small_component():
     tree = bfs_tree(g, comp, 0)
     with pytest.raises(Exception, match=">= 3"):
         stage1_periodic(g, dom, tree)
+
+
+def test_stage1_rejects_a_root_with_one_child():
+    # the path 0-1-2 over hub 3, rooted at an end: the caller's tree is at
+    # fault, since three_way_coloring roots each tree at a vertex of degree 2
+    g = build_graph(4, [(0, 1), (1, 2), (0, 3), (1, 3), (2, 3)])
+    with pytest.raises(GraphError, match="two component neighbors"):
+        stage1_periodic(g, {3}, bfs_tree(g, [0, 1, 2], 0))
 
 
 @pytest.mark.parametrize("n", range(6, 13))
@@ -287,7 +297,7 @@ def test_stage2_recolors_only_the_processed_leg():
         if w not in state.certs:
             stage2_repair_step(g, state, w)
     changed = {e for e in before if before[e] != state.colors[e]}
-    assert changed == {state.leg_edge(w) for w in state.recolored}
+    assert changed == {edge_key(w, state.leg[w]) for w in state.recolored}
     recolored = {w for w, key in state.steps if STAGE2_RULES[key].recolor is not None}
     assert state.recolored == recolored
 
@@ -596,6 +606,13 @@ def test_inner_fallback_to_spanning():
     col, method = inner_coloring(made.graph, dom, offset=6)
     assert method == "spanning"
     assert col.num_colors == len(dom) - 1
+
+
+def test_inner_falls_back_to_spanning_past_the_edge_cap():
+    # K_6 has 6 vertices, within INNER_EXACT_MAX_VERTICES, but 15 edges, one
+    # past the exact solver's default edge cap: its LimitError falls back
+    col, method = inner_coloring(complete_graph(6), range(6), 0)
+    assert (method, col.num_colors) == ("spanning", 5)
 
 
 def test_colorings_are_deterministic():

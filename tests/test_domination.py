@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rainbow3 import (
     CONNECTED,
+    DominatingSet,
     DominationError,
     DominationKind,
     GraphError,
@@ -15,7 +16,6 @@ from rainbow3 import (
     check_domination,
     complete_bipartite,
     complete_graph,
-    connected_dominating_set,
     cycle_graph,
     dominating_set,
     french_windmill,
@@ -31,14 +31,13 @@ from rainbow3 import (
     three_way_dominating_set,
     threshold_example,
 )
-from rainbow3 import bounds
+from rainbow3 import bounds, domination
 from rainbow3.coloring import inner_coloring
 from conftest import (
     graphs_with_subsets,
     connected_graphs,
-    oracle_cds_greedy,
     oracle_cds_heuristic,
-    oracle_connected,
+    oracle_dominates,
     oracle_min_dominating,
 )
 
@@ -75,19 +74,9 @@ def test_k_dominating_implies_k_way(drawn):
 @settings(max_examples=120)
 def test_check_domination_matches_plain_set_logic(drawn):
     g, dset, k = drawn
-
-    def oracle(kind):
-        for v in range(g.n):
-            if v in dset:
-                continue
-            if kind.k_way and g.degree(v) < kind.k_way:
-                return False
-            if sum(1 for w in g.adj[v] if w in dset) < kind.k_dominating:
-                return False
-        return oracle_connected(dset, g.edges)
-
     for kind in (CONNECTED, k_way(k), k_dominating(k)):
-        assert check_domination(g, dset, kind) == oracle(kind)
+        want = oracle_dominates(g, dset, kind.k_dominating, kind.k_way)
+        assert check_domination(g, dset, kind) == want
 
 
 def test_min_cds_complete():
@@ -125,6 +114,10 @@ def test_min_cds_oracle_up_to_twelve_vertices():
 
 def test_heuristic_star():
     assert cds_heuristic(star_graph(6)).vertices == {0}
+
+
+def test_heuristic_single_vertex():
+    assert cds_heuristic(build_graph(1, [])) == DominatingSet(frozenset({0}), "heuristic")
 
 
 def test_heuristic_k4():
@@ -182,13 +175,13 @@ def test_heuristic_matches_eager_push_oracle_on_small_graphs(g):
 @given(connected_graphs(min_n=2, max_n=30))
 @settings(max_examples=80, deadline=None)
 def test_heuristic_matches_the_greedy_before_inlining(g):
-    assert cds_heuristic(g).vertices == oracle_cds_greedy(g)
+    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_heuristic_matches_the_greedy_before_inlining_at_n300(seed):
     g = random_min_degree(300, 3, seed)
-    assert cds_heuristic(g).vertices == oracle_cds_greedy(g)
+    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 
 def test_three_way_windmill_is_hub():
@@ -277,6 +270,25 @@ def test_min_dominating_set_is_first_oracle_subset(g, kind):
     assert ours.vertices == frozenset(oracle_min_dominating(g, kind.k_dominating, kind.k_way))
 
 
+@pytest.mark.parametrize("n, checks", [(12, 0), (30, 1)])
+def test_connected_request_is_the_core_unchanged(n, checks, monkeypatch):
+    # no growth scan and no second check: the exact core needs none, and the
+    # heuristic runs its own post-check
+    g = random_min_degree(n, 3, seed=n)
+    calls = []
+    real = domination.check_domination
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(domination, "check_domination", counted)
+    core = dominating_set(g, CONNECTED)
+    assert len(calls) == checks
+    want = min_connected_dominating_set(g) if checks == 0 else cds_heuristic(g)
+    assert core == want
+
+
 def test_gamma_c_of_long_low_degree_graphs():
     cases = [
         (path_graph(24), 22),
@@ -285,5 +297,5 @@ def test_gamma_c_of_long_low_degree_graphs():
         (gstar(4, 2).graph, 10),
     ]
     for g, gamma in cases:
-        core = connected_dominating_set(g)
+        core = dominating_set(g, CONNECTED)
         assert (core.size, core.provenance) == (gamma, "exact"), g.n

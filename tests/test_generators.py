@@ -62,6 +62,17 @@ def test_gstar_rejects_small_delta():
         gstar(2, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: cycle_graph(2), "cycle needs n >= 3, got 2"),
+    (lambda: gstar(3, -1), "gstar needs m >= 0, got -1"),
+    (lambda: threshold_example(0), "threshold example needs t >= 1, got 0"),
+    (lambda: french_windmill(0), "windmill needs t >= 1, got 0"),
+], ids=["cycle-2", "gstar-negative-m", "threshold-0", "windmill-0"])
+def test_generators_reject_bad_arguments(make, message):
+    with pytest.raises(GraphError, match=message):
+        make()
+
+
 def test_threshold_formulas():
     made = threshold_example(5)
     g = made.graph

@@ -166,11 +166,16 @@ def test_bfs_c4_heights_and_cross_edge():
     g = cycle_graph(4)
     t = bfs_tree(g, range(4), 0)
     assert [t.height[v] for v in range(4)] == [0, 1, 2, 1]
-    tree_edges = {(min(v, t.parent[v]), max(v, t.parent[v])) for v in range(1, 4)}
-    non_tree = [e for e in g.edges if e not in tree_edges]
+    tree_keys = {(min(v, t.parent[v]), max(v, t.parent[v])) for v in range(1, 4)}
+    non_tree = [e for e in g.edges if e not in tree_keys]
     assert len(non_tree) == 1
     u, v = non_tree[0]
     assert {t.height[u], t.height[v]} == {1, 2}
+
+
+def test_bfs_rejects_a_disconnected_vertex_set():
+    with pytest.raises(GraphError, match="graph must be connected"):
+        bfs_tree(cycle_graph(6), {0, 1, 3}, 0)
 
 
 def test_bfs_root_outside_component():
@@ -184,7 +189,7 @@ def test_bfs_subtree_types():
     t = bfs_tree(g, range(4), 0)
     assert t.first_level == (1, 2, 3)
     assert t.pi == {1: 1, 2: 2, 3: 3}
-    assert t.is_type_two(3) and not t.is_type_two(1) and not t.is_type_two(0)
+    assert [v for v in range(4) if t.pi.get(v) == t.first_level[-1]] == [3]  # type II
 
 
 @given(connected_graphs(min_n=2, max_n=9))
@@ -252,6 +257,12 @@ def test_steiner_c5():
     g = cycle_graph(5)
     assert oracle_steiner3(g, {0, 2, 4}) == 3
     assert steiner_distance3(g, {0, 2, 4}) == 3
+
+
+def test_steiner_rejects_disconnected_terminals():
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(GraphError, match=r"terminals \[0, 1, 3\] are not connected"):
+        steiner_distance3(g, {0, 1, 3})
 
 
 def test_steiner_needs_three_distinct():

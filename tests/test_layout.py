@@ -18,6 +18,7 @@ import rainbow3.cli
 
 MODULES = sorted(pathlib.Path(rainbow3.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 BENCH = ROOT / "bench"
 
 
@@ -78,7 +79,9 @@ def _unused_private_names(tree: ast.Module) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS, ids=lambda p: p.name if p in MODULES else f"tests/{p.name}"
+)
 def test_private_names_are_used_in_their_module(path):
     assert _unused_private_names(ast.parse(path.read_text())) == []
 
@@ -87,6 +90,44 @@ def test_private_name_check_catches_a_leftover_helper():
     source = "_A = 1\n_B: int = 2\n\nclass _C:\n    pass\n\n"
     source += "def _median_join():\n    return _A\n\ndef _joins():\n    _B = 3\n\n_joins()\n"
     assert _unused_private_names(ast.parse(source)) == ["_B", "_C", "_median_join"]
+
+
+def test_private_name_check_catches_a_superseded_test_helper():
+    # a parametrize list read only by a decorator counts as read
+    source = "_CASES = [1]\n\ndef _old_trace(g):\n    return g\n\n"
+    source += "def _search_trace(g):\n    return g\n\n"
+    source += "@pytest.mark.parametrize('g', _CASES)\ndef test_x(g):\n    _search_trace(g)\n"
+    assert _unused_private_names(ast.parse(source)) == ["_old_trace"]
+
+
+def _unread_conftest_functions(conftest: ast.Module, tests: list) -> list[str]:
+    """Public top-level functions of conftest that no other conftest function
+    reads and no test module reads or takes as a fixture argument."""
+    read = _names_read(conftest)
+    for tree in tests:
+        read |= _names_read(tree) | {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
+    return sorted(
+        node.name
+        for node in conftest.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_every_conftest_function_is_read():
+    conftest = ROOT / "tests" / "conftest.py"
+    tests = [ast.parse(path.read_text()) for path in TESTS if path != conftest]
+    assert _unread_conftest_functions(ast.parse(conftest.read_text()), tests) == []
+
+
+def test_conftest_check_catches_a_superseded_oracle():
+    conftest = "def oracle_greedy(g):\n    return oracle_greedy(g)\n\n"
+    conftest += "def oracle_heap(g):\n    return g\n\ndef helper(g):\n    return inner(g)\n\n"
+    conftest += "def inner(g):\n    return g\n\n@pytest.fixture\ndef example():\n    return 1\n"
+    tests = "from conftest import helper, oracle_heap\n\n"
+    tests += "def test_x(example):\n    assert helper(example) == oracle_heap(example)\n"
+    got = _unread_conftest_functions(ast.parse(conftest), [ast.parse(tests)])
+    assert got == ["oracle_greedy"]
 
 
 def test_bench_traced_names_are_package_functions():

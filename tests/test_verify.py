@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -110,38 +111,22 @@ def test_full_verifier_agrees_with_per_triple_dp(drawn):
     assert (rep.verdict, rep.witness, rep.triples_checked) == oracle_rainbow_report(g, col)
 
 
-def test_is_3_rainbow_searches_one_untried_median_then_the_terminals(monkeypatch):
-    sources = []
-    search = rainbow3.verify._single_source_masks
-
-    def counted(n, adj_bits, source, work):
-        sources.append(source)
-        return search(n, adj_bits, source, work)
-
-    monkeypatch.setattr("rainbow3.verify._single_source_masks", counted)
-    g = french_windmill(10).graph
-    col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
-    assert is_3_rainbow(g, col).verdict
-    assert sources == [0]  # the hub serves every triple
-    sources.clear()
-    rep = is_3_rainbow(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
-    # the first triple fails at medians 0 and 1, then searches its third
-    # terminal, whose walks rule out every other median without a search
-    assert (rep.witness, rep.triples_checked) == ((0, 1, 2), 1)
-    assert sources == [0, 1, 2]
+Trace = collections.namedtuple("Trace", "report sources units joins fronts")
 
 
-def _traced(verifier, g, col):
-    """The verifier's report, the sources it searched from, in order, the
-    work units it was charged and the number of joins it ran."""
-    sources, spent, joins = [], [0], [0]
-    search, spend, join = (
-        rainbow3.verify._single_source_masks, rainbow3.verify._spend, rainbow3.verify._joins
+def _search_trace(g, col, verifier=is_3_rainbow):
+    """What the verifier did: its report, the sources it searched from, in
+    order, the work units it was charged, the number of joins it ran, and the
+    medians whose twin classes it built, in order."""
+    searches, spent, joins, fronts = [], [0], [0], []  # searches: (source, walks)
+    verify = rainbow3.verify
+    search, spend, join, twins = (
+        verify._single_source_masks, verify._spend, verify._joins, verify._twins
     )
 
     def counted_search(n, adj_bits, source, work):
-        sources.append(source)
-        return search(n, adj_bits, source, work)
+        searches.append((source, search(n, adj_bits, source, work)))
+        return searches[-1][1]
 
     def counted_spend(work, units):
         spent[0] += units
@@ -151,12 +136,30 @@ def _traced(verifier, g, col):
         joins[0] += 1
         return join(aa, bb, cc, work)
 
+    def counted_twins(ends):
+        fronts.append(next(m for m, at in searches if at is ends))
+        return twins(ends)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rainbow3.verify, "_single_source_masks", counted_search)
-        mp.setattr(rainbow3.verify, "_spend", counted_spend)
-        mp.setattr(rainbow3.verify, "_joins", counted_join)
+        mp.setattr(verify, "_single_source_masks", counted_search)
+        mp.setattr(verify, "_spend", counted_spend)
+        mp.setattr(verify, "_joins", counted_join)
+        mp.setattr(verify, "_twins", counted_twins)
         rep = verifier(g, col)
-    return rep, sources, spent[0], joins[0]
+    return Trace(rep, [m for m, _ in searches], spent[0], joins[0], fronts)
+
+
+def test_is_3_rainbow_searches_one_untried_median_then_the_terminals():
+    g = french_windmill(10).graph
+    col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
+    trace = _search_trace(g, col)
+    assert trace.report.verdict
+    assert trace.sources == [0]  # the hub serves every triple
+    trace = _search_trace(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
+    # the first triple fails at medians 0 and 1, then searches its third
+    # terminal, whose walks rule out every other median without a search
+    assert (trace.report.witness, trace.report.triples_checked) == ((0, 1, 2), 1)
+    assert trace.sources == [0, 1, 2]
 
 
 _FAMILIES = {
@@ -224,27 +227,27 @@ def test_is_3_rainbow_matches_one_join_per_triple(drawn):
     # and moves the medians to the front in the order one join per triple does
     g, cols = drawn
     col = EdgeColoring.from_dict(cols)
-    rep, sources, fronts = _front_trace(g, col)
+    trace = _search_trace(g, col)
     want_fronts = []
-    assert rep == oracle_is_3_rainbow(g, col, want_fronts)
-    assert len(set(sources)) == len(sources) <= g.n
-    assert fronts == want_fronts
+    assert trace.report == oracle_is_3_rainbow(g, col, want_fronts)
+    assert len(set(trace.sources)) == len(trace.sources) <= g.n
+    assert trace.fronts == want_fronts
 
 
 def test_is_3_rainbow_skips_joins_for_twins():
     g = french_windmill(20).graph
     col, _, _ = three_way_coloring(g, three_way_dominating_set(g))
-    rep, _, _, joins = _traced(is_3_rainbow, g, col)
-    assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
-    assert joins < math.comb(g.n, 2)
+    trace = _search_trace(g, col)
+    assert trace.report.verdict and trace.report.triples_checked == math.comb(g.n, 3)
+    assert trace.joins < math.comb(g.n, 2)
     # a path with a color per edge has no twins at any median: from m, every
     # vertex is reached by one walk with its own color set
     g = path_graph(12)
     col = EdgeColoring.from_dict({e: i + 1 for i, e in enumerate(g.edges)})
-    rep, _, _, joins = _traced(is_3_rainbow, g, col)
-    want, _, _, want_joins = _traced(oracle_is_3_rainbow, g, col)
-    assert rep == want and rep.verdict
-    assert joins == want_joins
+    trace = _search_trace(g, col)
+    want = _search_trace(g, col, oracle_is_3_rainbow)
+    assert trace.report == want.report and trace.report.verdict
+    assert trace.joins == want.joins
 
 
 # Fails at (2, 5, 6) after its row drops the settled pair (2, 4) by twin
@@ -280,39 +283,19 @@ def _plus6_case(g):
 ], ids=["windmill-20", "threshold-20", "chain-10-10", "random-16", "dropped-pair"])
 def test_is_3_rainbow_keeps_its_pinned_trace(case, want):
     g, col = case()
-    assert _traced(is_3_rainbow, g, col) == want
-
-
-def _front_trace(g, col):
-    """is_3_rainbow's report, the sources it searched, in order, and the
-    medians whose twin classes it built, in order."""
-    searches, built = [], []  # searches: (source, its walk antichains)
-    search, twins = rainbow3.verify._single_source_masks, rainbow3.verify._twins
-
-    def counted_search(n, adj_bits, source, work):
-        searches.append((source, search(n, adj_bits, source, work)))
-        return searches[-1][1]
-
-    def counted_twins(ends):
-        built.append(next(m for m, at in searches if at is ends))
-        return twins(ends)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rainbow3.verify, "_single_source_masks", counted_search)
-        mp.setattr(rainbow3.verify, "_twins", counted_twins)
-        rep = is_3_rainbow(g, col)
-    return rep, [m for m, _ in searches], built
+    trace = _search_trace(g, col)
+    assert (trace.report, trace.sources, trace.units, trace.joins) == want
 
 
 def test_is_3_rainbow_builds_twin_classes_only_at_front_medians():
     # the first triple of a monochrome coloring fails at every median, and
     # only the first is ever the front
     g = french_windmill(20).graph
-    _, sources, built = _front_trace(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
-    assert [len(sources), len(built)] == [3, 1]
+    trace = _search_trace(g, EdgeColoring.from_dict({e: 1 for e in g.edges}))
+    assert [len(trace.sources), len(trace.fronts)] == [3, 1]
     # the threshold graph's searched medians mostly never serve a join
-    _, sources, built = _front_trace(*_plus6_case(threshold_example(40).graph))
-    assert [len(sources), len(built)] == [5, 2]
+    trace = _search_trace(*_plus6_case(threshold_example(40).graph))
+    assert [len(trace.sources), len(trace.fronts)] == [5, 2]
 
 
 @pytest.mark.parametrize(
@@ -323,9 +306,9 @@ def test_is_3_rainbow_builds_twin_classes_only_at_front_medians():
 def test_is_3_rainbow_searches_few_medians_on_plus6_threshold_and_chain(g):
     # the terminals' walks rule out the medians that never serve; searching
     # every tried median ran 201 and 38 searches here
-    rep, sources, _ = _front_trace(*_plus6_case(g))
-    assert rep.verdict and rep.triples_checked == math.comb(g.n, 3)
-    assert len(sources) == 5
+    trace = _search_trace(*_plus6_case(g))
+    assert trace.report.verdict and trace.report.triples_checked == math.comb(g.n, 3)
+    assert len(trace.sources) == 5
 
 
 def test_is_3_rainbow_checks_totality_below_three_vertices():
@@ -714,6 +697,11 @@ def test_exact_respects_limits():
         exact_rx3(french_windmill(3).graph)
     with pytest.raises(LimitError, match="kmax"):
         exact_rx3(complete_graph(4), kmax=9)
+
+
+def test_exact_needs_three_vertices():
+    with pytest.raises(GraphError, match="needs n >= 3, got n=2"):
+        exact_rx3_coloring(build_graph(2, [(0, 1)]))
 
 
 def test_exact_exceeds_kmax_returns_none():

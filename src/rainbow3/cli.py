@@ -39,7 +39,14 @@ from .generators import (
     star_graph,
     threshold_example,
 )
-from .graphs import GraphError, LimitError, read_edge_list, sdiam3_with_triple, write_edge_list
+from .graphs import (
+    GraphError,
+    LimitError,
+    read_edge_list,
+    sdiam3_with_triple,
+    steiner_distance3,
+    write_edge_list,
+)
 from .verify import (
     EXACT_KMAX,
     EXACT_MAX_EDGES,
@@ -219,6 +226,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_steiner(args: argparse.Namespace) -> int:
     graph = read_edge_list(_read_text(args.infile))
     value, triple = sdiam3_with_triple(graph)
+    # an independent median scan re-checks the witness; a mismatch is a
+    # library bug, so it escapes as a traceback rather than a usage error
+    check = steiner_distance3(graph, triple)
+    if check != value:
+        raise RuntimeError(
+            f"sdiam3_with_triple gave {value} at {list(triple)}, "
+            f"but steiner_distance3 gives {check}"
+        )
     _print_json({"sdiam3": value, "triple": list(triple)})
     return 0
 

@@ -9,9 +9,10 @@ modifies its arguments.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add
 from typing import Iterable
 
 
@@ -21,6 +22,11 @@ class GraphError(ValueError):
 
 class LimitError(RuntimeError):
     """A search, verifier or solver was asked to exceed its configured limit."""
+
+
+# rings of at most this many vertices are peeled bit by bit in _distance_rows
+RING_PEEL_MAX = 6
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -242,15 +248,33 @@ def _ball_table(g: Graph) -> list[list[int]]:
 
 
 def _distance_rows(balls: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Distance rows read off the rings ``ball(v, r) & ~ball(v, r-1)``."""
+    """Distance rows read off the rings ``ball(v, r) & ~ball(v, r-1)``.
+
+    A ring at r < 256 of more than ``RING_PEEL_MAX`` vertices is written in
+    one step: its bits become a 0/1 byte string, times r, added to a row of
+    byte lanes (r < 256 fits a lane, and rings are disjoint, so no lane
+    carries).  Smaller rings, and every ring at r >= 256, are peeled one bit
+    at a time into the row built from those lanes.
+    """
     n = len(balls)
+    fmt = f"0{n}b"
+    peel_max = RING_PEEL_MAX
     rows = []
     for levels in balls:
-        row = [0] * n
-        prev = 0
-        for r, b in enumerate(levels):
+        lanes = 0
+        small = []
+        prev = levels[0]  # v itself, at distance 0
+        for r in range(1, len(levels)):
+            b = levels[r]
             ring = b ^ prev
             prev = b
+            if ring.bit_count() > peel_max and r < 256:
+                # format puts vertex k at byte k from the low end
+                lanes += r * int.from_bytes(format(ring, fmt).encode().translate(_ZERO_ONE), "big")
+            else:
+                small.append((r, ring))
+        row = list(lanes.to_bytes(n, "little"))
+        for r, ring in small:
             while ring:
                 low = ring & -ring
                 row[low.bit_length() - 1] = r
@@ -307,10 +331,21 @@ def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
 
     - at a or b for the whole pair, dab + min(ecc(a), ecc(b)); every b in
       ball(a, best - ecc(a)) fails it;
+    - at h for the whole pair, da[h] + dbh + ecc(h); every b in
+      ball(h, best - da[h] - ecc(h)) fails it, dropped from a's pairs at
+      a's start and whenever h moves;
     - at a, b or h, for every c in ball(a, best - dab), ball(b, best - dab)
       or ball(h, best - da[h] - db[h]), dropped by one mask per pair;
     - for each c left, at whichever terminal joins the two shorter sides,
       dab + dac + dbc - max(dab, dac, dbc), and at h.
+
+    The median sums of a surviving triple are added in one integer: each
+    row is packed into lanes of w bytes, w the smallest width with
+    3 * max ecc < 256**w, so no lane carries into the next.  On 1-byte
+    lanes the minimum is the first value from half the perimeter
+    (dab + dac + dbc) up that ``bytes.find`` meets, and its first index is
+    where it meets it; wider lanes are unpacked into an array for ``min``
+    and ``.index``.
 
     A skipped triple could never have passed the strict update, so the
     value and the first argmax are exactly those of the full scan
@@ -322,6 +357,10 @@ def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
     dist = _distance_rows(balls)
     n = g.n
     ecc = [len(levels) - 1 for levels in balls]
+    top = 3 * max(ecc)  # the largest median sum a lane must hold
+    tc = "B" if top < 256 else "H" if top < 65536 else "L"
+    order, nbytes = sys.byteorder, n * array(tc).itemsize
+    lanes = [int.from_bytes(bytes(row) if tc == "B" else array(tc, row), order) for row in dist]
     full = (1 << n) - 1
     best = -1
     best_triple = (0, 1, 2)
@@ -330,6 +369,9 @@ def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
         da, ba, ea = dist[a], balls[a], ecc[a]
         r = best - ea
         pairs = full >> (a + 1) << (a + 1) & ~(ba[min(r, ea)] if r >= 0 else 0)
+        r = best - da[h] - ecc[h]
+        if r >= 0:
+            pairs &= ~balls[h][min(r, ecc[h])]
         while pairs:
             low = pairs & -pairs
             pairs ^= low
@@ -355,15 +397,28 @@ def sdiam3_with_triple(g: Graph) -> tuple[int, tuple[int, int, int]]:
                 if dab + dac + dbc - max(dab, dac, dbc) <= best or sab_h + dh[c] <= best:
                     continue
                 if sab is None:
-                    sab = list(map(add, da, db))
-                sums = list(map(add, sab, dist[c]))
-                val = min(sums)
+                    sab = lanes[a] + lanes[b]
+                sums = (sab + lanes[c]).to_bytes(nbytes, order)
+                if tc == "B":
+                    # no median sum is below half the perimeter
+                    val = (dab + dac + dbc + 1) // 2
+                    m = sums.find(val)
+                    while m < 0:
+                        val += 1
+                        m = sums.find(val)
+                else:
+                    sums = array(tc, sums)
+                    val = min(sums)
+                    m = sums.index(val)
                 if val > best:
                     best = val
                     best_triple = (a, b, c)
                 else:
-                    h = sums.index(val)
-                    sab_h, dh = sab[h], dist[h]
+                    h = m
+                    sab_h, dh = da[h] + db[h], dist[h]
+                    r = best - da[h] - ecc[h]
+                    if r >= 0:
+                        pairs &= ~balls[h][min(r, ecc[h])]
     return best, best_triple
 
 

@@ -209,6 +209,14 @@ def test_cli_steiner():
     assert data["triple"] == [0, 1, 3]
 
 
+def test_cli_steiner_fails_loudly_on_a_wrong_witness(monkeypatch):
+    # on the 4-vertex path the triple (0, 1, 2) has Steiner distance 2, not 3
+    monkeypatch.setattr("rainbow3.cli.sdiam3_with_triple", lambda g: (3, (0, 1, 2)))
+    g = write_edge_list(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(RuntimeError, match=r"gave 3 at \[0, 1, 2\], but steiner_distance3 gives 2"):
+        _cli(["steiner"], stdin_text=g)
+
+
 def test_cli_verify_false_coloring_exits_one():
     bad = "# method=spanning n=3 colors=1\n0 1 1\n0 2 1\n1 2 1\n"
     code, out, _ = _cli(["verify"], stdin_text=bad)

@@ -332,6 +332,32 @@ def test_sdiam3_matches_plain_scan(family):
         assert sdiam3_with_triple(g) == oracle_sdiam3_scan(g), case
 
 
+@pytest.mark.parametrize("n", [86, 87, 300])
+def test_sdiam3_path_at_lane_boundaries(n):
+    """n = 86 just fits 1-byte median lanes (3 * 85 = 255), n = 87 takes
+    2-byte lanes, and n = 300 has rings past r = 255, which are peeled."""
+    assert sdiam3_with_triple(path_graph(n)) == (n - 1, (0, 1, n - 1))
+
+
+def test_sdiam3_median_sums_past_a_byte_take_2_byte_lanes():
+    # legs of 1, 1 and 85 on vertex 0: ecc(87) = 86, so 3 * 86 = 258, and
+    # the median sum of (1, 2, 3) at 87 is 86 + 86 + 84 = 256, past a byte
+    g = build_graph(88, [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, 87)])
+    assert sdiam3_with_triple(g) == (87, (1, 2, 87))
+
+
+def test_sdiam3_broom_peels_a_wide_ring_past_255():
+    # a path 0..259 with ten leaves on 259: seen from 0, the leaves are a
+    # ring at r = 260, wide enough for the one-step write but past a byte
+    g = build_graph(270, [(i, i + 1) for i in range(259)] + [(259, v) for v in range(260, 270)])
+    balls = graphs._ball_table(g)
+    assert (balls[0][260] ^ balls[0][259]).bit_count() == 10 > graphs.RING_PEEL_MAX
+    assert graphs._distance_rows(balls) == tuple(tuple(bfs_distances(g, s)) for s in range(g.n))
+    value, triple = sdiam3_with_triple(g)
+    assert (value, triple) == (261, (0, 260, 261))
+    assert steiner_distance3(g, triple) == value
+
+
 @given(connected_graphs(min_n=3, max_n=9))
 @settings(max_examples=60)
 def test_diameter_at_most_sdiam3(g):

@@ -292,7 +292,6 @@ UNREAD_EXPORTS = {
     "pickable": "item 2",
     "class_membership": "item 2",
     "all_class_triples": "item 2",
-    "steiner_distance3": "item 5",
 }
 EXPORTS = rainbow3.__all__
 PROGRAMS = (

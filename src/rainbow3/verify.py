@@ -430,30 +430,30 @@ def verify_certificate(
 # outside triple t from a clash-free tree containing t leaves a clash-free
 # tree whose leaves lie in t: it has leaves exactly t, or is a path between
 # two vertices of t through the third.  Only these minimal trees are kept,
-# each once with the triples it serves.  They are edge bitmasks grown from a
-# single edge by one leaf edge at a time; the leaf count never falls as a tree
-# grows, and dropping a leaf edge reaches each from a smaller one, so trees
-# with 4 leaves are dropped at once.  The search keeps one edge mask per
-# color: a tree clashes with edge e colored c exactly when it meets the mask
-# of c, and a branch dies the moment some triple has no clash-free tree left.
-# Each edge lists its trees fail-first, those of the triples with the fewest
-# trees ahead, so a dead assignment finds its dead triple early.  A successful
-# one kills the same trees in any order and a dead one revives all it killed,
-# so the order changes no search node and no witness.
+# each once.  They are edge bitmasks grown from a single edge by one leaf edge
+# at a time; the leaf count never falls as a tree grows, and dropping a leaf
+# edge reaches each from a smaller one, so trees with 4 leaves are dropped at
+# once.  Trees are numbered in growth order, and a set of trees is a bitset
+# of their ids.  The search holds the alive trees and, per color, the trees
+# through an edge of that color, so coloring edge e with c kills the alive
+# trees through e that meet c in one AND.  Before that every triple has an
+# alive tree, and only trees through e can die.  So the branch dies exactly
+# when a triple served by some tree through e has no alive tree left: the
+# search tests only those, e's at-risk list, fewest trees first (fail-first),
+# and any order of that list dies at the same nodes with the same witness.
 
-def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
-    """For k = 2, 3, ...: each minimal tree of 2..k edges as (edge bitmask,
-    ids of the triples it serves), each edge's (tree id, bitmask, triple ids)
-    entries, and each triple's tree count.  The lists grow in place, so the
-    trees of k are a prefix of the trees of k + 1; on each level searched (every
-    triple has a tree), each edge's entries are sorted by the least tree count
-    among the triples they serve."""
+def _tree_levels(g: Graph) -> Iterator[tuple[int, list[int], list[list[int]] | None]]:
+    """For k = 2, 3, ...: the number of minimal trees of 2..k edges, each
+    edge's bitset of the trees through it, and each edge's at-risk list: the
+    bitset of the trees serving each triple that a tree through the edge
+    serves, fewest trees first, or None while some triple has no tree.  Tree
+    ids follow growth order, so the trees of k are a prefix of those of k + 1."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
-    counts = [0] * len(triple_id)
-    trees: list[tuple[int, list[int]]] = []
-    with_edge: list[list[tuple[int, int, list[int]]]] = [[] for _ in ends]
+    through = [bytearray() for _ in ends]  # little-endian tree bitsets
+    serving = [bytearray() for _ in triple_id]
+    count = 0
     level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
     while True:
         grown: dict = {}
@@ -464,91 +464,71 @@ def _tree_levels(g: Graph) -> Iterator[tuple[list, list[list], list[int]]]:
                     if tips.bit_count() <= 3:
                         grown[tree | 1 << ei] = (verts | e, tips)
         level = grown
+        pad = bytes((count + len(level) + 7) // 8 - (count + 7) // 8)
+        for bits in (*through, *serving):
+            bits += pad
         for tree, (verts, leaves) in level.items():
+            at, bit = count >> 3, 1 << (count & 7)
+            count += 1
             if leaves.bit_count() == 3:
-                serves = [triple_id[leaves]]
+                serving[triple_id[leaves]][at] |= bit
             else:  # a path serves its ends with each inner vertex
-                serves = []
                 inner = verts ^ leaves
                 while inner:
                     low = inner & -inner
-                    serves.append(triple_id[leaves | low])
+                    serving[triple_id[leaves | low]][at] |= bit
                     inner ^= low
-            for ti in serves:
-                counts[ti] += 1
-            rest = tree
-            while rest:
-                low = rest & -rest
-                with_edge[low.bit_length() - 1].append((len(trees), tree, serves))
-                rest ^= low
-            trees.append((tree, serves))
-        if 0 not in counts:  # else k < sdiam3 and _search_coloring returns at once
-            least = [min(counts[ti] for ti in serves) for _, serves in trees]
-            for entries in with_edge:
-                entries.sort(key=lambda entry: least[entry[0]])
-        yield trees, with_edge, counts
+            while tree:
+                low = tree & -tree
+                through[low.bit_length() - 1][at] |= bit
+                tree ^= low
+        on_edge = [int.from_bytes(bits, "little") for bits in through]
+        served = [int.from_bytes(bits, "little") for bits in serving]
+        at_risk = None if 0 in served else [
+            sorted((s for s in served if s & trees), key=int.bit_count) for trees in on_edge
+        ]
+        yield count, on_edge, at_risk
 
 
-def _search_coloring(g: Graph, k: int, trees: list, trees_with_edge: list,
-                     counts: list[int]) -> dict | None:
+def _search_coloring(g: Graph, k: int, count: int, through: list[int],
+                     at_risk: list[list[int]] | None) -> dict | None:
     """First k-coloring (canonical order) under which every triple keeps a
-    rainbow tree among ``trees``, the ``_tree_levels`` entry of k, or None."""
-    if 0 in counts:
+    rainbow tree, given the ``_tree_levels`` entry of k, or None."""
+    if at_risk is None:
         return None
-    alive_count = counts.copy()
     m = g.m
-    alive = [True] * len(trees)
-    by_color = [0] * (k + 1)  # edge mask of each color
+    clash = [0] * (k + 1)  # trees through an edge of each color
+    colors = [0] * m
     nodes = 0
     budget = EXACT_NODE_BUDGET
 
-    def assign(ei: int, col: int) -> list[int] | None:
-        """Kill trees that now carry a color conflict; None on a dead triple."""
-        killed: list[int] = []
-        mask = by_color[col]
-        for tid, tree, serves in trees_with_edge[ei]:
-            if tree & mask and alive[tid]:
-                alive[tid] = False
-                killed.append(tid)
-                dead = False
-                for ti in serves:
-                    alive_count[ti] -= 1
-                    dead |= not alive_count[ti]
-                if dead:
-                    revive(killed)
-                    return None
-        by_color[col] |= 1 << ei
-        return killed
-
-    def revive(killed: list[int]) -> None:
-        for tid in killed:
-            alive[tid] = True
-            for ti in trees[tid][1]:
-                alive_count[ti] += 1
-
-    def dfs(ei: int, used: int) -> bool:
+    def dfs(ei: int, used: int, alive: int) -> bool:
+        # alive: the trees that the colors of edges 0..ei-1 leave clash-free
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise LimitError(f"exact search node budget {budget} exceeded")
         if ei == m:
             return True
+        trees, risk = through[ei], at_risk[ei]
         for col in range(1, min(k, used + 1) + 1):
-            killed = assign(ei, col)
-            if killed is None:
-                continue
-            if dfs(ei + 1, max(used, col)):
-                return True
-            by_color[col] ^= 1 << ei
-            revive(killed)
+            mask = clash[col]
+            killed = trees & mask & alive
+            left = alive ^ killed
+            for served in risk if killed else ():  # no kill, no dead triple
+                if not served & left:
+                    break  # a dead triple
+            else:
+                clash[col] = mask | trees
+                colors[ei] = col
+                if dfs(ei + 1, max(used, col), left):
+                    return True
+                clash[col] = mask
         return False
 
-    if not dfs(0, 0):
+    if not dfs(0, 0, (1 << count) - 1):
         return None
-    return {
-        e: next(col for col, mask in enumerate(by_color) if mask >> ei & 1)
-        for ei, e in enumerate(g.edges)
-    }
+    return dict(zip(g.edges, colors))
 
 
 def exact_rx3_coloring(

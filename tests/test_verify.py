@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -411,6 +412,21 @@ def test_certificate_inner_vertex_in_dom_fails():
     assert not verify_certificate(g, col, {1, 2, 3}, cert)
 
 
+def test_certificate_through_colored_non_edge_fails():
+    # the coloring also colors the pair (0, 1), which is not an edge of g, and
+    # the second path runs through it; with (0, 1) an edge the same paths pass
+    edges = [(0, 3), (1, 4), (0, 2), (2, 4), (3, 4)]
+    col = _coloring([((0, 3), 1), ((0, 1), 2), ((1, 4), 3), ((0, 2), 4), ((2, 4), 5), ((3, 4), 6)])
+    paths = [(0, 3), (0, 1, 4), (0, 2, 4)]
+    cert = _windmill_cert(paths, [{1}, {2, 3}, {4, 5}])
+    g = build_graph(5, edges)
+    assert certificate_colors(g, col, {3, 4}, 0, paths) is None
+    assert not verify_certificate(g, col, {3, 4}, cert)
+    g = build_graph(5, edges + [(0, 1)])
+    assert certificate_colors(g, col, {3, 4}, 0, paths) == cert.color_sets
+    assert verify_certificate(g, col, {3, 4}, cert)
+
+
 def test_certificate_first_path_must_be_single_edge():
     g = build_graph(4, [(0, 1), (1, 2), (0, 3), (0, 2)])
     col = _coloring([((0, 1), 1), ((1, 2), 2), ((0, 3), 3), ((0, 2), 4)])
@@ -781,8 +797,8 @@ SHUFFLE_CASES = {
 
 @pytest.mark.parametrize("case", list(SHUFFLE_CASES))
 def test_exact_kill_list_order_changes_nothing(case, monkeypatch):
-    # Each edge's kill list is sorted fail-first for speed only: a kill must
-    # not depend on where its tree sits in the list.
+    # Each edge's at-risk triple list is sorted fail-first for speed only: a
+    # dead triple must be found wherever it sits in the list.
     g, limits = SHUFFLE_CASES[case]
     solve = lambda: exact_rx3_coloring(g, **limits)
     nodes = _least_budget(solve, monkeypatch)
@@ -794,10 +810,10 @@ def test_exact_kill_list_order_changes_nothing(case, monkeypatch):
         rng = random.Random(seed)
 
         def levels(graph):
-            for trees, with_edge, counts in tree_levels(graph):
-                for entries in with_edge:
-                    rng.shuffle(entries)
-                yield trees, with_edge, counts
+            for count, through, at_risk in tree_levels(graph):
+                for risk in at_risk or ():
+                    rng.shuffle(risk)
+                yield count, through, at_risk
         return levels
 
     for seed in range(3):
@@ -826,6 +842,20 @@ def test_exact_gstar_3_0_pinned(monkeypatch):
     monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", GSTAR_3_0_NODES - 1)
     with pytest.raises(LimitError, match=f"node budget {GSTAR_3_0_NODES - 1} exceeded"):
         exact_rx3_coloring(g, max_edges=g.m)
+
+
+# french_windmill(4) (n = 13, m = 24): rx3 = 4, with a witness whose colors in
+# edge order, joined by commas, have this sha256.
+WINDMILL_4_WITNESS_SHA256 = "3ce0a4a817962753783727a4d4eae1e9b7668763adf6ad12bc97fe5b169f763f"
+
+
+def test_exact_windmill_4_pinned():
+    g = french_windmill(4).graph
+    k, witness = exact_rx3_coloring(g, max_edges=g.m)
+    text = ",".join(str(witness[e]) for e in g.edges)
+    assert k == 4
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDMILL_4_WITNESS_SHA256
+    assert is_3_rainbow(g, EdgeColoring.from_dict(witness)).verdict
 
 
 def test_work_budget_exceeded(monkeypatch):
@@ -880,6 +910,15 @@ def test_exact_matches_all_subtrees_oracle(g):
     # same minimum and the same witness: minimal trees settle every triple
     # at the same search nodes as all its subtrees
     assert exact_rx3_coloring(g) == oracle_exact_rx3_coloring(g)
+
+
+@given(connected_graphs(min_n=3, max_n=7).filter(lambda g: g.m <= 10))
+@settings(max_examples=100, deadline=None)
+def test_exact_node_budget_matches_all_subtrees_oracle(g):
+    # the same least passing node budget: the search visits the same nodes
+    with pytest.MonkeyPatch.context() as patch:
+        assert _least_budget(lambda: exact_rx3_coloring(g), patch) == _least_budget(
+            lambda: oracle_exact_rx3_coloring(g), patch)
 
 
 @pytest.mark.parametrize("kmax", [3, 4])

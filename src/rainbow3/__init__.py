@@ -76,7 +76,6 @@ from .verify import (
     exact_rx3,
     exact_rx3_coloring,
     is_3_rainbow,
-    pickable,
     verify_certificate,
 )
 

@@ -41,13 +41,15 @@ from .verify import (
     EdgeColoring,
     SafetyCertificate,
     certificate_colors,
+    class_membership,
     exact_rx3_coloring,
 )
 
 
 class ColoringInternalError(RuntimeError):
     """A library bug: the repair-pass dispatcher hit a situation its tables
-    rule out, or the final pass found a certificate missing or not verifying."""
+    rule out, or the final pass found a certificate missing, not verifying or
+    with color sets outside the class table."""
 
 
 @dataclass(frozen=True)
@@ -511,8 +513,10 @@ def three_way_coloring(
         stage2_steps=stage2_steps, recolored=recolored, rule_keys=tuple(sorted(rule_keys)),
     )
     # the final pass: each stored certificate, its color sets read off one
-    # certificate_colors walk under the finished coloring
+    # certificate_colors walk under the finished coloring; equal signatures
+    # share one object, checked against the class table when first seen
     certificates = []
+    signatures: dict = {}
     for v in range(g.n):
         if v in dset:
             continue
@@ -522,7 +526,10 @@ def three_way_coloring(
         sets = certificate_colors(g, coloring, dset, v, paths)
         if sets is None:
             raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
-        certificates.append(SafetyCertificate(v, paths, sets))
+        shared = signatures.setdefault(sets, sets)
+        if shared is sets and class_membership(sets) is None:
+            raise ColoringInternalError(f"vertex {v} has a signature outside the class table")
+        certificates.append(SafetyCertificate(v, paths, shared))
     return coloring, certificates, report
 
 

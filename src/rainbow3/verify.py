@@ -3,9 +3,8 @@
 The two value types every construction returns are defined here.  The rest
 checks colorings without trusting how they were built: exhaustive
 3-rainbow verification by a search over rainbow-walk color masks,
-safety-certificate checking, the pickability predicate, the transcribed
-color-set class tables, and an exact minimum-color solver used as ground
-truth on small instances.
+safety-certificate checking, the transcribed color-set class tables, and an
+exact minimum-color solver used as ground truth on small instances.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ class EdgeColoring:
         return cls(dict(assignment), len(set(assignment.values())) if assignment else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SafetyCertificate:
     """Three internally disjoint super-rainbow v-D paths for one outside
     vertex; the first path is always the single leg edge."""
@@ -156,28 +155,6 @@ def class_membership(triple: Sequence[frozenset]) -> int | None:
     if len(sets[0]) != 1:
         return None
     return label
-
-
-# ---------------------------------------------------------------------------
-# Pickability: can one path per vertex be chosen so the three unions are
-# jointly rainbow?
-
-def pickable(cu: Sequence[frozenset], cv: Sequence[frozenset], cw: Sequence[frozenset]) -> bool:
-    """Characterization test: the first-path colors differ somewhere, or a
-    vertex has two single-edge paths, or some pair of later paths of two
-    distinct vertices is color-disjoint."""
-    triples = (tuple(map(frozenset, cu)), tuple(map(frozenset, cv)), tuple(map(frozenset, cw)))
-    firsts = [t[0] for t in triples]
-    if not (firsts[0] == firsts[1] == firsts[2]):
-        return True
-    # degenerate pre-pass: two single-edge paths at one vertex
-    if any(sum(1 for s in t if len(s) == 1) >= 2 for t in triples):
-        return True
-    for x, y in itertools.combinations(range(3), 2):
-        for s, t in itertools.product((1, 2), repeat=2):
-            if not (triples[x][s] & triples[y][t]):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -385,27 +362,42 @@ def certificate_colors(
     disjoint), and the colors are distinct.  ``dom`` is only tested for membership."""
     if len(paths) != 3 or len(paths[0]) != 2:
         return None
-    edges, assignment = g.edge_set, c.assignment
-    colors = []
-    for path in paths:
+    edges, get = g.edge_set, c.assignment.get
+    leg, second, third = paths
+    if leg[0] != v or leg[-1] not in dom:
+        return None
+    b = leg[1]
+    e = (v, b) if v < b else (b, v)
+    c0 = get(e)
+    if c0 is None or e not in edges:
+        return None
+    walked = []
+    for path in (second, third):
         if len(path) < 2 or path[0] != v or path[-1] not in dom:
             return None
+        cols = []
         a = v
         for b in path[1:]:
             e = (a, b) if a < b else (b, a)
-            col = assignment.get(e)
+            col = get(e)
             if col is None or e not in edges:
                 return None
-            colors.append(col)
+            cols.append(col)
             a = b
-    inner = (v, *paths[1][1:-1], *paths[2][1:-1])
-    if len(set(colors)) != len(colors) or len(set(inner)) != len(inner):
+        walked.append(cols)
+    # distinct colors: c0 in neither set, no repeat within a path, disjoint sets
+    cols2, cols3 = walked
+    s2, s3 = frozenset(cols2), frozenset(cols3)
+    if (c0 in s2 or c0 in s3 or len(s2) != len(cols2) or len(s3) != len(cols3)
+            or not s2.isdisjoint(s3)):
+        return None
+    inner = (v, *second[1:-1], *third[1:-1])
+    if len(set(inner)) != len(inner):
         return None
     for x in inner:
         if x in dom:
             return None
-    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
-    return frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:])
+    return frozenset((c0,)), s2, s3
 
 
 def verify_certificate(
@@ -416,6 +408,8 @@ def verify_certificate(
     sets = certificate_colors(g, c, dom, cert.vertex, cert.paths)
     if sets is None or len(cert.color_sets) != 3:
         return False
+    if sets == cert.color_sets:  # the walked sets as a tuple, as the construction records them
+        return True
     for along, recorded in zip(sets, cert.color_sets):
         if len(recorded) != len(along) or not along.issubset(recorded):
             return False

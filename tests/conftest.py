@@ -338,7 +338,7 @@ def oracle_cds_heuristic(g) -> frozenset:
 
 
 def pickable_bruteforce(cu, cv, cw) -> bool:
-    """Oracle twin of ``pickable``: try all 27 path selections; true iff some
+    """Pickability by its definition: try all 27 path selections; true iff some
     selection has pairwise-disjoint color sets (duplicate-free multiset union)."""
     triples = (tuple(map(frozenset, cu)), tuple(map(frozenset, cv)), tuple(map(frozenset, cw)))
     for i, j, k in itertools.product(range(3), repeat=3):
@@ -384,6 +384,34 @@ def oracle_certificate(g, c, dom, cert) -> bool:
         if inner_i & set(paths[j]) or inner_j & set(paths[i]):
             return False
     return True
+
+
+def oracle_certificate_colors(g, c, dom, v, paths):
+    """``certificate_colors`` as it stood before the lean walk: one list of
+    all the path colors, one distinctness test by ``set`` and three slices."""
+    if len(paths) != 3 or len(paths[0]) != 2:
+        return None
+    edges, assignment = g.edge_set, c.assignment
+    colors = []
+    for path in paths:
+        if len(path) < 2 or path[0] != v or path[-1] not in dom:
+            return None
+        a = v
+        for b in path[1:]:
+            e = (a, b) if a < b else (b, a)
+            col = assignment.get(e)
+            if col is None or e not in edges:
+                return None
+            colors.append(col)
+            a = b
+    inner = (v, *paths[1][1:-1], *paths[2][1:-1])
+    if len(set(colors)) != len(colors) or len(set(inner)) != len(inner):
+        return None
+    for x in inner:
+        if x in dom:
+            return None
+    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
+    return frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:])
 
 
 def stage2_rule_keys() -> list[tuple]:

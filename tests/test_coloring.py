@@ -579,6 +579,32 @@ def test_final_pass_walks_each_certificate_once(monkeypatch):
     assert walked == outside == [cert.vertex for cert in certs]
 
 
+def test_final_pass_shares_one_object_per_signature(monkeypatch):
+    # the class table is consulted once per distinct signature, and equal
+    # signatures are one object
+    g = random_min_degree(2000, 3, 1)
+    dom = three_way_dominating_set(g)
+    looked_up = []
+    real = coloring.class_membership
+
+    def counted(sets):
+        looked_up.append(sets)
+        return real(sets)
+
+    monkeypatch.setattr(coloring, "class_membership", counted)
+    _, certs, _ = three_way_coloring(g, dom)
+    signatures = {cert.color_sets for cert in certs}
+    assert len({id(cert.color_sets) for cert in certs}) == len(signatures)
+    assert sorted(looked_up, key=repr) == sorted(signatures, key=repr)
+
+
+def test_final_pass_rejects_a_signature_outside_the_class_table(monkeypatch):
+    g, dom = wheel_graph(9)
+    monkeypatch.setattr(coloring, "class_membership", lambda sets: None)
+    with pytest.raises(ColoringInternalError, match=r"vertex 0 has a signature outside the class"):
+        three_way_coloring(g, dom)
+
+
 def test_construct_runs_three_domination_passes(monkeypatch):
     # one pass each: the heuristic's post-check, the growth's post-check and
     # three_way_coloring's check of caller input; each also tests G[D] connected

@@ -289,8 +289,6 @@ def test_limits_are_read_only_where_they_apply():
 # Exported names that no program reads yet, each with the ROADMAP item that
 # gives it a caller.
 UNREAD_EXPORTS = {
-    "pickable": "item 2",
-    "class_membership": "item 2",
     "all_class_triples": "item 2",
 }
 EXPORTS = rainbow3.__all__

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -32,7 +33,6 @@ from rainbow3 import (
     gstar,
     is_3_rainbow,
     path_graph,
-    pickable,
     random_min_degree,
     sdiam3,
     spanning_tree_coloring,
@@ -46,6 +46,7 @@ from conftest import (
     connected_graphs,
     many_colored_graphs,
     oracle_certificate,
+    oracle_certificate_colors,
     oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
     oracle_rainbow_report,
@@ -421,9 +422,11 @@ def test_certificate_through_colored_non_edge_fails():
     cert = _windmill_cert(paths, [{1}, {2, 3}, {4, 5}])
     g = build_graph(5, edges)
     assert certificate_colors(g, col, {3, 4}, 0, paths) is None
+    assert oracle_certificate_colors(g, col, {3, 4}, 0, paths) is None
     assert not verify_certificate(g, col, {3, 4}, cert)
     g = build_graph(5, edges + [(0, 1)])
     assert certificate_colors(g, col, {3, 4}, 0, paths) == cert.color_sets
+    assert oracle_certificate_colors(g, col, {3, 4}, 0, paths) == cert.color_sets
     assert verify_certificate(g, col, {3, 4}, cert)
 
 
@@ -577,6 +580,114 @@ def test_certificate_colors_are_the_path_colors_in_order():
     assert certificate_colors(g, coloring, dom, v, (leg, second, third[:-1])) is None
 
 
+def _outcome(f, *args):
+    """f's value on args, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(_mutated_certificates())
+@settings(max_examples=300, deadline=None)
+def test_certificate_colors_matches_the_oracle_on_mutants(drawn):
+    g, dom, coloring, cert = drawn
+    args = (g, coloring, dom, cert.vertex, cert.paths)
+    assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate_colors, *args)
+
+
+def _uncolored(coloring, paths):
+    """The coloring without the color of the third path's last edge."""
+    assignment = dict(coloring.assignment)
+    del assignment[edge_key(*paths[2][-2:])]
+    return EdgeColoring.from_dict(assignment)
+
+
+def _repeated(coloring, paths, i):
+    """The coloring with path i's last edge given its first edge's color."""
+    path = paths[i]
+    assignment = dict(coloring.assignment)
+    assignment[edge_key(*path[-2:])] = assignment[edge_key(*path[:2])]
+    return EdgeColoring.from_dict(assignment)
+
+
+MALFORMED = {
+    "lists": lambda g, c, v, p: (c, v, [list(q) for q in p]),
+    "list-of-tuples": lambda g, c, v, p: (c, v, list(p)),
+    "two-paths": lambda g, c, v, p: (c, v, p[:2]),
+    "four-paths": lambda g, c, v, p: (c, v, (*p, p[2])),
+    "one-vertex-leg": lambda g, c, v, p: (c, v, ((v,), p[1], p[2])),
+    "one-vertex-second": lambda g, c, v, p: (c, v, (p[0], (v,), p[2])),
+    "one-vertex-third": lambda g, c, v, p: (c, v, (p[0], p[1], (v,))),
+    "v=-1": lambda g, c, v, p: (c, -1, p),
+    "v=n": lambda g, c, v, p: (c, g.n, p),
+    "v=True": lambda g, c, v, p: (c, True, p),
+    "uncolored-edge": lambda g, c, v, p: (_uncolored(c, p), v, p),
+    "repeated-color-second": lambda g, c, v, p: (_repeated(c, p, 1), v, p),
+    "repeated-color-third": lambda g, c, v, p: (_repeated(c, p, 2), v, p),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_certificate_colors_matches_the_oracle_on_malformed_input(kind):
+    g, dom, coloring, certs, _ = _plus6(24, 3, 2)
+    for cert in certs:
+        c, v, paths = MALFORMED[kind](g, coloring, cert.vertex, cert.paths)
+        args = (g, c, dom, v, paths)
+        assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate_colors, *args)
+
+
+RECORDED = {
+    "tuple-of-frozensets": (lambda sets: sets, True),
+    "list-of-frozensets": (lambda sets: list(sets), True),
+    "lists": (lambda sets: tuple(sorted(s) for s in sets), True),
+    "sets": (lambda sets: tuple(set(s) for s in sets), True),
+    "superset": (lambda sets: (sets[0], sets[1] | {99}, sets[2]), False),
+    "subset": (lambda sets: (sets[0], sets[1], frozenset(sorted(sets[2])[1:])), False),
+    "two-sets": (lambda sets: sets[:2], False),
+    "four-sets": (lambda sets: (*sets, sets[2]), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDED))
+def test_verify_certificate_matches_the_oracle_on_recorded_sets(kind):
+    # a tuple equal to the walked sets passes at once; any other form takes
+    # the per-set size-and-containment loop and keeps its verdict
+    g, dom, coloring, certs, _ = _plus6(24, 3, 2)
+    form, verdict = RECORDED[kind]
+    for cert in certs:
+        recorded = SafetyCertificate(cert.vertex, cert.paths, form(cert.color_sets))
+        assert verify_certificate(g, coloring, dom, recorded) is verdict
+        assert oracle_certificate(g, coloring, dom, recorded) is verdict
+
+
+def _t_sets(*parts):
+    return tuple(frozenset(p) for p in parts)
+
+
+def test_safety_certificate_is_frozen_and_slotted():
+    cert = SafetyCertificate(0, ((0, 1), (0, 2), (0, 3)), _t_sets([1], [2], [3]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.vertex = 4
+    assert not hasattr(cert, "__dict__")
+
+
+def test_safety_certificate_is_equal_and_hashable_by_value():
+    paths = ((0, 1), (0, 2), (0, 3))
+    a = SafetyCertificate(0, paths, _t_sets([1], [2], [3]))
+    b = SafetyCertificate(0, tuple(tuple(list(p)) for p in paths), _t_sets([1], [2], [3]))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a != SafetyCertificate(1, paths, a.color_sets)
+
+
+def test_safety_certificate_replace_keeps_the_other_fields():
+    cert = SafetyCertificate(0, ((0, 1), (0, 2), (0, 3)), _t_sets([1], [2], [3]))
+    moved = dataclasses.replace(cert, paths=((0, 1), (0, 2), (0, 4)))
+    assert (moved.vertex, moved.color_sets) == (cert.vertex, cert.color_sets)
+    assert moved.paths[2] == (0, 4) and cert.paths[2] == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # Pickability.
 
@@ -588,7 +699,6 @@ COUNTEREXAMPLE = (
 
 
 def test_pickable_counterexample_false():
-    assert not pickable(*COUNTEREXAMPLE)
     assert not pickable_bruteforce(*COUNTEREXAMPLE)
 
 
@@ -596,50 +706,25 @@ def test_pickable_distinct_first_colors():
     cu = ({1}, {2, 4}, {3, 5})
     cv = ({2}, {3, 6}, {1, 4})
     cw = ({3}, {1, 5}, {2, 6})
-    assert pickable(cu, cv, cw)
     assert pickable_bruteforce(cu, cv, cw)
 
 
 def test_pickable_three_copies():
     t = ({1}, {2, 4}, {3, 5})
-    assert pickable(t, t, t)
     assert pickable_bruteforce(t, t, t)
 
 
 def test_pickable_degenerate_two_single_edges():
     t = ({1}, {2}, {3, 6})
-    assert pickable(t, t, t)
     assert pickable_bruteforce(t, t, t)
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_pickable_matches_bruteforce_on_table_triples(data):
-    triples = all_class_triples()
-    pick = st.sampled_from(triples)
-    cu, cv, cw = data.draw(pick), data.draw(pick), data.draw(pick)
-    assert pickable(cu, cv, cw) == pickable_bruteforce(cu, cv, cw)
-
-
-@st.composite
-def _synthetic_triples(draw):
-    # singleton first path, arbitrary later sets: not necessarily
-    # super-rainbow, so only one direction of the characterization applies
-    first = frozenset({draw(st.integers(1, 6))})
-    rest = [
-        frozenset(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
-        for _ in range(2)
-    ]
-    return (first, *rest)
-
-
-@given(_synthetic_triples(), _synthetic_triples(), _synthetic_triples())
-@settings(max_examples=200, deadline=None)
-def test_bruteforce_success_always_implies_pickable(cu, cv, cw):
-    # the converse may fail off the table (inputs need not be
-    # super-rainbow); such discrepancies are data, not failures
-    if pickable_bruteforce(cu, cv, cw):
-        assert pickable(cu, cv, cw)
+def test_class_table_is_closed_under_picking():
+    # any three outside vertices whose certificates have table signatures can
+    # choose one path each with pairwise disjoint colors (DECISIONS.md)
+    multisets = list(itertools.combinations_with_replacement(all_class_triples(), 3))
+    assert len(multisets) == 12_341
+    assert [m for m in multisets if not pickable_bruteforce(*m)] == []
 
 
 # ---------------------------------------------------------------------------

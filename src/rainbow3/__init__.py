@@ -70,7 +70,6 @@ from .verify import (
     EdgeColoring,
     SafetyCertificate,
     VerifyReport,
-    all_class_triples,
     certificate_colors,
     class_membership,
     exact_rx3,

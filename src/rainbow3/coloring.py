@@ -261,9 +261,12 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
 def order_dangerous(a: Iterable[int], tree: BfsTree) -> list[int]:
     """Processing order for the still dangerous leaves: descending
     first-level index of the subtree, then ascending height, then BFS
-    visitation order."""
+    visitation order.  A vertex outside the tree, or its root, raises
+    KeyError."""
     rank = {v: i for i, v in enumerate(tree.first_level)}
-    return sorted(a, key=lambda v: (-rank[tree.pi[v]], tree.height[v], tree.pos[v]))
+    pi, height = tree.pi, tree.height
+    keys = {v: (-rank[pi[v]], height[v]) for v in a}
+    return sorted((v for v in tree.order if v in keys), key=keys.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ distances.
 
 A Graph is immutable: frozen, with tuple adjacency and a frozenset of
 edges, so shared graphs are safe to use concurrently.  A BfsTree is frozen
-but holds plain dicts, which callers must not mutate.  No function here
-modifies its arguments.
+but holds plain dicts and lists, which callers must not mutate.  No
+function here modifies its arguments.
 """
 from __future__ import annotations
 
@@ -164,7 +164,6 @@ class BfsTree:
     children: dict
     first_level: tuple[int, ...]
     pi: dict
-    pos: dict
 
 
 def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
@@ -197,10 +196,9 @@ def bfs_tree(g: Graph, component: Iterable[int], root: int) -> BfsTree:
         order=tuple(order),
         parent=parent,
         height=height,
-        children={v: tuple(c) for v, c in children.items()},
+        children=children,
         first_level=first_level,
         pi=pi,
-        pos=dict(zip(order, range(len(order)))),
     )
 
 

@@ -138,11 +138,6 @@ for _label, _entries in CLASS_TABLE.items():
         _CLASS_LOOKUP[frozenset(_entry)] = _label
 
 
-def all_class_triples() -> list[tuple[frozenset, ...]]:
-    """The 41 table triples, class 0 through 6, in listed order."""
-    return [t for label in range(7) for t in CLASS_TABLE[label]]
-
-
 def class_membership(triple: Sequence[frozenset]) -> int | None:
     """Class containing the triple, matching the second/third sets unordered,
     or None.  The first set must be one of the entry's singletons."""
@@ -175,14 +170,14 @@ def _spend(work: list[int], units: int) -> None:
 def _color_bits(g: Graph, c: EdgeColoring) -> list[list[tuple[int, int]]]:
     """Each vertex's (neighbor, color bit) pairs, after checking that ``c``
     colors every edge of g."""
-    missing = [e for e in g.edges if e not in c.assignment]
-    if missing:
-        raise GraphError(f"coloring is not total: {missing[0]} uncolored")
-    palette = sorted({c.assignment[e] for e in g.edges})
-    bit = {col: 1 << i for i, col in enumerate(palette)}
+    absent = object()  # only a missing key is uncolored; a None color is a color
+    cols = list(map(c.assignment.get, g.edges, itertools.repeat(absent)))
+    if absent in cols:
+        raise GraphError(f"coloring is not total: {g.edges[cols.index(absent)]} uncolored")
+    bit = {col: 1 << i for i, col in enumerate(sorted(set(cols)))}
     adj_bits: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        b = bit[c.assignment[(u, v)]]
+    for (u, v), col in zip(g.edges, cols):
+        b = bit[col]
         adj_bits[u].append((v, b))
         adj_bits[v].append((u, b))
     return adj_bits
@@ -246,8 +241,8 @@ def _twins(ends: list[list[int]]) -> tuple:
     """Each vertex's twin class id at one median (vertices whose walk antichains
     are equal as sets are twins), each class's bitset, and an empty ``good`` map
     from class a to class b to the third vertices settled for that class pair."""
-    ids: dict[tuple, int] = {}
-    cls = [ids.setdefault(tuple(sorted(masks)), len(ids)) for masks in ends]
+    ids: dict[frozenset, int] = {}
+    cls = [ids.setdefault(frozenset(masks), len(ids)) for masks in ends]
     classes = [0] * len(ids)
     for v, k in enumerate(cls):
         classes[k] |= 1 << v
@@ -445,43 +440,40 @@ def _tree_levels(g: Graph) -> Iterator[tuple[int, list[int], list[list[int]] | N
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
-    through = [bytearray() for _ in ends]  # little-endian tree bitsets
-    serving = [bytearray() for _ in triple_id]
+    on_edge = [0] * len(ends)
+    served = [0] * len(triple_id)
     count = 0
     level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
     while True:
         grown: dict = {}
         for tree, (verts, leaves) in level.items():
             for ei, e in enumerate(ends):
-                if (e & verts).bit_count() == 1:
-                    tips = leaves & ~e | e & ~verts  # the new vertex replaces its anchor
-                    if tips.bit_count() <= 3:
-                        grown[tree | 1 << ei] = (verts | e, tips)
+                if (e & verts).bit_count() != 1:
+                    continue
+                new = tree | 1 << ei
+                tips = leaves & ~e | e & ~verts  # the new vertex replaces its anchor
+                if new in grown or tips.bit_count() > 3:
+                    continue
+                grown[new] = (verts | e, tips)
+                bit = 1 << count  # a new tree: its id is its first-growth rank
+                count += 1
+                if tips.bit_count() == 3:
+                    served[triple_id[tips]] |= bit
+                else:  # a path serves its ends with each inner vertex
+                    inner = (verts | e) ^ tips
+                    while inner:
+                        low = inner & -inner
+                        served[triple_id[tips | low]] |= bit
+                        inner ^= low
+                while new:
+                    low = new & -new
+                    on_edge[low.bit_length() - 1] |= bit
+                    new ^= low
         level = grown
-        pad = bytes((count + len(level) + 7) // 8 - (count + 7) // 8)
-        for bits in (*through, *serving):
-            bits += pad
-        for tree, (verts, leaves) in level.items():
-            at, bit = count >> 3, 1 << (count & 7)
-            count += 1
-            if leaves.bit_count() == 3:
-                serving[triple_id[leaves]][at] |= bit
-            else:  # a path serves its ends with each inner vertex
-                inner = verts ^ leaves
-                while inner:
-                    low = inner & -inner
-                    serving[triple_id[leaves | low]][at] |= bit
-                    inner ^= low
-            while tree:
-                low = tree & -tree
-                through[low.bit_length() - 1][at] |= bit
-                tree ^= low
-        on_edge = [int.from_bytes(bits, "little") for bits in through]
-        served = [int.from_bytes(bits, "little") for bits in serving]
         at_risk = None if 0 in served else [
             sorted((s for s in served if s & trees), key=int.bit_count) for trees in on_edge
         ]
-        yield count, on_edge, at_risk
+        yield count, on_edge[:], at_risk
 
 
 def _search_coloring(g: Graph, k: int, count: int, through: list[int],

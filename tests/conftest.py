@@ -2,13 +2,14 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Four exceptions keep an earlier form of a
+itself against its own machinery.  Five exceptions keep an earlier form of a
 library routine so tests can compare what each searches and spends:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
-triple under the exact solver's node budget, `oracle_sdiam3_scan` runs the
-median minimum of every triple its per-triple bounds leave, over rows of
-plain BFS distances, and `oracle_cds_heuristic` is the many-leaf greedy as it
+triple under the exact solver's node budget, `oracle_tree_levels` builds
+that solver's tree bitsets in two passes over bytearrays, `oracle_sdiam3_scan`
+runs the median minimum of every triple its per-triple bounds leave, over rows
+of plain BFS distances, and `oracle_cds_heuristic` is the many-leaf greedy as it
 stood before DECISIONS.md entry 6, with a heap entry pushed on every count
 decrement.  `checked_three_way_coloring` re-verifies the certificates after
 every repair step of the +6 construction.
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 import rainbow3.coloring as coloring
 import rainbow3.verify as verify
 from rainbow3 import (
+    CLASS_TABLE,
     ColoringInternalError,
     EdgeColoring,
     GraphError,
@@ -265,6 +267,53 @@ def oracle_exact_rx3_coloring(g, kmax=verify.EXACT_KMAX):
     return None
 
 
+def oracle_tree_levels(g):
+    """`rainbow3.verify._tree_levels` as it stood before the one-pass build:
+    each level grown into a dict, then numbered in a second pass that sets
+    bits in per-edge and per-triple bytearrays padded level by level, turned
+    into ints with `int.from_bytes` at every yield."""
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    triples = itertools.combinations(range(g.n), 3)
+    triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
+    through = [bytearray() for _ in ends]  # little-endian tree bitsets
+    serving = [bytearray() for _ in triple_id]
+    count = 0
+    level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
+    while True:
+        grown = {}
+        for tree, (verts, leaves) in level.items():
+            for ei, e in enumerate(ends):
+                if (e & verts).bit_count() == 1:
+                    tips = leaves & ~e | e & ~verts  # the new vertex replaces its anchor
+                    if tips.bit_count() <= 3:
+                        grown[tree | 1 << ei] = (verts | e, tips)
+        level = grown
+        pad = bytes((count + len(level) + 7) // 8 - (count + 7) // 8)
+        for bits in (*through, *serving):
+            bits += pad
+        for tree, (verts, leaves) in level.items():
+            at, bit = count >> 3, 1 << (count & 7)
+            count += 1
+            if leaves.bit_count() == 3:
+                serving[triple_id[leaves]][at] |= bit
+            else:  # a path serves its ends with each inner vertex
+                inner = verts ^ leaves
+                while inner:
+                    low = inner & -inner
+                    serving[triple_id[leaves | low]][at] |= bit
+                    inner ^= low
+            while tree:
+                low = tree & -tree
+                through[low.bit_length() - 1][at] |= bit
+                tree ^= low
+        on_edge = [int.from_bytes(bits, "little") for bits in through]
+        served = [int.from_bytes(bits, "little") for bits in serving]
+        at_risk = None if 0 in served else [
+            sorted((s for s in served if s & trees), key=int.bit_count) for trees in on_edge
+        ]
+        yield count, on_edge, at_risk
+
+
 def oracle_sdiam3_scan(g):
     """`sdiam3_with_triple` as a loop over every triple in lexicographic
     order: (max Steiner distance, first argmax), skipping a triple only by
@@ -412,6 +461,11 @@ def oracle_certificate_colors(g, c, dom, v, paths):
             return None
     k = len(paths[1])  # the leg's color, then the k - 1 of the second path
     return frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:])
+
+
+def all_class_triples() -> list[tuple[frozenset, ...]]:
+    """The 41 table triples, class 0 through 6, in listed order."""
+    return [t for label in range(7) for t in CLASS_TABLE[label]]
 
 
 def stage2_rule_keys() -> list[tuple]:

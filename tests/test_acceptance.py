@@ -15,7 +15,6 @@ import pytest
 
 from rainbow3 import (
     EdgeColoring,
-    all_class_triples,
     chain_example,
     class_membership,
     complete_bipartite,
@@ -40,6 +39,7 @@ from rainbow3 import (
     verify_certificate,
 )
 from conftest import (
+    all_class_triples,
     checked_three_way_coloring,
     oracle_rainbow_report,
     oracle_rainbow_s_tree,

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from rainbow3 import (
     DominationError,
     EdgeColoring,
     GraphError,
-    all_class_triples,
     bfs_tree,
     build_graph,
     check_domination,
@@ -267,6 +267,27 @@ def test_order_dangerous_rules():
     # R3: same subtree and height, BFS order decides
     assert order_dangerous([8, 7], tree) == [7, 8]
     assert order_dangerous([4, 6, 7, 8], tree) == [7, 8, 6, 4]
+    for outside in (tree.root, 9):
+        with pytest.raises(KeyError):
+            order_dangerous([4, outside], tree)
+
+
+@pytest.mark.parametrize("n", [10, 40, 120, 300])
+def test_order_dangerous_matches_the_position_key(n):
+    # ranking by position in tree.order gives the old sort key on every
+    # component of G - D, with BFS position looked up in a dict
+    for seed in range(5):
+        g = random_min_degree(n, 3, seed)
+        for comp in components_minus(g, three_way_dominating_set(g).vertices):
+            tree = bfs_tree(g, comp, comp[-1])
+            rank = {v: i for i, v in enumerate(tree.first_level)}
+            pos = {v: i for i, v in enumerate(tree.order)}
+            pending = list(tree.order[1:])
+            random.Random(seed).shuffle(pending)
+            for a in (pending, pending[::2]):
+                assert order_dangerous(a, tree) == sorted(
+                    a, key=lambda v: (-rank[tree.pi[v]], tree.height[v], pos[v])
+                )
 
 
 def test_stage2_table_covers_every_key():

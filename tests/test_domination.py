@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbow3 import (
@@ -158,6 +158,10 @@ def test_heuristic_never_beats_exact(g):
 
 
 @given(st.integers(5, 300), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@example(300, 3, 0)
+@example(300, 3, 1)
+@example(300, 3, 2)
+@example(300, 3, 3)
 @settings(max_examples=80, deadline=None)
 def test_heuristic_matches_eager_push_oracle(n, delta, seed):
     # one heap entry per tree vertex, pushed back when popped stale, makes
@@ -166,21 +170,9 @@ def test_heuristic_matches_eager_push_oracle(n, delta, seed):
     assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 
-@given(connected_graphs(min_n=2, max_n=12))
-@settings(max_examples=60)
-def test_heuristic_matches_eager_push_oracle_on_small_graphs(g):
-    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
-
-
 @given(connected_graphs(min_n=2, max_n=30))
 @settings(max_examples=80, deadline=None)
 def test_heuristic_matches_the_greedy_before_inlining(g):
-    assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_heuristic_matches_the_greedy_before_inlining_at_n300(seed):
-    g = random_min_degree(300, 3, seed)
     assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 

@@ -18,7 +18,6 @@ from rainbow3 import (
     LimitError,
     SafetyCertificate,
     VerifyReport,
-    all_class_triples,
     build_graph,
     certificate_colors,
     chain_example,
@@ -42,6 +41,7 @@ from rainbow3 import (
     verify_certificate,
 )
 from conftest import (
+    all_class_triples,
     colored_graphs,
     connected_graphs,
     many_colored_graphs,
@@ -50,6 +50,7 @@ from conftest import (
     oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
     oracle_rainbow_report,
+    oracle_tree_levels,
     pickable_bruteforce,
     random_connected,
 )
@@ -318,6 +319,22 @@ def test_is_3_rainbow_checks_totality_below_three_vertices():
     with pytest.raises(GraphError, match="not total"):
         is_3_rainbow(g, EdgeColoring.from_dict({}))
     assert is_3_rainbow(g, EdgeColoring.from_dict({(0, 1): 1})) == VerifyReport(True, None, 0, 1)
+
+
+def test_is_3_rainbow_names_the_first_uncolored_edge_in_edge_order():
+    g = path_graph(5)  # edges (0, 1), (1, 2), (2, 3), (3, 4)
+    with pytest.raises(GraphError, match=r"^coloring is not total: \(1, 2\) uncolored$"):
+        is_3_rainbow(g, EdgeColoring.from_dict({(3, 4): 1, (0, 1): 2}))
+
+
+def test_a_none_color_is_a_color_and_not_uncolored():
+    # only an absent key is uncolored: a key mapped to None is one more color
+    g = path_graph(3)
+    c = EdgeColoring({(0, 1): None, (1, 2): None}, 1)
+    assert rainbow3.verify._color_bits(g, c) == [[(1, 1)], [(0, 1), (2, 1)], [(1, 1)]]
+    assert is_3_rainbow(g, c) == VerifyReport(False, (0, 1, 2), 1, 1)
+    with pytest.raises(GraphError, match=r"^coloring is not total: \(1, 2\) uncolored$"):
+        is_3_rainbow(g, EdgeColoring({(0, 1): None}, 1))
 
 
 def test_is_3_rainbow_spanning_k33():
@@ -909,6 +926,45 @@ def test_exact_kill_list_order_changes_nothing(case, monkeypatch):
         monkeypatch.setattr("rainbow3.verify.EXACT_NODE_BUDGET", nodes - 1)
         with pytest.raises(LimitError, match=f"node budget {nodes - 1} exceeded"):
             solve()
+
+
+LEVEL_GRAPHS = {
+    **{f"P{n}": path_graph(n) for n in range(3, 10)},
+    **{f"C{n}": cycle_graph(n) for n in range(4, 8)},
+    "K4": complete_graph(4),
+    "K5 minus an edge": build_graph(5, [e for e in complete_graph(5).edges if e != (0, 1)]),
+    "windmill 2": french_windmill(2).graph,
+    "windmill 3": french_windmill(3).graph,
+    "gstar 3 0": gstar(3, 0).graph,
+}
+
+
+def _levels_match_oracle(g):
+    # the one-pass build yields the same tree count, bitsets and at-risk
+    # lists as the bytearray build at every k up to rx3, the last the solver reads
+    levels = rainbow3.verify._tree_levels(g)
+    kmax = exact_rx3(g, max_edges=g.m)
+    for k, new, old in zip(range(2, kmax + 1), levels, oracle_tree_levels(g)):
+        assert new == old, k
+
+
+@pytest.mark.parametrize("name", list(LEVEL_GRAPHS))
+def test_tree_levels_match_the_two_pass_build(name):
+    _levels_match_oracle(LEVEL_GRAPHS[name])
+
+
+@given(connected_graphs(min_n=3, max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_tree_levels_match_the_two_pass_build_on_random_graphs(g):
+    _levels_match_oracle(g)
+
+
+def test_tree_levels_yield_lists_the_next_level_leaves_alone():
+    levels = rainbow3.verify._tree_levels(french_windmill(2).graph)
+    _, on_edge, _ = next(levels)
+    kept = list(on_edge)
+    next(levels)
+    assert on_edge == kept
 
 
 # gstar(3, 0), the smallest block chain (n = 10, m = 19): rx3 = 5 = sdiam3,

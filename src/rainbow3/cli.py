@@ -45,6 +45,7 @@ from .graphs import (
     read_edge_list,
     sdiam3_with_triple,
     steiner_distance3,
+    vertex_set,
     write_edge_list,
 )
 from .verify import (
@@ -194,7 +195,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = report.verdict
     if args.certs:
         dom, certs = _read_certificates(_read_text(args.certs))
-        dom = dom or frozenset(meta.get("dom", ()))
+        dom = vertex_set(graph, dom) or frozenset(meta.get("dom", ()))
         results = [verify_certificate(graph, coloring, dom, cert) for cert in certs]
         payload["certificates"] = {
             "checked": len(results),

@@ -495,14 +495,13 @@ def three_way_coloring(
         if len(comp) == 2:
             _color_isolated_edge(g, dset, comp[0], comp[1], colors, cert_paths)
             continue
-        # comp is ascending, connected and has >= 3 vertices, so this root exists
-        compset = set(comp)
-        root = next(v for v in comp if sum(1 for w in g.adj[v] if w in compset) >= 2)
+        # comp is ascending, connected and has >= 3 vertices, so this root exists;
+        # a vertex's neighbors outside D are its neighbors in comp
+        root = next(v for v in comp if sum(1 for w in g.adj[v] if w not in dset) >= 2)
         tree = bfs_tree(g, comp, root)
         state = stage1_periodic(g, dset, tree)
         _repair_leaves_with_legs(g, dset, state)
-        pending = order_dangerous([v for v in state.dangerous if v not in state.certs], tree)
-        for w in pending:
+        for w in order_dangerous(state.dangerous, tree):
             if w in state.certs:
                 continue
             stage2_repair_step(g, state, w)
@@ -580,8 +579,8 @@ def read_coloring(text: str):
     """Parse a coloring file back into (graph, coloring, meta).
 
     Raises GraphError on a row that is not three integers, on a color that
-    is not positive, on an edge listed twice and on a header value that is
-    not an integer."""
+    is not positive, on an edge listed twice, on a header value that is
+    not an integer and on a header dom member that is not a vertex."""
     meta: dict = {}
     rows = []
     assignment: dict = {}
@@ -621,4 +620,6 @@ def read_coloring(text: str):
             meta_out["dom"] = tuple(int(t) for t in meta["dom"].split(","))
     except ValueError as exc:
         raise GraphError(f"bad coloring header value: {exc}") from None
-    return build_graph(n, rows), EdgeColoring.from_dict(assignment), meta_out
+    graph = build_graph(n, rows)
+    vertex_set(graph, meta_out.get("dom", ()))
+    return graph, EdgeColoring.from_dict(assignment), meta_out

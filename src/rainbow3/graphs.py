@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class GraphError(ValueError):
@@ -102,36 +102,10 @@ def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, list[int]]:
     return build_graph(len(order), edges), order
 
 
-def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
-    """Connectivity of g, or of its subgraph induced on ``within`` (vertices of g)."""
-    if within is None:
-        mark = bytearray(b"\x01") * g.n
-    else:
-        mark = bytearray(g.n)
-        for v in vertex_set(g, within):
-            mark[v] = 1
-    s = mark.find(1)
-    if s < 0:
-        return True
+def _components(g: Graph, mark: bytearray) -> Iterator[list[int]]:
+    """Components of the subgraph induced on the vertices ``mark`` leaves 0,
+    smallest vertex first, each a list in BFS order; reached vertices are set to 1."""
     adj = g.adj
-    mark[s] = 0
-    reached = [s]
-    for u in reached:
-        for w in adj[u]:
-            if mark[w]:
-                mark[w] = 0
-                reached.append(w)
-    return 1 not in mark
-
-
-def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
-    """Connected components of G - D, each a sorted vertex tuple, in
-    smallest-vertex order."""
-    adj = g.adj
-    mark = bytearray(g.n)  # 1 on D and on every vertex already in a component
-    for v in vertex_set(g, dom):
-        mark[v] = 1
-    comps: list[tuple[int, ...]] = []
     s = mark.find(0)
     while s >= 0:
         mark[s] = 1
@@ -141,9 +115,29 @@ def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
                 if not mark[w]:
                     mark[w] = 1
                     comp.append(w)
-        comps.append(tuple(sorted(comp)))
+        yield comp
         s = mark.find(0, s + 1)
-    return comps
+
+
+def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
+    """Connectivity of g, or of its subgraph induced on ``within`` (vertices of g)."""
+    if within is None:
+        mark = bytearray(g.n)
+    else:
+        mark = bytearray(b"\x01") * g.n
+        for v in vertex_set(g, within):
+            mark[v] = 0
+    comps = _components(g, mark)
+    return next(comps, None) is None or next(comps, None) is None  # at most one
+
+
+def components_minus(g: Graph, dom: Iterable[int]) -> list[tuple[int, ...]]:
+    """Connected components of G - D, each a sorted vertex tuple, in
+    smallest-vertex order."""
+    mark = bytearray(g.n)
+    for v in vertex_set(g, dom):
+        mark[v] = 1
+    return [tuple(sorted(comp)) for comp in _components(g, mark)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from math import comb
 from typing import Container, Iterator, Sequence
 
-from .graphs import Graph, GraphError, LimitError, sdiam3
+from .graphs import Graph, GraphError, LimitError, is_connected
 
 
 # Default limits: the largest color count and edge count the exact solver
@@ -32,7 +32,8 @@ EXACT_NODE_BUDGET = 20_000_000
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total mapping from canonical edges to positive integer colors."""
+    """Total mapping from canonical edges to colors: any hashable value is a
+    color (the constructions use positive integers, and so does the CLI)."""
 
     assignment: dict
     num_colors: int
@@ -132,10 +133,9 @@ CLASS_TABLE: dict[int, tuple[tuple[frozenset, ...], ...]] = {
     ),
 }
 
-_CLASS_LOOKUP: dict[frozenset, int] = {}
-for _label, _entries in CLASS_TABLE.items():
-    for _entry in _entries:
-        _CLASS_LOOKUP[frozenset(_entry)] = _label
+_CLASS_LOOKUP: dict[frozenset, int] = {
+    frozenset(entry): label for label, entries in CLASS_TABLE.items() for entry in entries
+}
 
 
 def class_membership(triple: Sequence[frozenset]) -> int | None:
@@ -144,12 +144,7 @@ def class_membership(triple: Sequence[frozenset]) -> int | None:
     if len(triple) != 3:
         return None
     sets = tuple(frozenset(s) for s in triple)
-    label = _CLASS_LOOKUP.get(frozenset(sets))
-    if label is None:
-        return None
-    if len(sets[0]) != 1:
-        return None
-    return label
+    return _CLASS_LOOKUP.get(frozenset(sets)) if len(sets[0]) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +169,7 @@ def _color_bits(g: Graph, c: EdgeColoring) -> list[list[tuple[int, int]]]:
     cols = list(map(c.assignment.get, g.edges, itertools.repeat(absent)))
     if absent in cols:
         raise GraphError(f"coloring is not total: {g.edges[cols.index(absent)]} uncolored")
-    bit = {col: 1 << i for i, col in enumerate(sorted(set(cols)))}
+    bit = {col: 1 << i for i, col in enumerate(dict.fromkeys(cols))}  # first-seen order
     adj_bits: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for (u, v), col in zip(g.edges, cols):
         b = bit[col]
@@ -435,8 +430,9 @@ def _tree_levels(g: Graph) -> Iterator[tuple[int, list[int], list[list[int]] | N
     """For k = 2, 3, ...: the number of minimal trees of 2..k edges, each
     edge's bitset of the trees through it, and each edge's at-risk list: the
     bitset of the trees serving each triple that a tree through the edge
-    serves, fewest trees first, or None while some triple has no tree.  Tree
-    ids follow growth order, so the trees of k are a prefix of those of k + 1."""
+    serves, fewest trees first, or None while some triple has no tree (k <
+    sdiam3).  Tree ids follow growth order, so the trees of k are a prefix of
+    those of k + 1."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     triples = itertools.combinations(range(g.n), 3)
     triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
@@ -531,9 +527,11 @@ def exact_rx3_coloring(
         raise LimitError(f"exact solver limited to {max_edges} edges, got {g.m}")
     if g.n < 3:
         raise GraphError(f"3-rainbow index needs n >= 3, got n={g.n}")
-    lower = max(2, sdiam3(g))
-    levels = itertools.islice(_tree_levels(g), lower - 2, None)
-    for k, level in zip(range(lower, kmax + 1), levels):
+    if not is_connected(g):
+        raise GraphError("graph must be connected")
+    # a triple has a tree of at most k edges iff its Steiner distance is at
+    # most k, so the levels below sdiam3 search nothing
+    for k, level in zip(range(2, kmax + 1), _tree_levels(g)):
         found = _search_coloring(g, k, *level)
         if found is not None:
             return k, found

@@ -263,6 +263,9 @@ CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
         (["verify", "--certs"], "not json", COLORED_PATH),
         (["verify", "--certs"], "[]", COLORED_PATH),
         (["verify", "--certs"], json.dumps({"dom": [0, 1]}), COLORED_PATH),
+        # no certificate to check, so only the dom can fail
+        (["verify", "--certs"], json.dumps({"dom": [0, 99], "certificates": []}), COLORED_PATH),
+        (["exact", "--in"], "5 3\n0 1\n1 2\n3 4\n", ""),
     ]
     + [
         (["verify", "--certs"], json.dumps({"dom": [0, 1], "certificates": [
@@ -283,6 +286,7 @@ CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
         ]
     ],
     ids=["dom-non-integer", "certs-not-json", "certs-not-object", "certs-missing-list",
+         "certs-dom-outside-the-graph", "exact-disconnected",
          "cert-missing-vertex", "cert-missing-paths", "cert-missing-color-sets",
          "cert-non-integer-vertex", "certs-dom-string", "certs-dom-non-integer",
          "certs-dom-float", "cert-boolean-vertex", "cert-boolean-path-vertex",
@@ -321,6 +325,19 @@ def test_cli_file_errors_exit_two(argv, stdin_text, tmp_path):
 def test_read_coloring_rejects_bad_header_value():
     with pytest.raises(GraphError, match="header"):
         read_coloring("# method=spanning n=three\n0 1 1\n")
+
+
+def test_read_coloring_skips_blank_lines():
+    g, col, meta = read_coloring("# method=spanning n=3 colors=2\n\n0 1 1\n   \n1 2 2\n")
+    assert g.edges == ((0, 1), (1, 2))
+    assert col.assignment == {(0, 1): 1, (1, 2): 2}
+    assert meta == {"method": "spanning", "n": 3, "colors": 2}
+
+
+def test_cli_verify_header_dom_outside_the_graph_exits_two():
+    text = "# method=theorem3 n=3 d=0 colors=2\n# dom=0,9\n0 1 1\n1 2 2\n"
+    assert _cli(["verify"], stdin_text=text) == (
+        2, "", "rainbow3: vertex 9 is not a vertex of g (n=3)\n")
 
 
 def test_cli_dom_file_and_certs(tmp_path):

@@ -234,6 +234,13 @@ def test_stage1_rejects_a_root_with_one_child():
         stage1_periodic(g, {3}, bfs_tree(g, [0, 1, 2], 0))
 
 
+def test_stage1_rejects_a_tree_vertex_with_no_leg():
+    # the path 0-1-2 rooted at 1, over hub 3, which misses vertex 2
+    g = build_graph(4, [(0, 1), (1, 2), (0, 3), (1, 3)])
+    with pytest.raises(DominationError, match="^vertex 2 has no leg into D$"):
+        stage1_periodic(g, {3}, bfs_tree(g, [0, 1, 2], 1))
+
+
 @pytest.mark.parametrize("n", range(6, 13))
 def test_stage1_nonleaf_sets_are_the_six_listed(n):
     g, dom = wheel_graph(n)

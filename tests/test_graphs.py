@@ -381,3 +381,8 @@ def test_edge_list_bad_header():
         read_edge_list("x y\n")
     with pytest.raises(GraphError, match="endpoint tokens"):
         read_edge_list("3 2\n0 1\n")
+
+
+def test_edge_list_bad_edge_token():
+    with pytest.raises(GraphError, match=r"^bad edge token: invalid literal for int\(\)"):
+        read_edge_list("3 2\n0 1\n1 x\n")

@@ -337,6 +337,19 @@ def test_a_none_color_is_a_color_and_not_uncolored():
         is_3_rainbow(g, EdgeColoring({(0, 1): None}, 1))
 
 
+MIXED_PALETTE = (None, "red", "blue", 0, -1, 2.5, (1, 2), frozenset({3}))
+
+
+@given(connected_graphs(min_n=3, max_n=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_3_rainbow_takes_a_mixed_palette(g, data):
+    # any hashable value is a color, and colors need not compare with each other
+    cols = data.draw(st.lists(st.sampled_from(MIXED_PALETTE), min_size=g.m, max_size=g.m))
+    c = EdgeColoring.from_dict(dict(zip(g.edges, cols)))
+    rep = is_3_rainbow(g, c)
+    assert (rep.verdict, rep.witness, rep.triples_checked) == oracle_rainbow_report(g, c)
+
+
 def test_is_3_rainbow_spanning_k33():
     g = complete_bipartite(3, 3)
     rep = is_3_rainbow(g, spanning_tree_coloring(g))
@@ -771,6 +784,12 @@ def test_class_membership_unordered_tail():
     assert class_membership(({2}, {1}, {3, 6})) == 0
 
 
+def test_class_membership_needs_three_sets():
+    assert class_membership(({1}, {2})) is None
+    # as a set of sets this is {1}, {2}, {3}, which is in class 0
+    assert class_membership(({1}, {2}, {3}, {3})) is None
+
+
 def test_class_membership_rejects_nonsingleton_first():
     assert class_membership(({2, 4}, {1}, {3, 5})) is None
 
@@ -820,6 +839,15 @@ def test_exact_respects_limits():
 def test_exact_needs_three_vertices():
     with pytest.raises(GraphError, match="needs n >= 3, got n=2"):
         exact_rx3_coloring(build_graph(2, [(0, 1)]))
+
+
+def test_exact_rejects_a_disconnected_graph():
+    # the levels never serve a triple across components, so without this
+    # check the search would report "exceeds kmax"
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    for kmax in (2, 8):
+        with pytest.raises(GraphError, match="^graph must be connected$"):
+            exact_rx3(g, kmax=kmax)
 
 
 def test_exact_exceeds_kmax_returns_none():
@@ -957,6 +985,26 @@ def test_tree_levels_match_the_two_pass_build(name):
 @settings(max_examples=100, deadline=None)
 def test_tree_levels_match_the_two_pass_build_on_random_graphs(g):
     _levels_match_oracle(g)
+
+
+def _levels_serve_every_triple_from_sdiam3(g):
+    # a triple has a tree of at most k edges iff its Steiner distance is at
+    # most k, so the at-risk lists are None exactly below sdiam3
+    s = sdiam3(g)
+    levels = rainbow3.verify._tree_levels(g)
+    for k, (_, _, at_risk) in zip(range(2, s + 2), levels):
+        assert (at_risk is None) == (k < s), k
+
+
+@pytest.mark.parametrize("name", list(LEVEL_GRAPHS))
+def test_tree_levels_serve_every_triple_from_sdiam3(name):
+    _levels_serve_every_triple_from_sdiam3(LEVEL_GRAPHS[name])
+
+
+@given(connected_graphs(min_n=3, max_n=7))
+@settings(max_examples=100, deadline=None)
+def test_tree_levels_serve_every_triple_from_sdiam3_on_random_graphs(g):
+    _levels_serve_every_triple_from_sdiam3(g)
 
 
 def test_tree_levels_yield_lists_the_next_level_leaves_alone():

@@ -48,8 +48,8 @@ from .verify import (
 
 class ColoringInternalError(RuntimeError):
     """A library bug: the repair-pass dispatcher hit a situation its tables
-    rule out, or the final pass found a certificate missing, not verifying or
-    with color sets outside the class table."""
+    rule out, or the final pass found a certificate missing, a re-walked one
+    not verifying, or color sets outside the class table."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ class ColoringReport:
     stage2_steps: int = 0
     recolored: int = 0
     rule_keys: tuple = ()
+    rewalked: int = 0
 
 
 def _path_colors(colors: dict, path: tuple) -> frozenset:
@@ -205,6 +206,21 @@ _TYPE_I_FE = {0: (6, 2), 1: (4, 1), 2: (5, 3)}
 _TYPE_II_FE = {0: (4, 2), 1: (5, 3), 2: (6, 1)}
 
 
+def _stage1_rows(fe: dict) -> tuple:
+    """(tree-edge color, leg color, signature) by height mod 3.  A non-leaf's
+    signature is its leg, the path through its parent (its tree edge and the
+    parent's leg: the row above, or the root's 2, which is row 0's leg color)
+    and the path through its first child (the child's tree edge and leg: the
+    row below)."""
+    return tuple(
+        (f, e, (frozenset({e}), frozenset({f, fe[(h - 1) % 3][1]}), frozenset(fe[(h + 1) % 3])))
+        for h, (f, e) in sorted(fe.items())
+    )
+
+
+STAGE1_ROWS = (_stage1_rows(_TYPE_I_FE), _stage1_rows(_TYPE_II_FE))  # indexed by "type II?"
+
+
 @dataclass
 class Stage1State:
     """Mutable per-component record threaded through the two stages."""
@@ -213,6 +229,7 @@ class Stage1State:
     leg: dict = field(default_factory=dict)         # vertex -> chosen foot
     colors: dict = field(default_factory=dict)      # the component's edge -> color map
     certs: dict = field(default_factory=dict)       # certified vertex -> (p1, p2, p3)
+    sets: dict = field(default_factory=dict)        # certified non-root -> its color sets as built
     dangerous: list = field(default_factory=list)   # the stage-1 leaves
     recolored: set = field(default_factory=set)
     steps: list = field(default_factory=list)       # (leaf, rule key) per repair step
@@ -230,7 +247,7 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
     if len(tree.first_level) < 2:
         raise GraphError("BFS root of a >=3-vertex component must have two component neighbors")
     state = Stage1State(tree=tree)
-    adj, leg, colors, certs = g.adj, state.leg, state.colors, state.certs
+    adj, leg, colors, certs, sets = g.adj, state.leg, state.colors, state.certs, state.sets
     parent, height, pi, children = tree.parent, tree.height, tree.pi, tree.children
     root, order = tree.root, tree.order
     first, last = tree.first_level[0], tree.first_level[-1]
@@ -245,7 +262,7 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
     colors[(root, x) if root < x else (x, root)] = 2
     certs[root] = ((root, x), (root, first, leg[first]), (root, last, leg[last]))
     for v in order[1:]:
-        f_col, e_col = (_TYPE_II_FE if pi[v] == last else _TYPE_I_FE)[height[v] % 3]
+        f_col, e_col, signature = STAGE1_ROWS[pi[v] == last][height[v] % 3]
         p, x = parent[v], leg[v]
         colors[(v, p) if v < p else (p, v)] = f_col
         colors[(v, x) if v < x else (x, v)] = e_col
@@ -253,6 +270,7 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
         if kids:
             kid = kids[0]
             certs[v] = ((v, x), (v, p, leg[p]), (v, kid, leg[kid]))
+            sets[v] = signature
         else:
             state.dangerous.append(v)
     return state
@@ -389,6 +407,7 @@ def _certify(state: Stage1State, x: int, y: int, expected: tuple) -> None:
             f"certificate color sets for vertex {x} came out as "
             f"{[sorted(s) for s in got]}, table says {[sorted(s) for s in expected]}"
         )
+    state.sets[x] = expected
 
 
 def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
@@ -443,18 +462,25 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Small components.
+# Small components.  Their signatures, leg first, are fixed by the colors below.
 
-def _color_isolated_vertex(g: Graph, dset: set, v: int, colors: dict, certs: dict) -> None:
+ISOLATED_VERTEX_SETS = _parse_sets("1|2|3")
+ISOLATED_EDGE_SETS = (_parse_sets("1|2|34"), _parse_sets("2|3|14"))  # (u, v)
+
+
+def _color_isolated_vertex(
+    g: Graph, dset: set, v: int, colors: dict, certs: dict, sets: dict
+) -> None:
     ft = [w for w in g.adj[v] if w in dset]
     if len(ft) < 3:
         raise DominationError(f"isolated outside vertex {v} has {len(ft)} legs, needs 3")
     _color_three_legs(colors, v, ft)
     certs[v] = ((v, ft[0]), (v, ft[1]), (v, ft[2]))
+    sets[v] = ISOLATED_VERTEX_SETS
 
 
 def _color_isolated_edge(
-    g: Graph, dset: set, u: int, v: int, colors: dict, certs: dict
+    g: Graph, dset: set, u: int, v: int, colors: dict, certs: dict, sets: dict
 ) -> None:
     fu = [w for w in g.adj[u] if w in dset]
     fv = [w for w in g.adj[v] if w in dset]
@@ -469,6 +495,7 @@ def _color_isolated_edge(
     colors[edge_key(u, v)] = 4
     certs[u] = ((u, fu[0]), (u, fu[1]), (u, v, fv[1]))
     certs[v] = ((v, fv[0]), (v, fv[1]), (v, u, fu[0]))
+    sets[u], sets[v] = ISOLATED_EDGE_SETS
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +511,18 @@ def three_way_coloring(
         raise DominationError("D must be a connected three-way dominating set")
     colors: dict = {}
     cert_paths: dict = {}
+    cert_sets: dict = {}
+    rewalk: set = set()
     comps = components_minus(g, dset)
     stage2_steps = 0
     rule_keys: set = set()
     recolored = 0
     for comp in comps:
         if len(comp) == 1:
-            _color_isolated_vertex(g, dset, comp[0], colors, cert_paths)
+            _color_isolated_vertex(g, dset, comp[0], colors, cert_paths, cert_sets)
             continue
         if len(comp) == 2:
-            _color_isolated_edge(g, dset, comp[0], comp[1], colors, cert_paths)
+            _color_isolated_edge(g, dset, comp[0], comp[1], colors, cert_paths, cert_sets)
             continue
         # comp is ascending, connected and has >= 3 vertices, so this root exists;
         # a vertex's neighbors outside D are its neighbors in comp
@@ -510,13 +539,22 @@ def three_way_coloring(
         rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
         cert_paths.update(state.certs)
+        cert_sets.update(state.sets)
+        rewalk.add(root)
+        legs = state.recolored
+        if legs:  # a leg is the last edge of every path that uses it
+            rewalk.update(v for v, ps in state.certs.items() if any(p[-2] in legs for p in ps))
     coloring, report = _color_the_rest(
         g, dset, colors, "theorem3", offset=6, components=len(comps),
         stage2_steps=stage2_steps, recolored=recolored, rule_keys=tuple(sorted(rule_keys)),
+        rewalked=len(rewalk),
     )
-    # the final pass: each stored certificate, its color sets read off one
-    # certificate_colors walk under the finished coloring; equal signatures
-    # share one object, checked against the class table when first seen
+    # the final pass: a root (its second path may be rerouted) and each
+    # certificate with a path ending on a leg a stage-2 rule recolored get one
+    # certificate_colors walk under the finished coloring; every other one
+    # keeps the sets it was built with, as no other edge changes color once a
+    # path has read it (DECISIONS.md entry 13).  Equal signatures share one
+    # object, checked against the class table when first seen.
     certificates = []
     signatures: dict = {}
     for v in range(g.n):
@@ -525,12 +563,14 @@ def three_way_coloring(
         paths = cert_paths.get(v)
         if paths is None:
             raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-        sets = certificate_colors(g, coloring, dset, v, paths)
+        sets = certificate_colors(g, coloring, dset, v, paths) if v in rewalk else cert_sets[v]
         if sets is None:
             raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
-        shared = signatures.setdefault(sets, sets)
-        if shared is sets and class_membership(sets) is None:
-            raise ColoringInternalError(f"vertex {v} has a signature outside the class table")
+        shared = signatures.get(sets)
+        if shared is None:
+            if class_membership(sets) is None:
+                raise ColoringInternalError(f"vertex {v} has a signature outside the class table")
+            shared = signatures[sets] = sets
         certificates.append(SafetyCertificate(v, paths, shared))
     return coloring, certificates, report
 
@@ -548,16 +588,15 @@ def _repair_leaves_with_legs(g: Graph, dset: Container[int], state: Stage1State)
             continue
         x, p = leg[leaf], parent[leaf]
         px = leg[p]
-        used = {
-            colors[(leaf, x) if leaf < x else (x, leaf)],
-            colors[(leaf, p) if leaf < p else (p, leaf)],
-            colors[(p, px) if p < px else (px, p)],
-        }
+        on_leg = colors[(leaf, x) if leaf < x else (x, leaf)]
+        up = colors[(leaf, p) if leaf < p else (p, leaf)], colors[(p, px) if p < px else (px, p)]
+        used = {on_leg, *up}
         col = 1
         while col in used:
             col += 1
         colors[(leaf, foot) if leaf < foot else (foot, leaf)] = col
         state.certs[leaf] = ((leaf, x), (leaf, foot), (leaf, p, px))
+        state.sets[leaf] = (frozenset((on_leg,)), frozenset((col,)), frozenset(up))
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 The oracles here are deliberately dumb reimplementations (subset and
 subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Five exceptions keep an earlier form of a
-library routine so tests can compare what each searches and spends:
+itself against its own machinery.  Six exceptions keep an earlier form of a
+library routine so tests can compare what each searches, spends or builds:
 `oracle_is_3_rainbow` runs one join per triple with the library's walk search
 and join, `oracle_exact_rx3_coloring` searches every subtree of each
 triple under the exact solver's node budget, `oracle_tree_levels` builds
 that solver's tree bitsets in two passes over bytearrays, `oracle_sdiam3_scan`
 runs the median minimum of every triple its per-triple bounds leave, over rows
-of plain BFS distances, and `oracle_cds_heuristic` is the many-leaf greedy as it
+of plain BFS distances, `oracle_cds_heuristic` is the many-leaf greedy as it
 stood before DECISIONS.md entry 6, with a heap entry pushed on every count
-decrement.  `checked_three_way_coloring` re-verifies the certificates after
-every repair step of the +6 construction.
+decrement, and `oracle_final_pass` is the +6 final pass as it stood before
+DECISIONS.md entry 13, walking every certificate.  `checked_three_way_coloring`
+re-verifies the certificates after every repair step of the +6 construction and
+compares the certificates it returns with `oracle_final_pass`.
 """
 from __future__ import annotations
 
@@ -33,8 +35,10 @@ from rainbow3 import (
     EdgeColoring,
     GraphError,
     LimitError,
+    SafetyCertificate,
     build_graph,
     certificate_colors,
+    class_membership,
     edge_key,
     three_way_coloring,
 )
@@ -519,11 +523,35 @@ def oracle_min_dominating(g, k=1, way=0):
 # ---------------------------------------------------------------------------
 # Checked construction.
 
+def oracle_final_pass(g, coloring, dset, cert_paths) -> list:
+    """The final pass of `three_way_coloring` before DECISIONS.md entry 13:
+    every stored certificate's color sets read off one `certificate_colors`
+    walk under the finished coloring, equal signatures shared and checked
+    against the class table when first seen.  Returns the certificates."""
+    certificates = []
+    signatures: dict = {}
+    for v in range(g.n):
+        if v in dset:
+            continue
+        paths = cert_paths.get(v)
+        if paths is None:
+            raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
+        sets = certificate_colors(g, coloring, dset, v, paths)
+        if sets is None:
+            raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
+        shared = signatures.setdefault(sets, sets)
+        if shared is sets and class_membership(sets) is None:
+            raise ColoringInternalError(f"vertex {v} has a signature outside the class table")
+        certificates.append(SafetyCertificate(v, paths, shared))
+    return certificates
+
+
 def checked_three_way_coloring(g, dom):
     """`three_way_coloring` with `stage2_repair_step` wrapped: after each
     repair step every vertex certified so far is re-verified under the
     component's colors, and a certificate that stopped verifying raises
-    ColoringInternalError.  Checks that every reported repair step was wrapped."""
+    ColoringInternalError.  Checks that every reported repair step was wrapped,
+    and that the certificates equal those of `oracle_final_pass`."""
     dset = frozenset(getattr(dom, "vertices", dom))
     step = coloring.stage2_repair_step
     checked = []
@@ -542,7 +570,9 @@ def checked_three_way_coloring(g, dom):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coloring, "stage2_repair_step", checked_step)
         result = three_way_coloring(g, dom)
-    assert len(checked) == result[2].stage2_steps
+    col, certs, report = result
+    assert len(checked) == report.stage2_steps
+    assert certs == oracle_final_pass(g, col, dset, {cert.vertex: cert.paths for cert in certs})
     return result
 
 

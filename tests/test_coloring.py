@@ -42,13 +42,20 @@ from rainbow3 import (
     threshold_example,
     verify_certificate,
 )
-from rainbow3.coloring import STAGE2_RULES, ColoringInternalError
+from rainbow3.coloring import (
+    ISOLATED_EDGE_SETS,
+    ISOLATED_VERTEX_SETS,
+    STAGE1_ROWS,
+    STAGE2_RULES,
+    ColoringInternalError,
+)
 from rainbow3.graphs import bfs_distances
 from rainbow3 import chain_example
 from conftest import (
     checked_three_way_coloring,
     connected_graphs,
     hub_graph,
+    oracle_final_pass,
     prism_graph,
     stage2_rule_keys,
     wheel_graph,
@@ -312,6 +319,16 @@ def test_stage2_expected_triples_are_class_triples():
     assert len(expected) == 48 + 18  # every key certifies w, 18 of them v too
     assert all(class_membership(t) is not None for t in expected)
     assert all(len(s) in (2, 3) for t in expected for s in t[1:])
+
+
+def test_stage1_and_small_component_signatures_are_class_triples():
+    # with the stage-2 rows above, every signature the construction records
+    # without a walk is a table entry; a leaf-leg repair's sets are checked
+    # by the final pass when first seen
+    stage1 = [row[2] for rows in STAGE1_ROWS for row in rows]
+    assert set(stage1) == STAGE1_SAFE_SETS
+    small = [ISOLATED_VERTEX_SETS, *ISOLATED_EDGE_SETS]
+    assert all(class_membership(t) is not None for t in stage1 + small)
 
 
 def test_stage2_recolors_only_the_processed_leg():
@@ -586,25 +603,53 @@ def test_step_check_catches_a_certificate_broken_mid_run(monkeypatch):
         checked_three_way_coloring(g, dom)
 
 
-def test_final_pass_walks_each_certificate_once(monkeypatch):
-    g = random_min_degree(80, 3, seed=5)
+@pytest.mark.parametrize(("n", "seed", "rewalked"), [(80, 5, 9), (2000, 1, 97)])
+def test_final_pass_walks_the_roots_and_the_users_of_recolored_legs(
+    monkeypatch, n, seed, rewalked
+):
+    # the roots of the components with at least 3 vertices and every
+    # certificate with a path ending on a leg a stage-2 rule recolored are
+    # walked once each, in vertex order; the rest keep their built sets
+    g = random_min_degree(n, 3, seed=seed)
     dom = three_way_dominating_set(g)
-    walked = []
-    real = coloring.certificate_colors
+    walked, states = [], []
+    real_walk, real_stage1 = coloring.certificate_colors, coloring.stage1_periodic
 
     def counted(g, c, dom, v, paths):
         walked.append(v)
-        return real(g, c, dom, v, paths)
+        return real_walk(g, c, dom, v, paths)
+
+    def kept(g, dom, tree):
+        states.append(real_stage1(g, dom, tree))
+        return states[-1]
 
     def forbidden(*args):
         raise AssertionError("three_way_coloring called verify_certificate")
 
     monkeypatch.setattr(coloring, "certificate_colors", counted)
+    monkeypatch.setattr(coloring, "stage1_periodic", kept)
     monkeypatch.setattr(verify, "verify_certificate", forbidden)
     monkeypatch.setattr(coloring, "verify_certificate", forbidden, raising=False)
-    _, certs, _ = three_way_coloring(g, dom)
-    outside = [v for v in range(g.n) if v not in dom.vertices]
-    assert walked == outside == [cert.vertex for cert in certs]
+    _, certs, report = three_way_coloring(g, dom)
+    roots = {state.tree.root for state in states}
+    legs = {edge_key(w, state.leg[w]) for state in states for w in state.recolored}
+    users = {
+        cert.vertex for cert in certs if any(edge_key(*p[-2:]) in legs for p in cert.paths)
+    }
+    assert legs and users - roots and roots - users
+    assert walked == sorted(roots | users)
+    assert report.rewalked == len(walked) == rewalked < len(certs)
+
+
+@pytest.mark.parametrize("delta", [3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_final_pass_matches_the_full_walk_at_n_2000(delta, seed):
+    g = random_min_degree(2000, delta, seed)
+    dom = three_way_dominating_set(g)
+    col, certs, report = three_way_coloring(g, dom)
+    paths = {cert.vertex: cert.paths for cert in certs}
+    assert certs == oracle_final_pass(g, col, dom.vertices, paths)
+    assert report.recolored > 0
 
 
 def test_final_pass_shares_one_object_per_signature(monkeypatch):

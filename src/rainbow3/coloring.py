@@ -543,7 +543,8 @@ def three_way_coloring(
         rewalk.add(root)
         legs = state.recolored
         if legs:  # a leg is the last edge of every path that uses it
-            rewalk.update(v for v, ps in state.certs.items() if any(p[-2] in legs for p in ps))
+            rewalk.update(v for v, (a, b, c) in state.certs.items()
+                          if a[-2] in legs or b[-2] in legs or c[-2] in legs)
     coloring, report = _color_the_rest(
         g, dset, colors, "theorem3", offset=6, components=len(comps),
         stage2_steps=stage2_steps, recolored=recolored, rule_keys=tuple(sorted(rule_keys)),

@@ -66,14 +66,25 @@ class DominatingSet:
         return sorted(self.vertices)
 
 
+def _covers(g: Graph, dset: frozenset | set) -> bool:
+    """True iff N[dset] is all of V: the closed neighborhoods' union, taken
+    by C-level set algebra, has n members."""
+    adj = g.adj
+    return len(dset.union(*[adj[v] for v in dset])) == g.n
+
+
 def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool:
     """True iff ``dom`` is a set of vertices of g with the named domination
-    property."""
+    property.  A kind with ``k_dominating == 1`` on a graph whose every
+    degree meets ``k_way`` takes the covered-set test N[D] = V (DECISIONS.md
+    entry 14); any other kind counts each outside vertex's neighbors in D."""
     try:
         dset = vertex_set(g, dom)
     except GraphError:
         return False
     need, low, adj = kind.k_dominating, kind.k_way, g.adj
+    if need == 1 and (not low or g.min_degree() >= low):
+        return _covers(g, dset) and is_connected(g, dset)
     for v in range(g.n):
         if v in dset:
             continue
@@ -90,7 +101,12 @@ def min_dominating_set(g: Graph, kind: DominationKind) -> DominatingSet:
 
     Grows connected sets level by level by one open neighbor each (dropping
     a spanning-tree leaf shows every connected set is reached), deduplicated
-    as bitmasks.  A level lives in memory, so CDS_EXACT_LIMIT is a hard cap."""
+    as bitmasks.  When ``k_dominating == 1`` and level k holds no set, the
+    least set of level k + 1 is read off level k: a k-set d takes a neighbor
+    x exactly when x is adjacent to every vertex d leaves undominated and is
+    the one forced vertex d leaves out, if any.  The level where the minimum
+    is found is never built (DECISIONS.md entry 14).  A level lives in
+    memory, so CDS_EXACT_LIMIT is a hard cap."""
     if not is_connected(g):
         raise GraphError("graph must be connected")
     if g.n > CDS_EXACT_LIMIT:
@@ -101,9 +117,10 @@ def min_dominating_set(g: Graph, kind: DominationKind) -> DominatingSet:
     # an outside vertex of degree below k_way or below need always fails
     forced = sum(1 << v for v in range(g.n) if g.degree(v) < max(kind.k_way, need))
     level = {1 << v: nbr[v] for v in range(g.n)}  # set -> union of its neighborhoods
+    scan = True  # the first level, and every level of a k-dominating kind
     while level:
         best = 0
-        for d, reach in level.items():
+        for d, reach in level.items() if scan else ():
             if forced & ~d or reach | d != full:
                 continue
             x = full ^ d if need > 1 else 0  # outside vertices left to count
@@ -112,6 +129,21 @@ def min_dominating_set(g: Graph, kind: DominationKind) -> DominatingSet:
             diff = d ^ best  # d sorts first iff the least vertex of just one is in d
             if not x and (not best or d & diff & -diff):
                 best = d
+        if not best and need == 1:  # level k + 1 read off level k
+            scan = False
+            for d, reach in level.items():
+                x, miss, f = reach & ~d, full & ~(reach | d), forced & ~d
+                if f:  # a forced vertex left out must be x itself
+                    x &= 0 if f & (f - 1) else f
+                while x and miss:
+                    u = miss & -miss
+                    x &= nbr[u.bit_length() - 1]  # u is not in reach, so x != u
+                    miss ^= u
+                if x:
+                    d |= x & -x  # the least x gives d's first completion
+                    diff = d ^ best
+                    if not best or d & diff & -diff:
+                        best = d
         if best:
             return DominatingSet(frozenset(v for v in range(g.n) if best >> v & 1), EXACT)
         grown: dict = {}
@@ -144,8 +176,11 @@ def cds_heuristic(g: Graph) -> DominatingSet:
     a vertex of maximum degree (smallest id on a tie) and repeatedly make
     internal the tree vertex with the most neighbors not yet in the tree,
     the smallest id on a tie, adding all those neighbors.  Each vertex
-    keeps its count of outside neighbors and a tree vertex one heap entry
-    ``(-count, v)``, pushed back with the new count if popped stale (DECISIONS.md entry 6).
+    keeps its count of outside neighbors and a tree vertex one heap entry,
+    the int ``(top - count) * n + v`` with ``top`` the maximum degree, which
+    orders as ``(-count, v)`` does.  An entry popped with a key other than
+    its vertex's current one is stale and goes back with the new count
+    (DECISIONS.md entry 6).
 
     Always a valid connected dominating set (post-checked); no size
     guarantee is asserted.  The growth itself proves g connected: the heap
@@ -157,21 +192,24 @@ def cds_heuristic(g: Graph) -> DominatingSet:
         return DominatingSet(frozenset({0}), HEURISTIC)
     adj, n = g.adj, g.n
     outside = [len(nbrs) for nbrs in adj]
-    root = outside.index(max(outside))
+    top = max(outside)
+    root = outside.index(top)
     in_tree = bytearray(n)
     in_tree[root] = 1
     for x in adj[root]:
         outside[x] -= 1
-    heap = [(-outside[root], root)]
+    heap = [root]  # key (top - count) * n + v; the root's count is top
     heappush, heappop = heapq.heappush, heapq.heappop
     internal: set[int] = set()
     size = 1
     while size < n:
         if not heap:
             raise GraphError("graph must be connected")
-        neg_new, v = heappop(heap)
-        if neg_new + outside[v]:  # stale: push back with the current count
-            heappush(heap, (-outside[v], v))
+        key = heappop(heap)
+        v = key % n
+        fresh = (top - outside[v]) * n + v
+        if key != fresh:  # stale: push back with the current count
+            heappush(heap, fresh)
             continue
         internal.add(v)
         for w in adj[v]:
@@ -179,7 +217,7 @@ def cds_heuristic(g: Graph) -> DominatingSet:
                 in_tree[w] = 1
                 for x in adj[w]:
                     outside[x] -= 1
-                heappush(heap, (-outside[w], w))
+                heappush(heap, (top - outside[w]) * n + w)
                 size += 1
     result = DominatingSet(frozenset(internal), HEURISTIC)
     if not check_domination(g, result.vertices, CONNECTED):
@@ -201,7 +239,11 @@ def dominating_set(
     itself when its degree is too small and otherwise its outside neighbors in
     ascending order until it has enough.  One pass suffices: adding vertices
     never lowers a count, so every vertex already passed stays satisfied.
-    Every added vertex is adjacent to the core, so the set stays connected.
+    The degree scan runs only when the minimum degree is below ``k_way``, and
+    for ``k_dominating == 1`` the pass runs only when N[D] misses a vertex:
+    otherwise it would add nothing (DECISIONS.md entry 14).
+    Every added vertex is adjacent to a dominating core, so the set stays
+    connected; a core that does not dominate may fail the post-check.
     The core's provenance is kept only when nothing was added: every
     connected ``kind`` set dominates, so a minimum connected dominating set
     that already satisfies ``kind`` is a minimum ``kind`` set.  Otherwise it
@@ -213,10 +255,10 @@ def dominating_set(
         if kind == CONNECTED:
             return core
     dset = set(core.vertices)
-    adj, need = g.adj, kind.k_dominating
-    if kind.k_way:
-        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < kind.k_way)
-    for v in range(g.n):
+    adj, need, low = g.adj, kind.k_dominating, kind.k_way
+    if low and g.min_degree() < low:
+        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < low)
+    for v in range(g.n) if need > 1 or not _covers(g, dset) else ():
         if v in dset:
             continue
         nbrs = adj[v]

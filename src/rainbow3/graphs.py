@@ -51,7 +51,7 @@ class Graph:
         return len(self.adj[v])
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return min(set(map(len, self.adj)), default=0)  # few distinct degrees: a cheap min
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_set

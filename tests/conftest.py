@@ -520,6 +520,34 @@ def oracle_min_dominating(g, k=1, way=0):
                 return set(combo)
 
 
+def oracle_grown_set(g, kind, core) -> set:
+    """`dominating_set`'s growth of ``core`` into a ``kind`` set as it stood
+    before the covered-set test (DECISIONS.md entry 14): every vertex of
+    degree below k_way, then one pass over every outside vertex, whether or
+    not N[D] already covers V."""
+    dset = set(core)
+    adj, need = g.adj, kind.k_dominating
+    if kind.k_way:
+        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < kind.k_way)
+    for v in range(g.n):
+        if v in dset:
+            continue
+        nbrs = adj[v]
+        inside = len(dset.intersection(nbrs))
+        if inside >= need:
+            continue
+        if len(nbrs) < need:
+            dset.add(v)
+            continue
+        for w in nbrs:
+            if w not in dset:
+                dset.add(w)
+                inside += 1
+                if inside >= need:
+                    break
+    return dset
+
+
 # ---------------------------------------------------------------------------
 # Checked construction.
 

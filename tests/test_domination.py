@@ -38,6 +38,7 @@ from conftest import (
     connected_graphs,
     oracle_cds_heuristic,
     oracle_dominates,
+    oracle_grown_set,
     oracle_min_dominating,
 )
 
@@ -176,6 +177,25 @@ def test_heuristic_matches_the_greedy_before_inlining(g):
     assert cds_heuristic(g).vertices == oracle_cds_heuristic(g)
 
 
+PETERSEN = build_graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+@pytest.mark.parametrize("g, internal", [
+    (cycle_graph(9), set(range(7))),
+    (complete_bipartite(3, 3), {0, 3}),
+    (PETERSEN, {0, 1, 2, 6}),
+], ids=["cycle-9", "K3,3", "petersen"])
+def test_heuristic_breaks_every_count_tie_by_id(g, internal):
+    # regular graphs: every pick ties on its count, so the integer heap key
+    # decides by vertex id alone, like the tuple key (DECISIONS.md entry 6)
+    assert cds_heuristic(g).vertices == internal == oracle_cds_heuristic(g)
+
+
 def test_three_way_windmill_is_hub():
     g = french_windmill(3).graph
     dom = three_way_dominating_set(g)
@@ -255,6 +275,12 @@ def test_min_k_dominating_matches_oracle(g):
 ENUMERATED_KINDS = [CONNECTED, k_dominating(2), k_dominating(3), k_way(3), DominationKind(2, 3)]
 
 
+# the last-level completion's forced rule (DECISIONS.md entry 14): every
+# vertex forced, so the one a set leaves out is its completion; the leaves
+# forced and the centre not; no vertex forced, with gamma_c = n - 2
+@example(path_graph(7), k_way(3))
+@example(star_graph(6), k_way(2))
+@example(cycle_graph(11), CONNECTED)
 @given(connected_graphs(min_n=2, max_n=10), st.sampled_from(ENUMERATED_KINDS))
 @settings(max_examples=100, deadline=None)
 def test_min_dominating_set_is_first_oracle_subset(g, kind):
@@ -279,6 +305,50 @@ def test_connected_request_is_the_core_unchanged(n, checks, monkeypatch):
     assert len(calls) == checks
     want = min_connected_dominating_set(g) if checks == 0 else cds_heuristic(g)
     assert core == want
+
+
+GROWN_KINDS = [CONNECTED, k_way(2), k_way(3), k_dominating(2), k_dominating(3), DominationKind(2, 3)]
+
+
+@st.composite
+def graphs_with_cores(draw):
+    """A connected graph on 2..20 vertices (its attachment tree leaves
+    vertices of degree 1 and 2), a kind, and a connected core grown from a
+    random vertex by random boundary picks: dominating or not.  A
+    k-dominating kind is drawn only above ROUTE_EXACT_LIMIT, where the core
+    is grown rather than ignored."""
+    g = draw(connected_graphs(min_n=2, max_n=20))
+    core = {draw(st.integers(0, g.n - 1))}
+    for pick in draw(st.lists(st.integers(0, g.n - 1), max_size=g.n)):
+        frontier = sorted({w for v in core for w in g.adj[v]} - core)
+        if not frontier:
+            break
+        core.add(frontier[pick % len(frontier)])
+    kinds = GROWN_KINDS if g.n > domination.ROUTE_EXACT_LIMIT else GROWN_KINDS[:3]
+    provenance = draw(st.sampled_from(["exact", "heuristic"]))
+    return g, draw(st.sampled_from(kinds)), DominatingSet(frozenset(core), provenance)
+
+
+# check_domination's branches: k_dominating 1 with the minimum degree below
+# or at least k_way, k_dominating 3 with the minimum degree below or at least 3
+@example((path_graph(5), k_way(3), DominatingSet(frozenset({2}), "exact")))
+@example((complete_graph(5), k_way(3), DominatingSet(frozenset({0}), "exact")))
+@example((cycle_graph(8), CONNECTED, DominatingSet(frozenset({0, 1}), "exact")))
+@example((random_min_degree(16, 2, 1), k_dominating(3), DominatingSet(frozenset({0}), "heuristic")))
+@example((random_min_degree(16, 3, 1), k_dominating(3), cds_heuristic(random_min_degree(16, 3, 1))))
+# growth from a non-dominating core that ends disconnected
+@example((build_graph(4, [(0, 1), (1, 3), (2, 3)]), CONNECTED, DominatingSet(frozenset({0}), "exact")))
+@given(graphs_with_cores())
+@settings(max_examples=150, deadline=None)
+def test_dominating_set_grows_a_core_like_the_old_loop(drawn):
+    g, kind, core = drawn
+    want = oracle_grown_set(g, kind, core.vertices)
+    if not oracle_dominates(g, want, kind.k_dominating, kind.k_way):
+        with pytest.raises(AssertionError, match="growth failed"):
+            dominating_set(g, kind, core)
+        return
+    provenance = core.provenance if want == core.vertices else "heuristic"
+    assert dominating_set(g, kind, core) == DominatingSet(frozenset(want), provenance)
 
 
 def test_gamma_c_of_long_low_degree_graphs():

@@ -463,6 +463,7 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Small components.  Their signatures, leg first, are fixed by the colors below.
+# D is k_way(3), so an isolated vertex has >= 3 legs and an edge's ends >= 2 each.
 
 ISOLATED_VERTEX_SETS = _parse_sets("1|2|3")
 ISOLATED_EDGE_SETS = (_parse_sets("1|2|34"), _parse_sets("2|3|14"))  # (u, v)
@@ -472,8 +473,6 @@ def _color_isolated_vertex(
     g: Graph, dset: set, v: int, colors: dict, certs: dict, sets: dict
 ) -> None:
     ft = [w for w in g.adj[v] if w in dset]
-    if len(ft) < 3:
-        raise DominationError(f"isolated outside vertex {v} has {len(ft)} legs, needs 3")
     _color_three_legs(colors, v, ft)
     certs[v] = ((v, ft[0]), (v, ft[1]), (v, ft[2]))
     sets[v] = ISOLATED_VERTEX_SETS
@@ -484,8 +483,6 @@ def _color_isolated_edge(
 ) -> None:
     fu = [w for w in g.adj[u] if w in dset]
     fv = [w for w in g.adj[v] if w in dset]
-    if len(fu) < 2 or len(fv) < 2:
-        raise DominationError(f"isolated edge ({u},{v}) endpoints need two legs each")
     colors[edge_key(u, fu[0])] = 1
     for w in fu[1:]:
         colors[edge_key(u, w)] = 2

@@ -66,13 +66,6 @@ class DominatingSet:
         return sorted(self.vertices)
 
 
-def _covers(g: Graph, dset: frozenset | set) -> bool:
-    """True iff N[dset] is all of V: the closed neighborhoods' union, taken
-    by C-level set algebra, has n members."""
-    adj = g.adj
-    return len(dset.union(*[adj[v] for v in dset])) == g.n
-
-
 def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool:
     """True iff ``dom`` is a set of vertices of g with the named domination
     property.  A kind with ``k_dominating == 1`` on a graph whose every
@@ -84,7 +77,7 @@ def check_domination(g: Graph, dom: Iterable[int], kind: DominationKind) -> bool
         return False
     need, low, adj = kind.k_dominating, kind.k_way, g.adj
     if need == 1 and (not low or g.min_degree() >= low):
-        return _covers(g, dset) and is_connected(g, dset)
+        return len(dset.union(*[adj[v] for v in dset])) == g.n and is_connected(g, dset)
     for v in range(g.n):
         if v in dset:
             continue
@@ -229,36 +222,37 @@ def dominating_set(
     g: Graph, kind: DominationKind, core: DominatingSet | None = None
 ) -> DominatingSet:
     """The one ``kind`` set policy.  A k-dominating kind is the exact minimum
-    when n <= ROUTE_EXACT_LIMIT.  Every other set, and every set of a kind
-    that asks only for degree as the +6 scheme does, is ``core`` grown into a
-    ``kind`` set and checked.  The default core, and the ``CONNECTED`` set, is
-    the exact minimum when n <= CDS_EXACT_LIMIT, otherwise ``cds_heuristic``.
+    when n <= ROUTE_EXACT_LIMIT.  Otherwise ``core`` is returned as it is
+    when it is already a ``kind`` set, and grown into one when it is not.
 
-    Growth adds every vertex of degree below ``kind.k_way``, then for each
-    outside vertex short of ``kind.k_dominating`` neighbors inside, the vertex
-    itself when its degree is too small and otherwise its outside neighbors in
-    ascending order until it has enough.  One pass suffices: adding vertices
-    never lowers a count, so every vertex already passed stays satisfied.
-    The degree scan runs only when the minimum degree is below ``k_way``, and
-    for ``k_dominating == 1`` the pass runs only when N[D] misses a vertex:
-    otherwise it would add nothing (DECISIONS.md entry 14).
-    Every added vertex is adjacent to a dominating core, so the set stays
-    connected; a core that does not dominate may fail the post-check.
-    The core's provenance is kept only when nothing was added: every
-    connected ``kind`` set dominates, so a minimum connected dominating set
-    that already satisfies ``kind`` is a minimum ``kind`` set.  Otherwise it
-    is heuristic."""
+    The default core is the exact minimum connected dominating set when
+    n <= CDS_EXACT_LIMIT, otherwise ``cds_heuristic``; it qualifies
+    unchecked when ``k_dominating == 1`` and the minimum degree meets
+    ``k_way`` (DECISIONS.md entry 14).  Every connected ``kind`` set
+    dominates, so an exact core that qualifies is a minimum ``kind`` set.
+    Any other core, given or default, qualifies when one
+    ``check_domination`` passes.
+
+    Otherwise growth adds every vertex of degree below ``kind.k_way``, then
+    for each outside vertex short of ``kind.k_dominating`` neighbors inside,
+    the vertex itself when its degree is too small and otherwise its outside
+    neighbors in ascending order until it has enough.  One pass suffices:
+    adding vertices never lowers a count, so every vertex already passed
+    stays satisfied.  Every added vertex is adjacent to a dominating core, so
+    the set stays connected; a core that does not dominate may fail the
+    post-check.  A grown set is heuristic."""
     if kind.k_dominating > 1 and g.n <= ROUTE_EXACT_LIMIT:
         return min_dominating_set(g, kind)
     if core is None:
         core = min_connected_dominating_set(g) if g.n <= CDS_EXACT_LIMIT else cds_heuristic(g)
-        if kind == CONNECTED:
+        if kind.k_dominating == 1 and g.min_degree() >= kind.k_way:
             return core
+    if check_domination(g, core.vertices, kind):
+        return core
     dset = set(core.vertices)
     adj, need, low = g.adj, kind.k_dominating, kind.k_way
-    if low and g.min_degree() < low:
-        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < low)
-    for v in range(g.n) if need > 1 or not _covers(g, dset) else ():
+    dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < low)
+    for v in range(g.n):
         if v in dset:
             continue
         nbrs = adj[v]
@@ -274,8 +268,7 @@ def dominating_set(
                 inside += 1
                 if inside >= need:
                     break
-    provenance = core.provenance if dset == core.vertices else HEURISTIC
-    result = DominatingSet(frozenset(dset), provenance)
+    result = DominatingSet(frozenset(dset), HEURISTIC)
     if not check_domination(g, result.vertices, kind):
         raise AssertionError(f"growth failed to reach a {kind.label()} set")
     return result

@@ -143,9 +143,7 @@ def random_min_degree(n: int, delta: int, seed: int) -> Graph:
         nbrs[b].add(a)
     for v in range(n):
         while len(nbrs[v]) < delta:
-            free = n - 1 - len(nbrs[v])
-            if not free:
-                raise GraphError(f"cannot raise degree of {v} to {delta}")
+            free = n - 1 - len(nbrs[v])  # >= n - delta >= 1
             # the k-th vertex, ascending, outside N[v]
             w = rng.choice(range(free))
             for u in sorted(nbrs[v] | {v}):

@@ -239,17 +239,19 @@ def test_cli_usage_error_exits_two():
 
 
 @pytest.mark.parametrize(
-    "rows",
-    ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n", "0 1 1\n1 2 -2\n",
-     "0 1 1\n1 2 2\n1 0 2\n"],
-    ids=["non-integer", "fraction", "zero-color", "negative-color", "edge-twice"],
+    "text,message",
+    [("# method=spanning n=3 colors=2\n" + rows, "rainbow3: bad coloring line")
+     for rows in ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n",
+                  "0 1 1\n1 2 -2\n", "0 1 1\n1 2 2\n1 0 2\n", "0 1\n"]]
+    + [("0 1 1\n1 2 2\n", "rainbow3: coloring header must record n\n")],
+    ids=["non-integer", "fraction", "zero-color", "negative-color", "edge-twice", "two-fields",
+         "no-n-header"],
 )
-def test_cli_verify_malformed_coloring_exits_two(rows):
-    text = "# method=spanning n=3 colors=2\n" + rows
+def test_cli_verify_malformed_coloring_exits_two(text, message):
     code, out, err = _cli(["verify"], stdin_text=text)
     assert code == 2
     assert out == ""
-    assert err.startswith("rainbow3: bad coloring line") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 COLORED_PATH = "# method=spanning n=3 colors=2\n0 1 1\n1 2 2\n"
@@ -390,9 +392,11 @@ def test_cli_spanning_method():
 
 
 def test_cli_spanning_disconnected_exits_two():
+    # theorem3 and theorem4 stop in the exact domination search
     g = write_edge_list(build_graph(4, [(0, 1), (2, 3)]))
-    code, out, err = _cli(["color", "--method", "spanning"], stdin_text=g)
-    assert (code, out, err) == (2, "", "rainbow3: graph must be connected\n")
+    for method in ("spanning", "theorem3", "theorem4"):
+        code, out, err = _cli(["color", "--method", method], stdin_text=g)
+        assert (code, out, err) == (2, "", "rainbow3: graph must be connected\n"), method
 
 
 def test_cli_bounds_has_no_exact_limit_flag(capsys):

@@ -678,24 +678,29 @@ def test_final_pass_rejects_a_signature_outside_the_class_table(monkeypatch):
         three_way_coloring(g, dom)
 
 
-def test_construct_runs_three_domination_passes(monkeypatch):
-    # one pass each: the heuristic's post-check, the growth's post-check and
-    # three_way_coloring's check of caller input; each also tests G[D] connected
+def test_construct_runs_two_domination_passes(monkeypatch):
+    # one pass each: the heuristic's post-check and three_way_coloring's check
+    # of caller input, each testing G[D] connected; dominating_set returns the
+    # default core after one minimum-degree test, with no check of its own
     g = random_min_degree(300, 3, seed=1)
-    calls = {"check_domination": 0, "is_connected": 0}
-    for name in calls:
-        for module in (graphs, domination, coloring):
-            real = getattr(module, name, None)
-            if real is None:
-                continue
+    calls = {"check_domination": 0, "is_connected": 0, "min_degree": 0}
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+    def count(owner, name):
+        real = getattr(owner, name)
 
-            monkeypatch.setattr(module, name, counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (graphs, domination, coloring):
+        for name in ("check_domination", "is_connected"):
+            if hasattr(module, name):
+                count(module, name)
+    count(graphs.Graph, "min_degree")
     three_way_coloring(g, three_way_dominating_set(g))
-    assert calls == {"check_domination": 3, "is_connected": 3}
+    assert calls == {"check_domination": 2, "is_connected": 2, "min_degree": 2}
 
 
 def test_inner_fallback_to_spanning():

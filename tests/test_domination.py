@@ -307,6 +307,28 @@ def test_connected_request_is_the_core_unchanged(n, checks, monkeypatch):
     assert core == want
 
 
+@pytest.mark.parametrize("n, builder", [(20, "min_connected_dominating_set"), (30, "cds_heuristic")])
+def test_a_core_that_qualifies_is_returned_itself(n, builder, monkeypatch):
+    # minimum degree 3, so the default core is a k_way(3) set unchecked and a
+    # given one passes its one check; a set that needs growth is heuristic
+    g = random_min_degree(n, 3, seed=n)
+    built = []
+    real = getattr(domination, builder)
+
+    def recorded(g):
+        built.append(real(g))
+        return built[-1]
+
+    monkeypatch.setattr(domination, builder, recorded)
+    assert dominating_set(g, k_way(3)) is built[0]
+    given_core = DominatingSet(frozenset(built[0].vertices), "exact")
+    assert dominating_set(g, k_way(3), given_core) is given_core
+    grown = dominating_set(g, k_dominating(3), given_core)
+    assert grown.provenance == "heuristic" and grown.vertices > given_core.vertices
+    assert dominating_set(path_graph(5), k_way(3), DominatingSet(frozenset({2}), "exact")) == (
+        DominatingSet(frozenset(range(5)), "heuristic"))
+
+
 GROWN_KINDS = [CONNECTED, k_way(2), k_way(3), k_dominating(2), k_dominating(3), DominationKind(2, 3)]
 
 

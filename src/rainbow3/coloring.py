@@ -4,9 +4,10 @@ Two schemes are built here.  The 3-extra-color scheme colors the legs of
 every outside vertex 1/2/3 and needs a connected 3-dominating set.  The
 6-extra-color scheme needs only a connected three-way dominating set and
 runs in two stages per component of G-D: a periodic coloring over the BFS
-tree, then a sequential repair pass that colors one chosen edge per still
-dangerous leaf (recoloring at most that leaf's own leg) until every outside
-vertex carries three internally disjoint super-rainbow paths into D.
+tree, which also certifies each leaf that owns a spare leg into D, then a
+sequential repair pass that colors one chosen edge per still dangerous leaf
+(recoloring at most that leaf's own leg) until every outside vertex carries
+three internally disjoint super-rainbow paths into D.
 
 Colorings of distinct components never interact, so components could be
 processed concurrently; within one component the repair pass is strictly
@@ -21,6 +22,7 @@ from typing import Container, Iterable, Sequence
 from .domination import (
     DominatingSet,
     DominationError,
+    DominationKind,
     check_domination,
     k_dominating,
     k_way,
@@ -151,9 +153,7 @@ def three_dom_coloring(g: Graph, dom) -> tuple[EdgeColoring, ColoringReport]:
     """Color one leg of every outside vertex 1, one 2 and the rest 3, give
     G[D] fresh colors 4..d+3, and color everything left 1.  Uses at most
     d+3 colors in total."""
-    dset = _as_vertex_set(dom)
-    if not check_domination(g, dset, k_dominating(3)):
-        raise DominationError("D must be a connected 3-dominating set")
+    dset = _checked_dom(g, dom, k_dominating(3), "3-dominating")
     colors: dict = {}
     for v in range(g.n):
         if v in dset:
@@ -189,10 +189,13 @@ def _color_three_legs(colors: dict, v: int, ft: list) -> None:
         colors[edge_key(v, w)] = 3
 
 
-def _as_vertex_set(dom) -> frozenset:
-    if isinstance(dom, DominatingSet):
-        return dom.vertices
-    return frozenset(dom)
+def _checked_dom(g: Graph, dom, kind: DominationKind, name: str) -> frozenset:
+    """D's vertices, once check_domination has found D a connected ``name`` set
+    of g; it rejects any member that is not a vertex, unhashable ones included."""
+    members = dom.vertices if isinstance(dom, DominatingSet) else tuple(dom)
+    if not check_domination(g, members, kind):
+        raise DominationError(f"D must be a connected {name} set")
+    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +226,15 @@ STAGE1_ROWS = (_stage1_rows(_TYPE_I_FE), _stage1_rows(_TYPE_II_FE))  # indexed b
 
 @dataclass
 class Stage1State:
-    """Mutable per-component record threaded through the two stages."""
+    """Mutable per-component record threaded through the two stages.  A
+    certificate is one record, its paths and their color sets as built; the
+    root's sets are None, as stage 2 may reroute its second path."""
 
     tree: BfsTree
     leg: dict = field(default_factory=dict)         # vertex -> chosen foot
     colors: dict = field(default_factory=dict)      # the component's edge -> color map
-    certs: dict = field(default_factory=dict)       # certified vertex -> (p1, p2, p3)
-    sets: dict = field(default_factory=dict)        # certified non-root -> its color sets as built
-    dangerous: list = field(default_factory=list)   # the stage-1 leaves
+    certs: dict = field(default_factory=dict)       # vertex -> (paths, color sets or None)
+    dangerous: list = field(default_factory=list)   # uncertified stage-1 leaves
     recolored: set = field(default_factory=set)
     steps: list = field(default_factory=list)       # (leaf, rule key) per repair step
 
@@ -239,15 +243,17 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
     """Periodic coloring of the >=3-vertex component spanned by ``tree``.
 
     Colors every vertex's tree edge and one leg by the (subtree type,
-    height mod 3) table.  Afterwards every non-leaf holds three internally
-    disjoint super-rainbow paths into D and every leaf is dangerous.
-    ``dom`` is used as given, only for membership tests."""
+    height mod 3) table, which certifies every non-leaf.  A leaf's spare leg,
+    its first D-neighbor after its leg, gets the least color not on its leg
+    or on its path through the parent, and certifies it with those two; a
+    leaf with no spare leg is dangerous.  ``dom`` is used as given, only for
+    membership tests."""
     if len(tree.order) < 3:
         raise GraphError("periodic stage needs a component with >= 3 vertices")
     if len(tree.first_level) < 2:
         raise GraphError("BFS root of a >=3-vertex component must have two component neighbors")
     state = Stage1State(tree=tree)
-    adj, leg, colors, certs, sets = g.adj, state.leg, state.colors, state.certs, state.sets
+    adj, leg, colors, certs = g.adj, state.leg, state.colors, state.certs
     parent, height, pi, children = tree.parent, tree.height, tree.pi, tree.children
     root, order = tree.root, tree.order
     first, last = tree.first_level[0], tree.first_level[-1]
@@ -260,7 +266,7 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
             raise DominationError(f"vertex {v} has no leg into D")
     x = leg[root]
     colors[(root, x) if root < x else (x, root)] = 2
-    certs[root] = ((root, x), (root, first, leg[first]), (root, last, leg[last]))
+    certs[root] = (((root, x), (root, first, leg[first]), (root, last, leg[last])), None)
     for v in order[1:]:
         f_col, e_col, signature = STAGE1_ROWS[pi[v] == last][height[v] % 3]
         p, x = parent[v], leg[v]
@@ -269,10 +275,19 @@ def stage1_periodic(g: Graph, dom: Container[int], tree: BfsTree) -> Stage1State
         kids = children[v]
         if kids:
             kid = kids[0]
-            certs[v] = ((v, x), (v, p, leg[p]), (v, kid, leg[kid]))
-            sets[v] = signature
+            certs[v] = (((v, x), (v, p, leg[p]), (v, kid, leg[kid])), signature)
+            continue
+        for foot in adj[v]:
+            if foot != x and foot in dom:
+                break
         else:
             state.dangerous.append(v)
+            continue
+        # the leaf's leg and parent path have its row's first two sets (DECISIONS.md entry 13)
+        leg_set, up, _ = signature
+        col = min({1, 2, 3, 4} - leg_set - up)
+        colors[(v, foot) if v < foot else (foot, v)] = col
+        certs[v] = (((v, x), (v, foot), (v, p, leg[p])), (leg_set, frozenset((col,)), up))
     return state
 
 
@@ -396,7 +411,7 @@ def _path(state: Stage1State, x: int, y: int, edges: int) -> tuple:
 def _certify(state: Stage1State, x: int, y: int, expected: tuple) -> None:
     """Certify x by its leg, the path through its parent and the path
     through y, sized by the expected color sets, then check those sets."""
-    paths = state.certs[x] = (
+    paths = (
         (x, state.leg[x]),
         _path(state, x, state.tree.parent[x], len(expected[1])),
         _path(state, x, y, len(expected[2])),
@@ -407,7 +422,7 @@ def _certify(state: Stage1State, x: int, y: int, expected: tuple) -> None:
             f"certificate color sets for vertex {x} came out as "
             f"{[sorted(s) for s in got]}, table says {[sorted(s) for s in expected]}"
         )
-    state.sets[x] = expected
+    state.certs[x] = (paths, expected)
 
 
 def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
@@ -449,11 +464,10 @@ def stage2_repair_step(g: Graph, state: Stage1State, w: int) -> tuple:
         x = state.leg[w]
         colors[(w, x) if w < x else (x, w)] = rule.recolor
         state.recolored.add(w)
-        root = tree.root
-        root_cert = state.certs.get(root)
+        (leg, second, third), _ = state.certs[tree.root]
         # the root's stored second path may ride on w's leg; reroute it via v
-        if root_cert is not None and len(root_cert[1]) == 3 and root_cert[1][1] == w:
-            state.certs[root] = (root_cert[0], _path(state, root, v, 2), root_cert[2])
+        if len(second) == 3 and second[1] == w:
+            state.certs[tree.root] = ((leg, _path(state, tree.root, v, 2), third), None)
     _certify(state, w, v, rule.expect_wi)
     if rule.expect_v is not None and v not in state.certs:
         _certify(state, v, w, rule.expect_v)
@@ -469,18 +483,13 @@ ISOLATED_VERTEX_SETS = _parse_sets("1|2|3")
 ISOLATED_EDGE_SETS = (_parse_sets("1|2|34"), _parse_sets("2|3|14"))  # (u, v)
 
 
-def _color_isolated_vertex(
-    g: Graph, dset: set, v: int, colors: dict, certs: dict, sets: dict
-) -> None:
+def _color_isolated_vertex(g: Graph, dset: set, v: int, colors: dict, certs: dict) -> None:
     ft = [w for w in g.adj[v] if w in dset]
     _color_three_legs(colors, v, ft)
-    certs[v] = ((v, ft[0]), (v, ft[1]), (v, ft[2]))
-    sets[v] = ISOLATED_VERTEX_SETS
+    certs[v] = (((v, ft[0]), (v, ft[1]), (v, ft[2])), ISOLATED_VERTEX_SETS)
 
 
-def _color_isolated_edge(
-    g: Graph, dset: set, u: int, v: int, colors: dict, certs: dict, sets: dict
-) -> None:
+def _color_isolated_edge(g: Graph, dset: set, u: int, v: int, colors: dict, certs: dict) -> None:
     fu = [w for w in g.adj[u] if w in dset]
     fv = [w for w in g.adj[v] if w in dset]
     colors[edge_key(u, fu[0])] = 1
@@ -490,9 +499,8 @@ def _color_isolated_edge(
     for w in fv[1:]:
         colors[edge_key(v, w)] = 3
     colors[edge_key(u, v)] = 4
-    certs[u] = ((u, fu[0]), (u, fu[1]), (u, v, fv[1]))
-    certs[v] = ((v, fv[0]), (v, fv[1]), (v, u, fu[0]))
-    sets[u], sets[v] = ISOLATED_EDGE_SETS
+    certs[u] = (((u, fu[0]), (u, fu[1]), (u, v, fv[1])), ISOLATED_EDGE_SETS[0])
+    certs[v] = (((v, fv[0]), (v, fv[1]), (v, u, fu[0])), ISOLATED_EDGE_SETS[1])
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +511,9 @@ def three_way_coloring(
 ) -> tuple[EdgeColoring, list[SafetyCertificate], ColoringReport]:
     """3-rainbow coloring using at most 6 colors outside D plus a fresh
     palette inside, with machine-checkable safety certificates."""
-    dset = _as_vertex_set(dom)
-    if not check_domination(g, dset, k_way(3)):
-        raise DominationError("D must be a connected three-way dominating set")
+    dset = _checked_dom(g, dom, k_way(3), "three-way dominating")
     colors: dict = {}
-    cert_paths: dict = {}
-    cert_sets: dict = {}
+    certs: dict = {}  # vertex -> (paths, color sets as built, or None to walk)
     rewalk: set = set()
     comps = components_minus(g, dset)
     stage2_steps = 0
@@ -516,31 +521,28 @@ def three_way_coloring(
     recolored = 0
     for comp in comps:
         if len(comp) == 1:
-            _color_isolated_vertex(g, dset, comp[0], colors, cert_paths, cert_sets)
+            _color_isolated_vertex(g, dset, comp[0], colors, certs)
             continue
         if len(comp) == 2:
-            _color_isolated_edge(g, dset, comp[0], comp[1], colors, cert_paths, cert_sets)
+            _color_isolated_edge(g, dset, comp[0], comp[1], colors, certs)
             continue
         # comp is ascending, connected and has >= 3 vertices, so this root exists;
         # a vertex's neighbors outside D are its neighbors in comp
         root = next(v for v in comp if sum(1 for w in g.adj[v] if w not in dset) >= 2)
         tree = bfs_tree(g, comp, root)
         state = stage1_periodic(g, dset, tree)
-        _repair_leaves_with_legs(g, dset, state)
         for w in order_dangerous(state.dangerous, tree):
-            if w in state.certs:
-                continue
-            stage2_repair_step(g, state, w)
+            if w not in state.certs:  # else certified as an earlier step's target
+                stage2_repair_step(g, state, w)
         colors.update(state.colors)  # only the component's tree edges and legs
         stage2_steps += len(state.steps)
         rule_keys.update(key for _, key in state.steps)
         recolored += len(state.recolored)
-        cert_paths.update(state.certs)
-        cert_sets.update(state.sets)
+        certs.update(state.certs)
         rewalk.add(root)
         legs = state.recolored
         if legs:  # a leg is the last edge of every path that uses it
-            rewalk.update(v for v, (a, b, c) in state.certs.items()
+            rewalk.update(v for v, ((a, b, c), _) in state.certs.items()
                           if a[-2] in legs or b[-2] in legs or c[-2] in legs)
     coloring, report = _color_the_rest(
         g, dset, colors, "theorem3", offset=6, components=len(comps),
@@ -558,10 +560,12 @@ def three_way_coloring(
     for v in range(g.n):
         if v in dset:
             continue
-        paths = cert_paths.get(v)
-        if paths is None:
+        record = certs.get(v)
+        if record is None:
             raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-        sets = certificate_colors(g, coloring, dset, v, paths) if v in rewalk else cert_sets[v]
+        paths, sets = record
+        if v in rewalk:
+            sets = certificate_colors(g, coloring, dset, v, paths)
         if sets is None:
             raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
         shared = signatures.get(sets)
@@ -571,30 +575,6 @@ def three_way_coloring(
             shared = signatures[sets] = sets
         certificates.append(SafetyCertificate(v, paths, shared))
     return coloring, certificates, report
-
-
-def _repair_leaves_with_legs(g: Graph, dset: Container[int], state: Stage1State) -> None:
-    """Stage 2 for the leaves that still own an uncolored leg: color the
-    smallest-foot one with the smallest color missing from the leaf's two
-    existing paths, its leg and the path through its parent."""
-    adj, colors, leg, parent = g.adj, state.colors, state.leg, state.tree.parent
-    for leaf in state.dangerous:
-        for foot in adj[leaf]:
-            if foot in dset and ((leaf, foot) if leaf < foot else (foot, leaf)) not in colors:
-                break
-        else:
-            continue
-        x, p = leg[leaf], parent[leaf]
-        px = leg[p]
-        on_leg = colors[(leaf, x) if leaf < x else (x, leaf)]
-        up = colors[(leaf, p) if leaf < p else (p, leaf)], colors[(p, px) if p < px else (px, p)]
-        used = {on_leg, *up}
-        col = 1
-        while col in used:
-            col += 1
-        colors[(leaf, foot) if leaf < foot else (foot, leaf)] = col
-        state.certs[leaf] = ((leaf, x), (leaf, foot), (leaf, p, px))
-        state.sets[leaf] = (frozenset((on_leg,)), frozenset((col,)), frozenset(up))
 
 
 # ---------------------------------------------------------------------------

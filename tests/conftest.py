@@ -587,8 +587,8 @@ def checked_three_way_coloring(g, dom):
     def checked_step(g, state, w):
         key = step(g, state, w)
         snapshot = EdgeColoring.from_dict(state.colors)
-        for x in sorted(state.certs):
-            if certificate_colors(g, snapshot, dset, x, state.certs[x]) is None:
+        for x, (paths, _) in sorted(state.certs.items()):
+            if certificate_colors(g, snapshot, dset, x, paths) is None:
                 raise ColoringInternalError(
                     f"certificate of vertex {x} does not verify (after a repair step)"
                 )

@@ -16,6 +16,7 @@ from rainbow3 import (
     GraphError,
     bfs_tree,
     build_graph,
+    certificate_colors,
     check_domination,
     class_membership,
     complete_bipartite,
@@ -54,6 +55,7 @@ from rainbow3 import chain_example
 from conftest import (
     checked_three_way_coloring,
     connected_graphs,
+    graphs_with_subsets,
     hub_graph,
     oracle_final_pass,
     prism_graph,
@@ -198,12 +200,17 @@ def _component_state(g, dom):
     return tree, stage1_periodic(g, dom, tree)
 
 
+def _walked_sets(state, paths):
+    return [frozenset(state.colors[edge_key(a, b)] for a, b in zip(p, p[1:])) for p in paths]
+
+
 def test_stage1_root_certificate(example_graph):
+    # the root's record has no sets: stage 2 may reroute its second path
     g, dom = example_graph
     _, state = _component_state(g, dom)
-    sets = [frozenset(state.colors[(min(a, b), max(a, b))] for a, b in zip(p, p[1:]))
-            for p in state.certs[0]]
-    assert sets == [{2}, {1, 4}, {3, 5}]
+    paths, built = state.certs[0]
+    assert paths == ((0, 4), (0, 1, 4), (0, 2, 4)) and built is None
+    assert _walked_sets(state, paths) == [{2}, {1, 4}, {3, 5}]
 
 
 def test_stage1_type_two_nonleaf_certificate(example_graph):
@@ -212,17 +219,22 @@ def test_stage1_type_two_nonleaf_certificate(example_graph):
     # vertex 2 is the last first-level vertex and has a child
     assert state.colors[edge_key(2, state.tree.parent[2])] == 5
     assert state.colors[edge_key(2, state.leg[2])] == 3
-    sets = [frozenset(state.colors[(min(a, b), max(a, b))] for a, b in zip(p, p[1:]))
-            for p in state.certs[2]]
-    assert sets == [{3}, {2, 5}, {1, 6}]
+    paths, built = state.certs[2]
+    assert _walked_sets(state, paths) == list(built) == [{3}, {2, 5}, {1, 6}]
 
 
-def test_stage1_level2_leaf_is_dangerous(example_graph):
+def test_stage1_certifies_a_level2_leaf_by_its_spare_leg(example_graph):
+    # leaf 3 legs into 4 with 1 under tree edge 6, its parent 2 legs with 3;
+    # its spare leg to 5 takes 2, the least color on neither path
     g, dom = example_graph
     _, state = _component_state(g, dom)
-    assert 3 in state.dangerous
     assert state.colors[edge_key(3, state.leg[3])] == 1
     assert state.colors[edge_key(3, state.tree.parent[3])] == 6
+    assert state.colors[edge_key(3, 5)] == 2
+    paths, built = state.certs[3]
+    assert paths == ((3, 4), (3, 5), (3, 2, 4))
+    assert _walked_sets(state, paths) == list(built) == [{1}, {2}, {3, 6}]
+    assert state.dangerous == []  # leaf 1 owns a spare leg too
 
 
 def test_stage1_rejects_small_component():
@@ -252,15 +264,44 @@ def test_stage1_rejects_a_tree_vertex_with_no_leg():
 def test_stage1_nonleaf_sets_are_the_six_listed(n):
     g, dom = wheel_graph(n)
     _, state = _component_state(g, dom)
-    for v, paths in state.certs.items():
-        sets = tuple(
-            frozenset(state.colors[(min(a, b), max(a, b))] for a, b in zip(p, p[1:]))
-            for p in paths
-        )
+    for v, (paths, built) in state.certs.items():
+        sets = tuple(_walked_sets(state, paths))
         assert sets in STAGE1_SAFE_SETS, (n, v, sets)
+        assert built == (None if v == state.tree.root else sets)
     leaves = {v for v in state.tree.order[1:] if not state.tree.children[v]}
     assert set(state.dangerous) == leaves
     assert set(state.certs) == set(state.tree.order) - leaves
+
+
+@given(graphs_with_subsets(min_n=6, max_n=12))
+@settings(max_examples=200, deadline=None)
+def test_stage1_leaves_are_certified_by_a_spare_leg_or_dangerous(case):
+    # a leaf whose first D-neighbor after its leg exists is certified by
+    # (leg, spare leg, path through the parent), the spare leg taking the
+    # least color on neither other path; any other leaf is dangerous.  An
+    # outside vertex with no D-neighbor gets a leg to min(D), which keeps
+    # the components of G - D and gives it exactly one
+    g, dset, _ = case
+    extra = [(v, min(dset)) for v in range(g.n) if v not in dset and dset.isdisjoint(g.adj[v])]
+    g = build_graph(g.n, [*g.edges, *extra])
+    for comp in components_minus(g, dset):
+        if len(comp) < 3:
+            continue
+        root = next(v for v in comp if len(set(comp).intersection(g.adj[v])) >= 2)
+        state = stage1_periodic(g, dset, bfs_tree(g, comp, root))
+        tree, snapshot = state.tree, EdgeColoring.from_dict(state.colors)
+        leaves = [v for v in tree.order[1:] if not tree.children[v]]
+        assert state.dangerous == [v for v in leaves if v not in state.certs]
+        for v in leaves:
+            feet = [w for w in g.adj[v] if w in dset]
+            if v in state.dangerous:
+                assert len(feet) == 1
+                continue
+            p = tree.parent[v]
+            paths, built = state.certs[v]
+            assert paths == ((v, feet[0]), (v, feet[1]), (v, p, state.leg[p]))
+            assert built == certificate_colors(g, snapshot, dset, v, paths)
+            assert built[1] == {min(c for c in range(1, 7) if c not in built[0] | built[2])}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +364,7 @@ def test_stage2_expected_triples_are_class_triples():
 
 def test_stage1_and_small_component_signatures_are_class_triples():
     # with the stage-2 rows above, every signature the construction records
-    # without a walk is a table entry; a leaf-leg repair's sets are checked
+    # without a walk is a table entry; a spare-leg leaf's sets are checked
     # by the final pass when first seen
     stage1 = [row[2] for rows in STAGE1_ROWS for row in rows]
     assert set(stage1) == STAGE1_SAFE_SETS
@@ -495,14 +536,15 @@ def test_three_way_rejects_weak_set():
         three_way_coloring(g, {0})
 
 
-@pytest.mark.parametrize("bad", ["a", None, 1.5, -1])
+@pytest.mark.parametrize("bad", ["a", None, 1.5, -1, [0]])
 def test_constructions_reject_a_member_that_is_not_a_vertex(bad):
-    # a valid D plus one member that is not a vertex of g is not a D of g
-    with pytest.raises(DominationError, match="3-dominating"):
+    # a valid D plus one member that is not a vertex of g, unhashable ones
+    # included, is not a D of g
+    with pytest.raises(DominationError, match="^D must be a connected 3-dominating set$"):
         three_dom_coloring(complete_graph(5), [*range(5), bad])
     g, dom = wheel_graph(9)
-    with pytest.raises(DominationError, match="three-way"):
-        three_way_coloring(g, {*dom, bad})
+    with pytest.raises(DominationError, match="^D must be a connected three-way dominating set$"):
+        three_way_coloring(g, [*dom, bad])
 
 
 def test_color_budget_and_reserved_palettes():
@@ -576,9 +618,9 @@ def test_final_pass_rejects_a_broken_stored_path(monkeypatch, reroute):
     def broken(g, dom, tree):
         state = real(g, dom, tree)
         root, z = tree.root, next(v for v in tree.order if tree.height[v] == 2)
-        leg, second, third = state.certs[root]
+        (leg, second, third), built = state.certs[root]
         third = (root, z, state.leg[z]) if reroute == "through a non-edge" else third[:-1]
-        state.certs[root] = (leg, second, third)
+        state.certs[root] = ((leg, second, third), built)
         return state
 
     monkeypatch.setattr(coloring, "stage1_periodic", broken)
@@ -594,7 +636,7 @@ def test_step_check_catches_a_certificate_broken_mid_run(monkeypatch):
 
     def clashing(g, state, w):
         key = real(g, state, w)
-        leg, second, _ = state.certs[state.tree.root]
+        (leg, second, _), _ = state.certs[state.tree.root]
         state.colors[edge_key(*second[:2])] = state.colors[edge_key(*leg)]
         return key
 

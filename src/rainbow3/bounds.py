@@ -59,8 +59,8 @@ def bounds_report(g: Graph) -> BoundsReport:
     if not is_connected(g):
         raise GraphError("graph must be connected")
     delta = g.min_degree()
-    n1 = sum(1 for v in range(g.n) if g.degree(v) == 1)
-    n2 = sum(1 for v in range(g.n) if g.degree(v) == 2)
+    degrees = list(map(len, g.adj))
+    n1, n2 = degrees.count(1), degrees.count(2)
     lower = sdiam3(g)
     core = dominating_set(g, CONNECTED)
     gamma_c = {"value": core.size, "provenance": core.provenance}

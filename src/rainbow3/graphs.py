@@ -42,6 +42,10 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...] = field(repr=False)
     edge_set: frozenset = field(repr=False, compare=False)
+    _min_degree: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:  # few distinct degrees: a cheap min
+        object.__setattr__(self, "_min_degree", min(set(map(len, self.adj)), default=0))
 
     @property
     def m(self) -> int:
@@ -51,7 +55,7 @@ class Graph:
         return len(self.adj[v])
 
     def min_degree(self) -> int:
-        return min(set(map(len, self.adj)), default=0)  # few distinct degrees: a cheap min
+        return self._min_degree
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_set

@@ -1,28 +1,22 @@
-"""Shared brute-force oracles, fixture graphs and hypothesis strategies.
+"""Shared oracles, fixture graphs and hypothesis strategies.
 
-The oracles here are deliberately dumb reimplementations (subset and
-subtree enumeration with plain set logic) so the library never checks
-itself against its own machinery.  Six exceptions keep an earlier form of a
-library routine so tests can compare what each searches, spends or builds:
-`oracle_is_3_rainbow` runs one join per triple with the library's walk search
-and join, `oracle_exact_rx3_coloring` searches every subtree of each
-triple under the exact solver's node budget, `oracle_tree_levels` builds
-that solver's tree bitsets in two passes over bytearrays, `oracle_sdiam3_scan`
-runs the median minimum of every triple its per-triple bounds leave, over rows
-of plain BFS distances, `oracle_cds_heuristic` is the many-leaf greedy as it
-stood before DECISIONS.md entry 6, with a heap entry pushed on every count
-decrement, and `oracle_final_pass` is the +6 final pass as it stood before
-DECISIONS.md entry 13, walking every certificate.  `checked_three_way_coloring`
-re-verifies the certificates after every repair step of the +6 construction and
-compares the certificates it returns with `oracle_final_pass`.
+One oracle per fact.  Where a definition pins the fact, the oracle is that
+definition, checked by plain enumeration and set logic, so the library never
+checks itself against its own machinery: `oracle_certificate` is a safety
+certificate, `oracle_minimal_trees` the exact solver's trees, `oracle_steiner3`
+a Steiner distance and `check_final_pass` what the +6 construction's
+certificates promise.  Where no definition fixes the output, an earlier
+version of the library routine is kept, and its docstring says why:
+`oracle_is_3_rainbow`, `oracle_exact_rx3_coloring` and `oracle_cds_heuristic`.
+`tests/mutants.py` measures what the tests catch (DECISIONS.md entry 15).
 """
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
 import random
-from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -33,16 +27,13 @@ from rainbow3 import (
     CLASS_TABLE,
     ColoringInternalError,
     EdgeColoring,
-    GraphError,
     LimitError,
-    SafetyCertificate,
     build_graph,
     certificate_colors,
     class_membership,
     edge_key,
     three_way_coloring,
 )
-from rainbow3.graphs import bfs_distances
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +135,9 @@ def oracle_is_3_rainbow(g, c, fronts=None):
     medians in move-to-front order, each median searched when first tried.
     The search, the join and the budget are looked up in `rainbow3.verify`
     at call time, so a test can patch and count them.  A ``fronts`` list
-    collects each median as it first reaches the front, median 0 first."""
+    collects each median as it first reaches the front, median 0 first.
+    Kept as a version copy: no definition fixes which medians a verifier
+    searches or in what order, only this algorithm."""
     if g.n < 3:
         return verify.VerifyReport(True, None, 0, c.num_colors)
     adj_bits = verify._color_bits(g, c)
@@ -173,8 +166,8 @@ def oracle_is_3_rainbow(g, c, fronts=None):
 
 
 def _oracle_trees_by_triple(g, k):
-    """For each vertex triple, every <=k-edge subtree containing it, as an
-    edge bitmask.  None signals an empty list for some triple."""
+    """For each vertex triple, in lexicographic order, every subtree of 2..k
+    edges containing it, as an edge bitmask."""
     ends = [1 << u | 1 << v for u, v in g.edges]
     level = {1 << ei: e for ei, e in enumerate(ends)}  # tree -> its vertex mask
     per_triple = {t: [] for t in itertools.combinations(range(g.n), 3)}
@@ -189,16 +182,29 @@ def _oracle_trees_by_triple(g, k):
             inside = [v for v in range(g.n) if verts >> v & 1]
             for t in itertools.combinations(inside, 3):
                 per_triple[t].append(tree)
-    if any(not lst for lst in per_triple.values()):
-        return None
-    return list(per_triple.values())
+    return per_triple
+
+
+def oracle_minimal_trees(g, k):
+    """Each triple's minimal trees of 2..k edges, in triple order: the
+    subtrees containing it whose leaves all lie in it."""
+    minimal = {}
+    for t, trees in _oracle_trees_by_triple(g, k).items():
+        minimal[t] = set()
+        for tree in trees:
+            degree = collections.Counter(
+                x for ei, e in enumerate(g.edges) if tree >> ei & 1 for x in e
+            )
+            if all(x in t for x, d in degree.items() if d == 1):
+                minimal[t].add(tree)
+    return minimal
 
 
 def _oracle_search_coloring(g, k):
     """First k-coloring (canonical order) under which every triple keeps a
     clash-free subtree, or None; one entry per (triple, subtree) pair."""
-    per_triple = _oracle_trees_by_triple(g, k)
-    if per_triple is None:
+    per_triple = list(_oracle_trees_by_triple(g, k).values())
+    if not all(per_triple):
         return None
     m = g.m
     tree_mask = [tree for lst in per_triple for tree in lst]
@@ -261,7 +267,9 @@ def oracle_exact_rx3_coloring(g, kmax=verify.EXACT_KMAX):
     """`exact_rx3_coloring` with every subtree of up to k edges stored once
     per triple it contains: (k, witness) for the first k from the Steiner
     3-diameter (by subset enumeration) up to kmax, or None.  Edge limits are
-    not checked; the node budget is read from `rainbow3.verify` at call time."""
+    not checked; the node budget is read from `rainbow3.verify` at call time.
+    Kept as a version copy: the witness and the nodes a search spends are
+    fixed by its canonical search order, not by any definition of rx3."""
     triples = itertools.combinations(range(g.n), 3)
     lower = max([2] + [oracle_steiner3(g, t) for t in triples])
     for k in range(lower, kmax + 1):
@@ -271,95 +279,11 @@ def oracle_exact_rx3_coloring(g, kmax=verify.EXACT_KMAX):
     return None
 
 
-def oracle_tree_levels(g):
-    """`rainbow3.verify._tree_levels` as it stood before the one-pass build:
-    each level grown into a dict, then numbered in a second pass that sets
-    bits in per-edge and per-triple bytearrays padded level by level, turned
-    into ints with `int.from_bytes` at every yield."""
-    ends = [1 << u | 1 << v for u, v in g.edges]
-    triples = itertools.combinations(range(g.n), 3)
-    triple_id = {1 << a | 1 << b | 1 << c: ti for ti, (a, b, c) in enumerate(triples)}
-    through = [bytearray() for _ in ends]  # little-endian tree bitsets
-    serving = [bytearray() for _ in triple_id]
-    count = 0
-    level = {1 << ei: (e, e) for ei, e in enumerate(ends)}  # tree -> (vertices, leaves)
-    while True:
-        grown = {}
-        for tree, (verts, leaves) in level.items():
-            for ei, e in enumerate(ends):
-                if (e & verts).bit_count() == 1:
-                    tips = leaves & ~e | e & ~verts  # the new vertex replaces its anchor
-                    if tips.bit_count() <= 3:
-                        grown[tree | 1 << ei] = (verts | e, tips)
-        level = grown
-        pad = bytes((count + len(level) + 7) // 8 - (count + 7) // 8)
-        for bits in (*through, *serving):
-            bits += pad
-        for tree, (verts, leaves) in level.items():
-            at, bit = count >> 3, 1 << (count & 7)
-            count += 1
-            if leaves.bit_count() == 3:
-                serving[triple_id[leaves]][at] |= bit
-            else:  # a path serves its ends with each inner vertex
-                inner = verts ^ leaves
-                while inner:
-                    low = inner & -inner
-                    serving[triple_id[leaves | low]][at] |= bit
-                    inner ^= low
-            while tree:
-                low = tree & -tree
-                through[low.bit_length() - 1][at] |= bit
-                tree ^= low
-        on_edge = [int.from_bytes(bits, "little") for bits in through]
-        served = [int.from_bytes(bits, "little") for bits in serving]
-        at_risk = None if 0 in served else [
-            sorted((s for s in served if s & trees), key=int.bit_count) for trees in on_edge
-        ]
-        yield count, on_edge, at_risk
-
-
-def oracle_sdiam3_scan(g):
-    """`sdiam3_with_triple` as a loop over every triple in lexicographic
-    order: (max Steiner distance, first argmax), skipping a triple only by
-    its pair bound, its two shorter sides or the last ruling-out median."""
-    if g.n < 3:
-        raise GraphError(f"sdiam3 needs at least 3 vertices, got n={g.n}")
-    dist = [bfs_distances(g, v) for v in range(g.n)]
-    n = g.n
-    ecc = [max(row) for row in dist]
-    best = -1
-    best_triple = (0, 1, 2)
-    h = 0
-    for a in range(n - 2):
-        da = dist[a]
-        for b in range(a + 1, n - 1):
-            db = dist[b]
-            dab = da[b]
-            if dab + min(ecc[a], ecc[b]) <= best:
-                continue
-            sab = None
-            sab_h, dh = da[h] + db[h], dist[h]
-            for c in range(b + 1, n):
-                dac, dbc = da[c], db[c]
-                if dab + dac + dbc - max(dab, dac, dbc) <= best or sab_h + dh[c] <= best:
-                    continue
-                if sab is None:
-                    sab = list(map(add, da, db))
-                sums = list(map(add, sab, dist[c]))
-                val = min(sums)
-                if val > best:
-                    best = val
-                    best_triple = (a, b, c)
-                else:
-                    h = sums.index(val)
-                    sab_h, dh = sab[h], dist[h]
-    return best, best_triple
-
-
 def oracle_cds_heuristic(g) -> frozenset:
     """`cds_heuristic` with its earlier heap: every count decrement of a tree
     vertex pushes a fresh entry, and stale entries are skipped on pop.
-    Returns the internal vertices."""
+    Returns the internal vertices.  Kept as a version copy: no definition
+    fixes the greedy's tie order, only the algorithm."""
     if g.n == 1:
         return frozenset({0})
     root = max(range(g.n), key=lambda v: (g.degree(v), -v))
@@ -401,70 +325,32 @@ def pickable_bruteforce(cu, cv, cw) -> bool:
     return False
 
 
-def oracle_certificate(g, c, dom, cert) -> bool:
-    """The certificate check as it stood before the single distinctness
-    test: per-path simplicity, an inner-in-D scan and a pairwise
-    internal-disjointness loop, each tested separately."""
-    if cert.vertex in dom:
-        return False
-    paths = cert.paths
-    if len(paths) != 3 or len(paths[0]) != 2 or len(cert.color_sets) != 3:
-        return False
-    seen_colors: set[int] = set()
-    for path, recorded in zip(paths, cert.color_sets):
-        if len(path) < 2 or path[0] != cert.vertex:
-            return False
-        if path[-1] not in dom:
-            return False
-        if any(p in dom for p in path[1:-1]):
-            return False
-        if len(set(path)) != len(path):
-            return False
-        # the path's colors are distinct, so equal sizes and containment
-        # make the recorded set exactly the path's colors
-        if len(recorded) != len(path) - 1:
-            return False
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                return False
-            col = c.assignment.get(edge_key(a, b))
-            if col is None or col in seen_colors or col not in recorded:
-                return False
-            seen_colors.add(col)
-    for i, j in itertools.combinations(range(3), 2):
-        inner_i = set(paths[i][1:-1])
-        inner_j = set(paths[j][1:-1])
-        if inner_i & set(paths[j]) or inner_j & set(paths[i]):
-            return False
-    return True
-
-
-def oracle_certificate_colors(g, c, dom, v, paths):
-    """``certificate_colors`` as it stood before the lean walk: one list of
-    all the path colors, one distinctness test by ``set`` and three slices."""
+def oracle_certificate(g, c, dom, v, paths, recorded=None):
+    """A safety certificate by its definition: the three paths' color sets,
+    or None unless there are three paths from v into D, the first (the leg)
+    one edge; every step is a colored edge of g; v and the inner vertices are
+    pairwise distinct and outside D, and each path ends at its first vertex
+    in D; and all path colors are distinct.  With ``recorded``, also None
+    unless it holds three sets, each equal to its path's colors."""
     if len(paths) != 3 or len(paths[0]) != 2:
         return None
-    edges, assignment = g.edge_set, c.assignment
-    colors = []
+    visited, colors, sets = [v], [], []
     for path in paths:
         if len(path) < 2 or path[0] != v or path[-1] not in dom:
             return None
-        a = v
-        for b in path[1:]:
-            e = (a, b) if a < b else (b, a)
-            col = assignment.get(e)
-            if col is None or e not in edges:
-                return None
-            colors.append(col)
-            a = b
-    inner = (v, *paths[1][1:-1], *paths[2][1:-1])
-    if len(set(colors)) != len(colors) or len(set(inner)) != len(inner):
-        return None
-    for x in inner:
-        if x in dom:
+        if any(x in dom for x in path[:-1]) or not all(map(g.has_edge, path, path[1:])):
             return None
-    k = len(paths[1])  # the leg's color, then the k - 1 of the second path
-    return frozenset(colors[:1]), frozenset(colors[1:k]), frozenset(colors[k:])
+        cols = [c.assignment.get(edge_key(a, b)) for a, b in zip(path, path[1:])]
+        visited += path[1:-1]
+        colors += cols
+        sets.append(frozenset(cols))
+    if None in colors or len(set(colors)) != len(colors) or len(set(visited)) != len(visited):
+        return None
+    if recorded is not None and (
+        len(recorded) != 3 or any(set(r) != s for r, s in zip(recorded, sets))
+    ):
+        return None
+    return tuple(sets)
 
 
 def all_class_triples() -> list[tuple[frozenset, ...]]:
@@ -520,58 +406,20 @@ def oracle_min_dominating(g, k=1, way=0):
                 return set(combo)
 
 
-def oracle_grown_set(g, kind, core) -> set:
-    """`dominating_set`'s growth of ``core`` into a ``kind`` set as it stood
-    before the covered-set test (DECISIONS.md entry 14): every vertex of
-    degree below k_way, then one pass over every outside vertex, whether or
-    not N[D] already covers V."""
-    dset = set(core)
-    adj, need = g.adj, kind.k_dominating
-    if kind.k_way:
-        dset.update(v for v, nbrs in enumerate(adj) if len(nbrs) < kind.k_way)
-    for v in range(g.n):
-        if v in dset:
-            continue
-        nbrs = adj[v]
-        inside = len(dset.intersection(nbrs))
-        if inside >= need:
-            continue
-        if len(nbrs) < need:
-            dset.add(v)
-            continue
-        for w in nbrs:
-            if w not in dset:
-                dset.add(w)
-                inside += 1
-                if inside >= need:
-                    break
-    return dset
-
-
 # ---------------------------------------------------------------------------
 # Checked construction.
 
-def oracle_final_pass(g, coloring, dset, cert_paths) -> list:
-    """The final pass of `three_way_coloring` before DECISIONS.md entry 13:
-    every stored certificate's color sets read off one `certificate_colors`
-    walk under the finished coloring, equal signatures shared and checked
-    against the class table when first seen.  Returns the certificates."""
-    certificates = []
-    signatures: dict = {}
-    for v in range(g.n):
-        if v in dset:
-            continue
-        paths = cert_paths.get(v)
-        if paths is None:
-            raise ColoringInternalError(f"outside vertex {v} ended without a certificate")
-        sets = certificate_colors(g, coloring, dset, v, paths)
-        if sets is None:
-            raise ColoringInternalError(f"certificate of vertex {v} does not verify (final pass)")
-        shared = signatures.setdefault(sets, sets)
-        if shared is sets and class_membership(sets) is None:
-            raise ColoringInternalError(f"vertex {v} has a signature outside the class table")
-        certificates.append(SafetyCertificate(v, paths, shared))
-    return certificates
+def check_final_pass(g, col, dset, certs) -> None:
+    """What the +6 final pass promises: one certificate per outside vertex,
+    in vertex order, whose color sets are its paths' colors under the
+    finished coloring, found in the class table, equal signatures being one
+    object."""
+    assert [cert.vertex for cert in certs] == [v for v in range(g.n) if v not in dset]
+    signatures = {}
+    for cert in certs:
+        assert cert.color_sets == certificate_colors(g, col, dset, cert.vertex, cert.paths)
+        assert signatures.setdefault(cert.color_sets, cert.color_sets) is cert.color_sets
+        assert class_membership(cert.color_sets) is not None
 
 
 def checked_three_way_coloring(g, dom):
@@ -579,7 +427,7 @@ def checked_three_way_coloring(g, dom):
     repair step every vertex certified so far is re-verified under the
     component's colors, and a certificate that stopped verifying raises
     ColoringInternalError.  Checks that every reported repair step was wrapped,
-    and that the certificates equal those of `oracle_final_pass`."""
+    and `check_final_pass` on the result."""
     dset = frozenset(getattr(dom, "vertices", dom))
     step = coloring.stage2_repair_step
     checked = []
@@ -600,7 +448,7 @@ def checked_three_way_coloring(g, dom):
         result = three_way_coloring(g, dom)
     col, certs, report = result
     assert len(checked) == report.stage2_steps
-    assert certs == oracle_final_pass(g, col, dset, {cert.vertex: cert.paths for cert in certs})
+    check_final_pass(g, col, dset, certs)
     return result
 
 

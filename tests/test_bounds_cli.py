@@ -242,10 +242,10 @@ def test_cli_usage_error_exits_two():
     "text,message",
     [("# method=spanning n=3 colors=2\n" + rows, "rainbow3: bad coloring line")
      for rows in ["0 1 x\n1 2 1\n", "0 1 1.5\n1 2 1\n", "0 1 0\n1 2 -2\n",
-                  "0 1 1\n1 2 -2\n", "0 1 1\n1 2 2\n1 0 2\n", "0 1\n"]]
+                  "0 1 1\n1 2 -2\n", "0 1 1\n1 2 2\n1 0 2\n", "0 1\n", "0 1 1\n1 2 0\n"]]
     + [("0 1 1\n1 2 2\n", "rainbow3: coloring header must record n\n")],
     ids=["non-integer", "fraction", "zero-color", "negative-color", "edge-twice", "two-fields",
-         "no-n-header"],
+         "only-a-zero-color", "no-n-header"],
 )
 def test_cli_verify_malformed_coloring_exits_two(text, message):
     code, out, err = _cli(["verify"], stdin_text=text)
@@ -285,14 +285,16 @@ CERT = {"vertex": 2, "paths": [[2, 1]], "color_sets": [[2]]}
             ([0, 1], dict(CERT, paths=[[2, True]])),
             ([0, 1], dict(CERT, color_sets=[[True]])),
             ([0, 1], dict(CERT, paths=5)),
+            (5, CERT),
         ]
-    ],
+    ]
+    + [(["verify", "--certs"], json.dumps("certificates"), COLORED_PATH)],
     ids=["dom-non-integer", "certs-not-json", "certs-not-object", "certs-missing-list",
          "certs-dom-outside-the-graph", "exact-disconnected",
          "cert-missing-vertex", "cert-missing-paths", "cert-missing-color-sets",
          "cert-non-integer-vertex", "certs-dom-string", "certs-dom-non-integer",
          "certs-dom-float", "cert-boolean-vertex", "cert-boolean-path-vertex",
-         "cert-boolean-color", "cert-paths-not-a-list"],
+         "cert-boolean-color", "cert-paths-not-a-list", "certs-dom-number", "certs-a-string"],
 )
 def test_cli_malformed_input_file_exits_two(argv, file_text, stdin_text, tmp_path):
     path = tmp_path / "input"
@@ -327,6 +329,12 @@ def test_cli_file_errors_exit_two(argv, stdin_text, tmp_path):
 def test_read_coloring_rejects_bad_header_value():
     with pytest.raises(GraphError, match="header"):
         read_coloring("# method=spanning n=three\n0 1 1\n")
+
+
+def test_read_coloring_reads_header_tokens_after_the_hash():
+    # a token is key=value up to its first "=", with or without a space after "#"
+    g, col, meta = read_coloring("#method=a=b n=3\n0 1 1\n1 2 2\n")
+    assert meta == {"method": "a=b", "n": 3}
 
 
 def test_read_coloring_skips_blank_lines():

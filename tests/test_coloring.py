@@ -53,11 +53,11 @@ from rainbow3.coloring import (
 from rainbow3.graphs import bfs_distances
 from rainbow3 import chain_example
 from conftest import (
+    check_final_pass,
     checked_three_way_coloring,
     connected_graphs,
     graphs_with_subsets,
     hub_graph,
-    oracle_final_pass,
     prism_graph,
     stage2_rule_keys,
     wheel_graph,
@@ -689,8 +689,7 @@ def test_final_pass_matches_the_full_walk_at_n_2000(delta, seed):
     g = random_min_degree(2000, delta, seed)
     dom = three_way_dominating_set(g)
     col, certs, report = three_way_coloring(g, dom)
-    paths = {cert.vertex: cert.paths for cert in certs}
-    assert certs == oracle_final_pass(g, col, dom.vertices, paths)
+    check_final_pass(g, col, dom.vertices, certs)
     assert report.recolored > 0
 
 

@@ -38,7 +38,6 @@ from conftest import (
     connected_graphs,
     oracle_cds_heuristic,
     oracle_dominates,
-    oracle_grown_set,
     oracle_min_dominating,
 )
 
@@ -362,15 +361,22 @@ def graphs_with_cores(draw):
 @example((build_graph(4, [(0, 1), (1, 3), (2, 3)]), CONNECTED, DominatingSet(frozenset({0}), "exact")))
 @given(graphs_with_cores())
 @settings(max_examples=150, deadline=None)
-def test_dominating_set_grows_a_core_like_the_old_loop(drawn):
+def test_dominating_set_grows_a_core_into_a_kind_set(drawn):
+    # a core that qualifies comes back as it is; any other grows into a
+    # heuristic kind set that keeps it, and only a core that does not
+    # dominate can fail to; which vertices growth adds is pinned by the
+    # identity digests
     g, kind, core = drawn
-    want = oracle_grown_set(g, kind, core.vertices)
-    if not oracle_dominates(g, want, kind.k_dominating, kind.k_way):
-        with pytest.raises(AssertionError, match="growth failed"):
-            dominating_set(g, kind, core)
+    if oracle_dominates(g, core.vertices, kind.k_dominating, kind.k_way):
+        assert dominating_set(g, kind, core) is core
         return
-    provenance = core.provenance if want == core.vertices else "heuristic"
-    assert dominating_set(g, kind, core) == DominatingSet(frozenset(want), provenance)
+    try:
+        grown = dominating_set(g, kind, core)
+    except AssertionError as exc:
+        assert str(exc).startswith("growth failed") and not oracle_dominates(g, core.vertices)
+        return
+    assert grown.provenance == "heuristic" and grown.vertices > core.vertices
+    assert oracle_dominates(g, grown.vertices, kind.k_dominating, kind.k_way)
 
 
 def test_gamma_c_of_long_low_degree_graphs():

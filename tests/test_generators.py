@@ -177,3 +177,28 @@ def test_random_min_degree_rejects_negative_delta(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("rainbow3: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete_graph(0),
+    lambda: complete_graph(1),
+    lambda: complete_graph(5),
+    lambda: complete_bipartite(0, 0),
+    lambda: complete_bipartite(2, 3),
+    lambda: path_graph(1),
+    lambda: path_graph(6),
+    lambda: cycle_graph(7),
+    lambda: star_graph(1),
+    lambda: star_graph(6),
+    lambda: gstar(4, 2).graph,
+    lambda: threshold_example(5).graph,
+    lambda: chain_example(4, 5).graph,
+    lambda: french_windmill(3).graph,
+    lambda: random_min_degree(1, 0, 0),
+    lambda: random_min_degree(40, 2, 5),
+], ids=["K0", "K1", "K5", "K0,0", "K2,3", "P1", "P6", "C7", "star1", "star6", "gstar-4-2",
+        "threshold-5", "chain-4-5", "windmill-3", "random-1", "random-40"])
+def test_min_degree_is_the_least_adjacency_length(make):
+    # computed once when the graph is built; it must match a fresh scan
+    g = make()
+    assert g.min_degree() == min(map(len, g.adj), default=0)

@@ -37,7 +37,6 @@ from conftest import (
     graphs_with_subsets,
     oracle_components_minus,
     oracle_connected,
-    oracle_sdiam3_scan,
     oracle_steiner3,
 )
 
@@ -316,20 +315,34 @@ def test_sdiam3_disconnected_names_an_unreachable_pair():
         sdiam3_with_triple(build_graph(5, [(0, 1), (1, 2), (3, 4)]))
 
 
+def _sdiam3_by_median_sums(g):
+    """(max Steiner distance, first argmax), every triple's distance the
+    least median sum over all vertices."""
+    dist = [bfs_distances(g, v) for v in range(g.n)]
+    best, first = -1, None
+    for t in itertools.combinations(range(g.n), 3):
+        val = min(map(sum, zip(*(dist[x] for x in t))))
+        if val > best:
+            best, first = val, t
+    return best, first
+
+
 @pytest.mark.parametrize("family", ["random", "windmill", "gstar"])
 def test_sdiam3_matches_plain_scan(family):
-    """Value and first argmax equal the scan without the ball masks."""
+    """Value and first argmax equal the scan of every triple, on graphs of at
+    most 40 vertices, where that cubic scan stays cheap; lanes wider than a
+    byte are pinned by the path and broom tests below."""
     if family == "random":
-        cases = [(n, d) for n in range(6, 151, 8) for d in range(1, 6)]
+        cases = [(n, d) for n in range(6, 41, 8) for d in range(1, 6)]
         graphs = [random_min_degree(n, d, n + d) for n, d in cases]
     elif family == "windmill":
-        cases = list(range(2, 41))
+        cases = list(range(2, 14))
         graphs = [french_windmill(t).graph for t in cases]
     else:
-        cases = [(d, m) for d in (3, 4, 5) for m in range(17)]
+        cases = [(3, m) for m in range(8)] + [(4, m) for m in range(6)] + [(5, m) for m in range(5)]
         graphs = [gstar(d, m).graph for d, m in cases]
     for case, g in zip(cases, graphs):
-        assert sdiam3_with_triple(g) == oracle_sdiam3_scan(g), case
+        assert sdiam3_with_triple(g) == _sdiam3_by_median_sums(g), case
 
 
 @pytest.mark.parametrize("n", [86, 87, 300])
@@ -381,6 +394,12 @@ def test_edge_list_bad_header():
         read_edge_list("x y\n")
     with pytest.raises(GraphError, match="endpoint tokens"):
         read_edge_list("3 2\n0 1\n")
+    with pytest.raises(GraphError, match="header line"):
+        read_edge_list("3\n")
+
+
+def test_edge_list_header_alone_is_an_edgeless_graph():
+    assert read_edge_list("3 0\n") == build_graph(3, [])
 
 
 def test_edge_list_bad_edge_token():

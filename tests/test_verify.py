@@ -46,11 +46,10 @@ from conftest import (
     connected_graphs,
     many_colored_graphs,
     oracle_certificate,
-    oracle_certificate_colors,
     oracle_exact_rx3_coloring,
     oracle_is_3_rainbow,
+    oracle_minimal_trees,
     oracle_rainbow_report,
-    oracle_tree_levels,
     pickable_bruteforce,
     random_connected,
 )
@@ -452,11 +451,11 @@ def test_certificate_through_colored_non_edge_fails():
     cert = _windmill_cert(paths, [{1}, {2, 3}, {4, 5}])
     g = build_graph(5, edges)
     assert certificate_colors(g, col, {3, 4}, 0, paths) is None
-    assert oracle_certificate_colors(g, col, {3, 4}, 0, paths) is None
+    assert oracle_certificate(g, col, {3, 4}, 0, paths) is None
     assert not verify_certificate(g, col, {3, 4}, cert)
     g = build_graph(5, edges + [(0, 1)])
     assert certificate_colors(g, col, {3, 4}, 0, paths) == cert.color_sets
-    assert oracle_certificate_colors(g, col, {3, 4}, 0, paths) == cert.color_sets
+    assert oracle_certificate(g, col, {3, 4}, 0, paths) == cert.color_sets
     assert verify_certificate(g, col, {3, 4}, cert)
 
 
@@ -575,9 +574,9 @@ def _mutated_certificates(draw):
 
 
 def test_certificate_check_matches_separate_tests():
-    # the one distinctness test against the three separate ones it replaced;
-    # the pinned case repeats an inner vertex over unused edges, a fault the
-    # construction's own six colors almost never leave as the only one
+    # the verdict against the definition of a certificate, recorded sets
+    # included; the pinned case repeats an inner vertex over unused edges, a
+    # fault the construction's own six colors almost never leave as the only one
     verdicts = set()
 
     @given(_mutated_certificates())
@@ -586,7 +585,8 @@ def test_certificate_check_matches_separate_tests():
     def agree(drawn):
         g, dom, coloring, cert = drawn
         got = verify_certificate(g, coloring, dom, cert)
-        assert got == oracle_certificate(g, coloring, dom, cert)
+        sets = oracle_certificate(g, coloring, dom, cert.vertex, cert.paths, cert.color_sets)
+        assert got == (sets is not None)
         verdicts.add(got)
 
     agree()
@@ -623,13 +623,13 @@ def _outcome(f, *args):
 def test_certificate_colors_matches_the_oracle_on_mutants(drawn):
     g, dom, coloring, cert = drawn
     args = (g, coloring, dom, cert.vertex, cert.paths)
-    assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate_colors, *args)
+    assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate, *args)
 
 
-def _uncolored(coloring, paths):
-    """The coloring without the color of the third path's last edge."""
+def _uncolored(coloring, paths, i=2):
+    """The coloring without the color of path i's last edge."""
     assignment = dict(coloring.assignment)
-    del assignment[edge_key(*paths[2][-2:])]
+    del assignment[edge_key(*paths[i][-2:])]
     return EdgeColoring.from_dict(assignment)
 
 
@@ -653,6 +653,7 @@ MALFORMED = {
     "v=n": lambda g, c, v, p: (c, g.n, p),
     "v=True": lambda g, c, v, p: (c, True, p),
     "uncolored-edge": lambda g, c, v, p: (_uncolored(c, p), v, p),
+    "uncolored-leg": lambda g, c, v, p: (_uncolored(c, p, 0), v, p),
     "repeated-color-second": lambda g, c, v, p: (_repeated(c, p, 1), v, p),
     "repeated-color-third": lambda g, c, v, p: (_repeated(c, p, 2), v, p),
 }
@@ -664,7 +665,7 @@ def test_certificate_colors_matches_the_oracle_on_malformed_input(kind):
     for cert in certs:
         c, v, paths = MALFORMED[kind](g, coloring, cert.vertex, cert.paths)
         args = (g, c, dom, v, paths)
-        assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate_colors, *args)
+        assert _outcome(certificate_colors, *args) == _outcome(oracle_certificate, *args)
 
 
 RECORDED = {
@@ -688,7 +689,8 @@ def test_verify_certificate_matches_the_oracle_on_recorded_sets(kind):
     for cert in certs:
         recorded = SafetyCertificate(cert.vertex, cert.paths, form(cert.color_sets))
         assert verify_certificate(g, coloring, dom, recorded) is verdict
-        assert oracle_certificate(g, coloring, dom, recorded) is verdict
+        sets = oracle_certificate(g, coloring, dom, cert.vertex, cert.paths, recorded.color_sets)
+        assert (sets is not None) is verdict
 
 
 def _t_sets(*parts):
@@ -968,12 +970,25 @@ LEVEL_GRAPHS = {
 
 
 def _levels_match_oracle(g):
-    # the one-pass build yields the same tree count, bitsets and at-risk
-    # lists as the bytearray build at every k up to rx3, the last the solver reads
-    levels = rainbow3.verify._tree_levels(g)
+    # at every k up to rx3, the last the solver reads, tree t is read back
+    # off the bitsets as the edges whose bitset has bit t: the trees are the
+    # minimal trees of 2..k edges found by subtree enumeration, each once,
+    # those of k - 1 keep their ids, and each edge's at-risk list holds, for
+    # each triple a tree through the edge serves, the bitset of the trees
+    # serving it, fewest trees first (ties in triple order), or is None while
+    # some triple has no tree
+    trees = []
     kmax = exact_rx3(g, max_edges=g.m)
-    for k, new, old in zip(range(2, kmax + 1), levels, oracle_tree_levels(g)):
-        assert new == old, k
+    for k, (count, on_edge, at_risk) in zip(range(2, kmax + 1), rainbow3.verify._tree_levels(g)):
+        read = [sum(1 << e for e, bits in enumerate(on_edge) if bits >> t & 1) for t in range(count)]
+        minimal = oracle_minimal_trees(g, k).values()
+        assert read[:len(trees)] == trees and set(read) == set().union(*minimal), k
+        assert len(set(read)) == count, k
+        trees = read
+        served = [sum(1 << t for t, tree in enumerate(read) if tree in mine) for mine in minimal]
+        assert at_risk == (None if 0 in served else [
+            sorted((s for s in served if s & bits), key=int.bit_count) for bits in on_edge
+        ]), k
 
 
 @pytest.mark.parametrize("name", list(LEVEL_GRAPHS))
